@@ -17,7 +17,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import InputError
+from .errors import InputError, require_int
 from .series import PolySeries
 
 __all__ = [
@@ -48,9 +48,7 @@ class GridSpec:
     refine_depth: int = 3
 
     def __post_init__(self):
-        if isinstance(self.m, bool) or not isinstance(self.m, (int, np.integer)) or self.m < 16:
-            raise InputError("grid needs at least 16 angular samples")
-        object.__setattr__(self, "m", int(self.m))
+        object.__setattr__(self, "m", require_int(self.m, 16, "grid needs at least 16 angular samples"))
         try:
             radii = tuple(float(r) for r in self.radii)
         except (TypeError, ValueError):
@@ -60,11 +58,8 @@ class GridSpec:
         if any(b <= a for a, b in zip(radii, radii[1:])):
             raise InputError("radii must be strictly increasing")
         object.__setattr__(self, "radii", radii)
-        if isinstance(self.refine_depth, bool) or not isinstance(
-            self.refine_depth, (int, np.integer)
-        ) or self.refine_depth < 0:
-            raise InputError("refine_depth must be a nonnegative integer")
-        object.__setattr__(self, "refine_depth", int(self.refine_depth))
+        depth = require_int(self.refine_depth, 0, "refine_depth must be a nonnegative integer")
+        object.__setattr__(self, "refine_depth", depth)
 
 
 class BracketKind(Enum):
@@ -110,12 +105,17 @@ def _check_circle_radius(r: float) -> float:
     return r
 
 
-def _golden_max(h, a: float, b: float, iters: int, best_val: float, best_x: float):
+def _circle_point(r: float, t: float) -> complex:
+    return r * complex(math.cos(t), math.sin(t))
+
+
+def _golden_max(h, a: float, b: float, iters: int, best_val: float, best_x: float, tol: float = 0.0):
     """Golden-section shrink of [a, b], maximizing the scalar objective h.
 
-    Runs `iters` interval contractions (one new evaluation each after the
-    initial pair) and returns the best value/point seen, so the result is
-    always at least the incoming best.
+    Runs interval contractions (one new evaluation each after the initial
+    pair) until `iters` are done or b - a <= tol; tol = 0 means exactly
+    `iters`. Returns the best value/point seen, so the result is always at
+    least the incoming best.
     """
     if iters <= 0:
         return best_val, best_x
@@ -127,7 +127,8 @@ def _golden_max(h, a: float, b: float, iters: int, best_val: float, best_x: floa
         best_val, best_x = f1, x1
     if f2 > best_val:
         best_val, best_x = f2, x2
-    for _ in range(iters):
+    it = 0
+    while (b - a) > tol and it < iters:
         if f1 < f2:
             a = x1
             x1, f1 = x2, f2
@@ -142,31 +143,34 @@ def _golden_max(h, a: float, b: float, iters: int, best_val: float, best_x: floa
             f1 = h(x1)
             if f1 > best_val:
                 best_val, best_x = f1, x1
+        it += 1
     return best_val, best_x
 
 
-def _circle_argopt(hvec, hscalar, r: float, spec: GridSpec, minimize: bool = False):
+def _circle_argopt(h, r: float, m: int, iters: int, *, minimize: bool = False, basins: int = 1,
+                   tol: float = 0.0):
     """Grid extremum of a real objective over |z| = r plus golden refinement.
 
-    hvec maps an ndarray of circle points to real values; hscalar maps one
-    angle theta to the same objective. Returns (value, argpoint).
+    h maps a circle point, or an ndarray of them, to real values. The best
+    `basins` grid samples, each at least 3 samples from those picked before,
+    are refined over one grid step either side by _golden_max(iters, tol);
+    refining several separated basins protects against near-tied peaks
+    picking the wrong one. Returns (value, theta).
     """
-    pts = r * _unit_circle(spec.m)
-    vals = np.asarray(hvec(pts), dtype=np.float64)
     sign = -1.0 if minimize else 1.0
-    svals = sign * vals
-    i = int(np.argmax(svals))
-    theta = _TWO_PI * i / spec.m
-    best_val, best_t = float(svals[i]), theta
-    if spec.refine_depth > 0:
-        dt = _TWO_PI / spec.m
-        if minimize:
-            h = lambda t: -hscalar(t)  # noqa: E731
-        else:
-            h = hscalar
-        best_val, best_t = _golden_max(h, theta - dt, theta + dt, spec.refine_depth, best_val, best_t)
-    z0 = r * complex(math.cos(best_t), math.sin(best_t))
-    return sign * best_val, z0
+    svals = sign * np.asarray(h(r * _unit_circle(m)), dtype=np.float64)
+    hs = lambda t: sign * h(_circle_point(r, t))  # noqa: E731
+    dt = _TWO_PI / m
+    best_val, best_t = -math.inf, 0.0
+    for k in range(basins):
+        i = int(np.argmax(svals))
+        t0 = _TWO_PI * i / m
+        val, t = _golden_max(hs, t0 - dt, t0 + dt, iters, float(svals[i]), t0, tol)
+        if val > best_val:
+            best_val, best_t = val, t
+        if k + 1 < basins:
+            np.put(svals, range(i - 2, i + 3), -np.inf, mode="wrap")
+    return sign * best_val, best_t
 
 
 def circle_argmax(g, r: float, spec: GridSpec | None = None):
@@ -177,14 +181,8 @@ def circle_argmax(g, r: float, spec: GridSpec | None = None):
     """
     spec = spec if spec is not None else GridSpec()
     r = _check_circle_radius(r)
-
-    def hvec(zs):
-        return np.abs(g(zs))
-
-    def hscalar(t):
-        return abs(g(r * complex(math.cos(t), math.sin(t))))
-
-    return _circle_argopt(hvec, hscalar, r, spec, minimize=False)
+    val, t = _circle_argopt(lambda z: abs(g(z)), r, spec.m, spec.refine_depth)
+    return val, _circle_point(r, t)
 
 
 def circle_max(g, r: float, spec: GridSpec | None = None) -> float:
@@ -234,69 +232,3 @@ def disk_sup_profile(g, spec: GridSpec | None = None):
     """
     spec = spec if spec is not None else GridSpec()
     return [(r, circle_max(g, r, spec)) for r in spec.radii]
-
-
-def _circular_index_gap(i: int, j: int, m: int) -> int:
-    d = abs(i - j)
-    return min(d, m - d)
-
-
-def _golden_max_to_tol(h, a: float, b: float, tol: float, max_iter: int, best_val: float, best_x: float):
-    x1 = b - _INV_GOLDEN * (b - a)
-    x2 = a + _INV_GOLDEN * (b - a)
-    f1 = h(x1)
-    f2 = h(x2)
-    if f1 > best_val:
-        best_val, best_x = f1, x1
-    if f2 > best_val:
-        best_val, best_x = f2, x2
-    it = 0
-    while (b - a) > tol and it < max_iter:
-        if f1 < f2:
-            a = x1
-            x1, f1 = x2, f2
-            x2 = a + _INV_GOLDEN * (b - a)
-            f2 = h(x2)
-            if f2 > best_val:
-                best_val, best_x = f2, x2
-        else:
-            b = x2
-            x2, f2 = x1, f1
-            x1 = b - _INV_GOLDEN * (b - a)
-            f1 = h(x1)
-            if f1 > best_val:
-                best_val, best_x = f1, x1
-        it += 1
-    return best_val, best_x
-
-
-def _deep_circle_argmax(g, r: float, m: int = 4096, basins: int = 3, theta_tol: float = 1e-10,
-                        max_iter: int = 120):
-    """Multi-basin argmax of |g| on |z| = r, refined until the golden bracket
-    collapses. Used where the location matters, not just the value.
-
-    Returns (value, theta). Refining the few best separated grid basins
-    protects against near-tied peaks picking the wrong one.
-    """
-    pts = r * _unit_circle(m)
-    vals = np.abs(g(pts))
-    order = np.argsort(vals)[::-1]
-    chosen: list[int] = []
-    for idx in order:
-        idx = int(idx)
-        if len(chosen) >= basins:
-            break
-        if all(_circular_index_gap(idx, j, m) >= 3 for j in chosen):
-            chosen.append(idx)
-
-    def h(t):
-        return abs(g(r * complex(math.cos(t), math.sin(t))))
-
-    dt = _TWO_PI / m
-    best_val, best_t = -math.inf, 0.0
-    for idx in chosen:
-        t0 = _TWO_PI * idx / m
-        val, t = _golden_max_to_tol(h, t0 - dt, t0 + dt, theta_tol, max_iter, float(vals[idx]), t0)
-        if val > best_val:
-            best_val, best_t = val, t
-    return best_val, best_t

@@ -32,9 +32,9 @@ from enum import Enum
 
 import numpy as np
 
-from .bounds import GridSpec, SupBracket, BracketKind, _circle_argopt, _deep_circle_argmax, \
-    _poly_sup_argmax, poly_sup
-from .errors import InputError, ParameterError, SingularDenominatorError
+from .bounds import GridSpec, SupBracket, BracketKind, _circle_argopt, _circle_point, _poly_sup_argmax, \
+    poly_sup
+from .errors import InputError, ParameterError, SingularDenominatorError, require_int
 from .functionals import DEFAULT_DENOM_FLOOR, Functional, _require_nonsingular, as_polynomial
 from .series import PolySeries, SeriesA
 
@@ -103,8 +103,7 @@ class Params:
 
 def validate_params(theorem: Theorem, params: Params, n: int) -> None:
     """Raise ParameterError naming the violated constraint, if any."""
-    if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
-        raise ParameterError("class index n must be a positive integer")
+    require_int(n, 1, "class index n must be a positive integer", ParameterError)
     try:
         alpha = float(params.alpha)
         beta = complex(params.beta)
@@ -282,7 +281,6 @@ def check(
     if not math.isfinite(r_max) or not (0.0 < r_max < 1.0):
         raise InputError("r_max must lie in (0, 1)")
     n = f.n
-    validate_params(theorem, params, n)
     thr = threshold(theorem, params, n, thm3_branch=thm3_branch)
     bound = _conclusion_bound(theorem, params)
 
@@ -304,12 +302,8 @@ def check(
         if guard_ok:
             g = _conclusion_evaluator(theorem, f, params, denom_floor)
             try:
-                lower, concl_z = _circle_argopt(
-                    lambda zs: np.abs(g(zs)),
-                    lambda t: abs(g(r_max * complex(math.cos(t), math.sin(t)))),
-                    r_max,
-                    spec,
-                )
+                lower, t = _circle_argopt(lambda z: abs(g(z)), r_max, spec.m, spec.refine_depth)
+                concl_z = _circle_point(r_max, t)
                 concl = SupBracket(lower, math.inf, r_max, BracketKind.GRID_ONLY)
             except SingularDenominatorError as exc:
                 singular = exc.z
@@ -390,16 +384,10 @@ def membership(
     witness: complex | None = None
     try:
         for r in radii:
-            val, z0 = _circle_argopt(
-                lambda zs: np.real(quotient(zs)),
-                lambda t: quotient(r * complex(math.cos(t), math.sin(t))).real,
-                r,
-                spec,
-                minimize=True,
-            )
+            val, t = _circle_argopt(lambda z: quotient(z).real, r, spec.m, spec.refine_depth, minimize=True)
             if val < min_re:
                 min_re = val
-                witness = z0
+                witness = _circle_point(r, t)
     except SingularDenominatorError as exc:
         return Verdict(VerdictState.INCONCLUSIVE, None, None, exc.z)
 
@@ -456,7 +444,7 @@ def _polish_peak(w: PolySeries, r: float, theta: float, step_cap: float, iters: 
     w2 = w1.derivative()
     tol_scale = 1e-15
     for _ in range(iters):
-        z = r * complex(math.cos(theta), math.sin(theta))
+        z = _circle_point(r, theta)
         w0 = w.eval(z)
         if abs(w0) < 1e-280:
             break
@@ -487,8 +475,7 @@ def jack_probe(w: PolySeries, n: int, r: float, spec: GridSpec | None = None) ->
     r = float(r)
     if not math.isfinite(r) or not (0.0 < r < 1.0):
         raise InputError("probe radius must lie in (0, 1)")
-    if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
-        raise InputError("leading index n must be a positive integer")
+    n = require_int(n, 1, "leading index n must be a positive integer")
     c = w.coeffs
     if c[0] != 0:
         raise InputError("w(0) = 0 required")
@@ -498,9 +485,9 @@ def jack_probe(w: PolySeries, n: int, r: float, spec: GridSpec | None = None) ->
     if int(nonzero[0]) < n:
         raise InputError(f"leading index {int(nonzero[0])} is below the declared n = {n}")
 
-    _, theta = _deep_circle_argmax(w.eval, r, m=spec.m)
+    _, theta = _circle_argopt(lambda z: abs(w.eval(z)), r, spec.m, 120, basins=3, tol=1e-10)
     theta = _polish_peak(w, r, theta, step_cap=2.0 * math.pi / spec.m)
-    z0 = r * complex(math.cos(theta), math.sin(theta))
+    z0 = _circle_point(r, theta)
     w0 = w.eval(z0)
     w1 = w.derivative()
     v1 = w1.eval(z0)
@@ -508,4 +495,4 @@ def jack_probe(w: PolySeries, n: int, r: float, spec: GridSpec | None = None) ->
     _require_nonsingular(z0, v1, DEFAULT_DENOM_FLOOR)
     ratio = z0 * v1 / w0
     curvature = (z0 * w1.derivative().eval(z0) / v1).real + 1.0
-    return JackReport(r=r, z0=z0, ratio=ratio, n=int(n), curvature_check=float(curvature))
+    return JackReport(r=r, z0=z0, ratio=ratio, n=n, curvature_check=float(curvature))

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import numpy as np
+
 __all__ = [
     "InputError",
     "ParameterError",
@@ -28,3 +30,10 @@ class SingularDenominatorError(ArithmeticError):
     def __init__(self, z: complex, message: str | None = None):
         self.z = complex(z)
         super().__init__(message or f"denominator modulus below floor near z = {self.z}")
+
+
+def require_int(x, minimum: int, message: str, exc: type = InputError) -> int:
+    """Return int(x) for a non-bool integer x >= minimum; else raise exc(message)."""
+    if isinstance(x, bool) or not isinstance(x, (int, np.integer)) or x < minimum:
+        raise exc(message)
+    return int(x)

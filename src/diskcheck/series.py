@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InputError
+from .errors import InputError, require_int
 
 __all__ = ["PolySeries", "SeriesA"]
 
@@ -109,9 +109,7 @@ class SeriesA:
     body: PolySeries
 
     def __post_init__(self):
-        if isinstance(self.n, bool) or not isinstance(self.n, (int, np.integer)) or self.n < 1:
-            raise InputError("class index n must be a positive integer")
-        object.__setattr__(self, "n", int(self.n))
+        object.__setattr__(self, "n", require_int(self.n, 1, "class index n must be a positive integer"))
         c = self.body.coeffs
         if c.size < 2:
             raise InputError("series must carry the z coefficient")

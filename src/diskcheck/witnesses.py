@@ -30,9 +30,8 @@ from .checks import (
     VerdictState,
     check,
     threshold,
-    validate_params,
 )
-from .errors import InputError, ParameterError
+from .errors import InputError, ParameterError, require_int
 from .funcspec import function_to_dict
 from .functionals import as_polynomial
 from .series import SeriesA
@@ -58,8 +57,7 @@ class Witness(Enum):
 
 
 def _witness_coefficient(which: Witness, n: int, alpha: float) -> float:
-    if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
-        raise ParameterError("class index n must be a positive integer")
+    require_int(n, 1, "class index n must be a positive integer", ParameterError)
     alpha = float(alpha)
     if not math.isfinite(alpha):
         raise ParameterError("alpha must be finite")
@@ -128,20 +126,17 @@ class FalsifyConfig:
     r_max: float = 0.999
 
     def __post_init__(self):
-        if isinstance(self.trials, bool) or not isinstance(self.trials, (int, np.integer)) or self.trials < 1:
-            raise InputError("trials must be a positive integer")
-        if isinstance(self.seed, bool) or not isinstance(self.seed, (int, np.integer)) or self.seed < 0:
-            raise InputError("seed must be a nonnegative integer")
+        trials = require_int(self.trials, 1, "trials must be a positive integer")
+        seed = require_int(self.seed, 0, "seed must be a nonnegative integer")
         if not (0.0 < float(self.margin) < 1.0):
             raise InputError("margin must lie in (0, 1)")
-        if isinstance(self.tail_len, bool) or not isinstance(self.tail_len, (int, np.integer)) or self.tail_len < 0:
-            raise InputError("tail_len must be a nonnegative integer")
+        tail_len = require_int(self.tail_len, 0, "tail_len must be a nonnegative integer")
         if not (0.0 < float(self.r_max) < 1.0):
             raise InputError("r_max must lie in (0, 1)")
-        object.__setattr__(self, "trials", int(self.trials))
-        object.__setattr__(self, "seed", int(self.seed))
+        object.__setattr__(self, "trials", trials)
+        object.__setattr__(self, "seed", seed)
         object.__setattr__(self, "margin", float(self.margin))
-        object.__setattr__(self, "tail_len", int(self.tail_len))
+        object.__setattr__(self, "tail_len", tail_len)
         object.__setattr__(self, "r_max", float(self.r_max))
 
 
@@ -161,13 +156,12 @@ def sample_satisfying(
     returned function therefore satisfies the hypothesis on the whole open
     disk with a certified margin. tail_len = 0 yields the identity.
     """
-    validate_params(theorem, params, n)
+    target = cfg.margin * threshold(theorem, params, n)
     box = rng.uniform(-1.0, 1.0, size=(cfg.tail_len, 2))
     tail = box[:, 0] + 1j * box[:, 1]
     f = SeriesA.from_tail(n, tail)
     if cfg.tail_len == 0:
         return f
-    target = cfg.margin * threshold(theorem, params, n)
     bound = coeff_bound(as_polynomial(HYPOTHESIS_FUNCTIONAL[theorem], f, params.beta), 1.0)
     if bound > target:
         f = SeriesA.from_tail(n, tail * (target / bound))
@@ -262,7 +256,6 @@ def radius_of_validity(
     theorem: Theorem,
     f: SeriesA,
     params: Params,
-    spec: GridSpec | None = None,
     *,
     tol: float = 1e-6,
 ) -> RadiusReport:
@@ -274,10 +267,7 @@ def radius_of_validity(
     parameters play no role, so the result is a genuine certificate
     matching the closed-form scale for monomial witnesses.
     """
-    del spec  # the open-disk certificate needs no grid
-    n = f.n
-    validate_params(theorem, params, n)
-    thr = threshold(theorem, params, n)
+    thr = threshold(theorem, params, f.n)
 
     def certified(scale: float) -> bool:
         g = f.scale_radius(scale)

@@ -17,7 +17,7 @@ from diskcheck import (
     disk_sup_profile,
     poly_sup,
 )
-from diskcheck.bounds import DEFAULT_RADII, _deep_circle_argmax
+from diskcheck.bounds import DEFAULT_RADII, _circle_argopt
 
 from conftest import random_series
 
@@ -173,13 +173,40 @@ def test_constant_poly_sup():
     assert b.upper == pytest.approx(5.0, rel=1e-15)
 
 
+def _deep_argmax(h, r, m):
+    return _circle_argopt(h, r, m, 120, basins=3, tol=1e-10)
+
+
 def test_deep_argmax_locates_peaks():
     p = PolySeries(np.array([0, 1, 0.5], dtype=complex))
-    val, theta = _deep_circle_argmax(p.eval, 0.9, m=512)
+    val, theta = _deep_argmax(lambda z: abs(p.eval(z)), 0.9, m=512)
     assert val == pytest.approx(1.305, abs=1e-12)
     assert math.cos(theta) == pytest.approx(1.0, abs=1e-8)
 
     q = PolySeries(np.array([0, 1, -0.5], dtype=complex))
-    val, theta = _deep_circle_argmax(q.eval, 0.9, m=512)
+    val, theta = _deep_argmax(lambda z: abs(q.eval(z)), 0.9, m=512)
     assert val == pytest.approx(1.305, abs=1e-12)
     assert math.cos(theta) == pytest.approx(-1.0, abs=1e-8)
+
+
+def test_multi_basin_argmax_prefers_off_grid_near_tie():
+    # A bump of height 1 on the grid point theta = 0 and a slightly higher
+    # bump between grid points at theta = pi + dt/2: the single best grid
+    # sample sits in the wrong basin, and only multi-basin refinement finds
+    # the true peak.
+    m = 64
+    dt = 2 * math.pi / m
+    peak = math.pi + dt / 2
+
+    def bumps(z):
+        t = np.angle(z)
+        near = np.angle(np.exp(1j * (t - peak)))
+        return np.exp(-0.5 * (t / dt) ** 2) + 1.01 * np.exp(-0.5 * (near / dt) ** 2)
+
+    val, theta = _circle_argopt(bumps, 0.9, m, 120, basins=1, tol=1e-10)
+    assert val == 1.0
+    assert theta == 0.0
+
+    val, theta = _deep_argmax(bumps, 0.9, m)
+    assert val == pytest.approx(1.01, abs=1e-12)
+    assert theta % (2 * math.pi) == pytest.approx(peak, abs=1e-8)
