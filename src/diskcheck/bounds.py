@@ -41,23 +41,13 @@ _TWO_PI = 2.0 * math.pi
 
 @dataclass(frozen=True)
 class GridSpec:
-    """Angular sample count, radius ladder, and refinement budget for scans."""
+    """Angular sample count and refinement budget for circle scans."""
 
     m: int = 4096
-    radii: tuple = DEFAULT_RADII
     refine_depth: int = 3
 
     def __post_init__(self):
         object.__setattr__(self, "m", require_int(self.m, 16, "grid needs at least 16 angular samples"))
-        try:
-            radii = tuple(float(r) for r in self.radii)
-        except (TypeError, ValueError):
-            raise InputError("radii must be a sequence of floats") from None
-        if not radii or any(not (0.0 < r < 1.0) for r in radii):
-            raise InputError("radii must lie strictly inside (0, 1)")
-        if any(b <= a for a, b in zip(radii, radii[1:])):
-            raise InputError("radii must be strictly increasing")
-        object.__setattr__(self, "radii", radii)
         depth = require_int(self.refine_depth, 0, "refine_depth must be a nonnegative integer")
         object.__setattr__(self, "refine_depth", depth)
 
@@ -225,10 +215,10 @@ def poly_sup(p: PolySeries, r: float, spec: GridSpec | None = None) -> SupBracke
 
 
 def disk_sup_profile(g, spec: GridSpec | None = None):
-    """Circle maxima of |g| along the radius ladder, as (r, value) pairs.
+    """Circle maxima of |g| along DEFAULT_RADII, as (r, value) pairs.
 
     For analytic g the values must be nondecreasing in r (maximum
     principle); the property suite asserts this rather than assuming it.
     """
     spec = spec if spec is not None else GridSpec()
-    return [(r, circle_max(g, r, spec)) for r in spec.radii]
+    return [(r, circle_max(g, r, spec)) for r in DEFAULT_RADII]

@@ -32,8 +32,8 @@ from enum import Enum
 
 import numpy as np
 
-from .bounds import GridSpec, SupBracket, BracketKind, _circle_argopt, _circle_point, _poly_sup_argmax, \
-    poly_sup
+from .bounds import DEFAULT_RADII, GridSpec, SupBracket, BracketKind, _circle_argopt, _circle_point, \
+    _poly_sup_argmax, poly_sup
 from .errors import InputError, ParameterError, SingularDenominatorError, require_int
 from .functionals import DEFAULT_DENOM_FLOOR, Functional, _require_nonsingular, as_polynomial
 from .series import PolySeries, SeriesA
@@ -68,27 +68,34 @@ class Theorem(Enum):
 
 #: Results whose hypothesis bound scales a free radius rho instead of alpha.
 _RHO_THEOREMS = frozenset({Theorem.LEM11, Theorem.LEM12, Theorem.LEM3})
-#: Results built on |zf'' - beta(f' - f/z)| or its convex transform: Re(beta) < n+1.
-_STAR_FAMILY = frozenset({Theorem.LEM11, Theorem.LEM12, Theorem.THM1, Theorem.COR1})
-#: Results built on |zf'' - beta(f' - 1)|: Re(beta) < n.
-_TURN_FAMILY = frozenset({Theorem.THM2, Theorem.LEM3, Theorem.THM3})
 
-HYPOTHESIS_FUNCTIONAL = {
-    Theorem.LEM11: Functional.STAR_TEST,
-    Theorem.LEM12: Functional.STAR_TEST,
-    Theorem.THM1: Functional.STAR_TEST,
-    Theorem.COR1: Functional.CONVEX_TEST,
-    Theorem.THM2: Functional.TURN_TEST,
-    Theorem.LEM3: Functional.TURN_TEST,
-    Theorem.THM3: Functional.TURN_TEST,
+
+class _Quotient(Enum):
+    """Quotients of f and its derivatives, each evaluated behind the guard that
+    keeps its denominator off zero. A member named after a FunctionClass is
+    the quantity whose real part defines that class."""
+
+    STARLIKE = "z f'/f"           # guard sup |f/z - 1| < 1
+    CONVEX = "1 + z f''/f'"       # guard sup |f' - 1| < 1
+    BOUNDED_TURNING = "f'"        # a polynomial: no guard
+    RECIPROCAL = "1/f'"           # guard sup |f' - 1| < 1
+
+
+#: Per result: hypothesis functional, beta-strip shift s (the hypothesis needs
+#: Re(beta) < n + s and its threshold carries |n + s - beta|), and conclusion,
+#: either a polynomial functional bounded in modulus or a quotient q bounded
+#: as |q - 1| (|q - 1/(2 alpha)| for the reciprocal).
+_RULES = {
+    Theorem.LEM11: (Functional.STAR_TEST, 1, Functional.DERIV_DEFECT),
+    Theorem.LEM12: (Functional.STAR_TEST, 1, Functional.RATIO_DEFECT),
+    Theorem.THM1: (Functional.STAR_TEST, 1, _Quotient.STARLIKE),
+    Theorem.COR1: (Functional.CONVEX_TEST, 1, _Quotient.CONVEX),
+    Theorem.THM2: (Functional.TURN_TEST, 0, Functional.DERIV_MINUS_ONE),
+    Theorem.LEM3: (Functional.TURN_TEST, 0, Functional.DERIV_MINUS_ONE),
+    Theorem.THM3: (Functional.TURN_TEST, 0, _Quotient.RECIPROCAL),
 }
 
-_CONCLUSION_POLY = {
-    Theorem.LEM11: Functional.DERIV_DEFECT,
-    Theorem.LEM12: Functional.RATIO_DEFECT,
-    Theorem.THM2: Functional.DERIV_MINUS_ONE,
-    Theorem.LEM3: Functional.DERIV_MINUS_ONE,
-}
+HYPOTHESIS_FUNCTIONAL = {theorem: rule[0] for theorem, rule in _RULES.items()}
 
 
 @dataclass(frozen=True)
@@ -113,20 +120,20 @@ def validate_params(theorem: Theorem, params: Params, n: int) -> None:
         raise ParameterError("alpha must be finite")
     if not (math.isfinite(beta.real) and math.isfinite(beta.imag)):
         raise ParameterError("beta must be finite")
-    if theorem in _STAR_FAMILY:
-        if not beta.real < n + 1:
-            raise ParameterError(f"{theorem.value} needs Re(beta) < n+1 = {n + 1}, got {beta.real}")
-    elif not beta.real < n:
-        raise ParameterError(f"{theorem.value} needs Re(beta) < n = {n}, got {beta.real}")
-    if theorem in (Theorem.THM1, Theorem.COR1, Theorem.THM2):
-        if not (0.0 <= alpha < 1.0):
-            raise ParameterError(f"{theorem.value} needs 0 <= alpha < 1, got {alpha}")
-    if theorem is Theorem.THM3:
-        if not (0.0 < alpha < 1.0):
-            raise ParameterError(f"thm3 needs 0 < alpha < 1, got {alpha}")
+    if not isinstance(theorem, Theorem):
+        raise InputError(f"unknown theorem {theorem!r}")
+    shift = _RULES[theorem][1]
+    if not beta.real < n + shift:
+        strip = "n+1" if shift else "n"
+        raise ParameterError(f"{theorem.value} needs Re(beta) < {strip} = {n + shift}, got {beta.real}")
     if theorem in _RHO_THEOREMS:
         if params.rho is None or not math.isfinite(float(params.rho)) or not float(params.rho) > 0:
             raise ParameterError(f"{theorem.value} needs rho > 0, got {params.rho}")
+    elif theorem is Theorem.THM3:
+        if not (0.0 < alpha < 1.0):
+            raise ParameterError(f"thm3 needs 0 < alpha < 1, got {alpha}")
+    elif not (0.0 <= alpha < 1.0):
+        raise ParameterError(f"{theorem.value} needs 0 <= alpha < 1, got {alpha}")
 
 
 def threshold(theorem: Theorem, params: Params, n: int, *, thm3_branch: str = "auto") -> float:
@@ -149,12 +156,10 @@ def threshold(theorem: Theorem, params: Params, n: int, *, thm3_branch: str = "a
         return (1.0 - alpha) * abs(n - beta)
     if theorem is Theorem.LEM3:
         return float(params.rho) * abs(n - beta)
-    if theorem is Theorem.THM3:
-        if thm3_branch not in ("auto", "low", "high"):
-            raise InputError(f"thm3_branch must be auto, low, or high, got {thm3_branch!r}")
-        low = alpha <= 0.5 if thm3_branch == "auto" else thm3_branch == "low"
-        return (alpha if low else 1.0 - alpha) * abs(n - beta)
-    raise InputError(f"unknown theorem {theorem!r}")
+    if thm3_branch not in ("auto", "low", "high"):
+        raise InputError(f"thm3_branch must be auto, low, or high, got {thm3_branch!r}")
+    low = alpha <= 0.5 if thm3_branch == "auto" else thm3_branch == "low"
+    return (alpha if low else 1.0 - alpha) * abs(n - beta)
 
 
 def _conclusion_bound(theorem: Theorem, params: Params) -> float:
@@ -211,48 +216,28 @@ def _decide(hyp_ok: bool, guard_ok: bool, singular_z, concl_lower, bound, concl_
     return VerdictState.FAILS, concl_z
 
 
-def _star_ratio_fn(f: SeriesA, floor: float):
-    fz = f.divide_by_z()
+def _guarded_quotient(kind: _Quotient, f: SeriesA, r_max: float, spec: GridSpec):
+    """Pointwise evaluator of a quotient of f, or None when its nonvanishing
+    guard is not certified on |z| <= r_max. The evaluator takes a point or an
+    ndarray and raises SingularDenominatorError below DEFAULT_DENOM_FLOOR."""
+    if kind is _Quotient.BOUNDED_TURNING:
+        return f.derivative().eval
+    star = kind is _Quotient.STARLIKE
+    guard = as_polynomial(Functional.RATIO_DEFECT if star else Functional.DERIV_MINUS_ONE, f)
+    if not poly_sup(guard, r_max, spec).upper < 1.0:
+        return None
     d1 = f.derivative()
+    den_poly = f.divide_by_z() if star else d1
+    d2 = d1.derivative() if kind is _Quotient.CONVEX else None
 
-    def g(z):
-        den = fz.eval(z)
-        _require_nonsingular(z, den, floor)
-        return d1.eval(z) / den
+    def q(z):
+        den = den_poly.eval(z)
+        _require_nonsingular(z, den, DEFAULT_DENOM_FLOOR)
+        if star:
+            return d1.eval(z) / den
+        return 1.0 / den if d2 is None else 1.0 + z * d2.eval(z) / den
 
-    return g
-
-
-def _convex_ratio_fn(f: SeriesA, floor: float):
-    d1 = f.derivative()
-    d2 = d1.derivative()
-
-    def g(z):
-        den = d1.eval(z)
-        _require_nonsingular(z, den, floor)
-        return 1.0 + z * d2.eval(z) / den
-
-    return g
-
-
-def _conclusion_evaluator(theorem: Theorem, f: SeriesA, params: Params, floor: float):
-    if theorem is Theorem.THM1:
-        ratio = _star_ratio_fn(f, floor)
-        return lambda z: ratio(z) - 1.0
-    if theorem is Theorem.COR1:
-        ratio = _convex_ratio_fn(f, floor)
-        return lambda z: ratio(z) - 1.0
-    if theorem is Theorem.THM3:
-        d1 = f.derivative()
-        shift = 1.0 / (2.0 * float(params.alpha))
-
-        def g(z):
-            den = d1.eval(z)
-            _require_nonsingular(z, den, floor)
-            return 1.0 / den - shift
-
-        return g
-    raise InputError(f"{theorem.value} has a polynomial conclusion")
+    return q
 
 
 def check(
@@ -262,8 +247,6 @@ def check(
     spec: GridSpec | None = None,
     r_max: float = 0.999,
     *,
-    slack: float = 0.0,
-    denom_floor: float = DEFAULT_DENOM_FLOOR,
     thm3_branch: str = "auto",
 ) -> CheckReport:
     """Verify one sufficient-condition instance on the disk |z| <= r_max.
@@ -274,7 +257,7 @@ def check(
     sup |f/z - 1| < 1 for the starlike quotient, certified sup |f' - 1| < 1
     for the quotients over f'); a failed guard yields Inconclusive, never
     Fails. Holds additionally demands the certified hypothesis upper bound
-    strictly below threshold minus `slack`.
+    strictly below the threshold.
     """
     spec = spec if spec is not None else GridSpec()
     r_max = float(r_max)
@@ -283,26 +266,24 @@ def check(
     n = f.n
     thr = threshold(theorem, params, n, thm3_branch=thm3_branch)
     bound = _conclusion_bound(theorem, params)
+    hyp_fun, _, conclusion = _RULES[theorem]
 
-    hyp_poly = as_polynomial(HYPOTHESIS_FUNCTIONAL[theorem], f, params.beta)
-    hyp, _ = _poly_sup_argmax(hyp_poly, r_max, spec)
-    hyp_ok = hyp.upper < thr - slack
+    hyp, _ = _poly_sup_argmax(as_polynomial(hyp_fun, f, params.beta), r_max, spec)
+    hyp_ok = hyp.upper < thr
 
     concl: SupBracket | None = None
     concl_z: complex | None = None
     singular: complex | None = None
     guard_ok = True
-    if theorem in _CONCLUSION_POLY:
-        cpoly = as_polynomial(_CONCLUSION_POLY[theorem], f)
-        concl, concl_z = _poly_sup_argmax(cpoly, r_max, spec)
+    if isinstance(conclusion, Functional):
+        concl, concl_z = _poly_sup_argmax(as_polynomial(conclusion, f), r_max, spec)
     else:
-        guard_fun = Functional.RATIO_DEFECT if theorem is Theorem.THM1 else Functional.DERIV_MINUS_ONE
-        guard = poly_sup(as_polynomial(guard_fun, f), r_max, spec)
-        guard_ok = guard.upper < 1.0
+        q = _guarded_quotient(conclusion, f, r_max, spec)
+        guard_ok = q is not None
         if guard_ok:
-            g = _conclusion_evaluator(theorem, f, params, denom_floor)
+            center = bound if conclusion is _Quotient.RECIPROCAL else 1.0
             try:
-                lower, t = _circle_argopt(lambda z: abs(g(z)), r_max, spec.m, spec.refine_depth)
+                lower, t = _circle_argopt(lambda z: abs(q(z) - center), r_max, spec.m, spec.refine_depth)
                 concl_z = _circle_point(r_max, t)
                 concl = SupBracket(lower, math.inf, r_max, BracketKind.GRID_ONLY)
             except SingularDenominatorError as exc:
@@ -342,8 +323,6 @@ def membership(
     alpha: float,
     spec: GridSpec | None = None,
     r_max: float = 0.999,
-    *,
-    denom_floor: float = DEFAULT_DENOM_FLOOR,
 ) -> Verdict:
     """Grid verdict on class membership of order alpha over circles up to r_max.
 
@@ -361,25 +340,13 @@ def membership(
     if not (0.0 <= alpha < 1.0):
         raise ParameterError(f"membership needs 0 <= alpha < 1, got {alpha}")
 
-    if which is FunctionClass.STARLIKE:
-        guard_poly = as_polynomial(Functional.RATIO_DEFECT, f)
-        quotient = _star_ratio_fn(f, denom_floor)
-    elif which is FunctionClass.CONVEX:
-        guard_poly = as_polynomial(Functional.DERIV_MINUS_ONE, f)
-        quotient = _convex_ratio_fn(f, denom_floor)
-    elif which is FunctionClass.BOUNDED_TURNING:
-        guard_poly = None
-        d1 = f.derivative()
-        quotient = d1.eval
-    else:
+    if not isinstance(which, FunctionClass):
         raise InputError(f"unknown function class {which!r}")
+    quotient = _guarded_quotient(_Quotient[which.name], f, r_max, spec)
+    if quotient is None:
+        return Verdict(VerdictState.INCONCLUSIVE, None, None, None)
 
-    if guard_poly is not None:
-        guard = poly_sup(guard_poly, r_max, spec)
-        if not guard.upper < 1.0:
-            return Verdict(VerdictState.INCONCLUSIVE, None, None, None)
-
-    radii = [r for r in spec.radii if r < r_max] + [r_max]
+    radii = [r for r in DEFAULT_RADII if r < r_max] + [r_max]
     min_re = math.inf
     witness: complex | None = None
     try:

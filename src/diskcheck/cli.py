@@ -1,7 +1,8 @@
 """Command-line front end emitting machine-readable JSON reports.
 
 Subcommands: check, membership, example, falsify, radius. Exit codes are
-0 = Holds, 1 = Fails, 2 = Inconclusive, 3 = input or parameter error.
+0 = Holds, 1 = Fails, 2 = Inconclusive, 3 = input or parameter error or
+an internal error, so that a crash never reads as a verdict.
 Every report envelope carries the tool version, a schema version, and a
 full echo of the effective parameters; `example` instead prints a bare
 function spec file so it can be piped straight back into `check`.
@@ -19,7 +20,6 @@ from .bounds import GridSpec, SupBracket
 from .checks import (
     CheckReport,
     FunctionClass,
-    JackReport,
     Params,
     Theorem,
     Verdict,
@@ -106,16 +106,6 @@ def _check_report_dict(rep: CheckReport) -> dict:
         "conclusion_bound": rep.concl_bound,
         "verdict": _verdict_dict(rep.verdict),
         "witness": _pair(rep.witness),
-    }
-
-
-def _jack_report_dict(rep: JackReport) -> dict:
-    return {
-        "r": rep.r,
-        "z0": _pair(rep.z0),
-        "ratio": _pair(rep.ratio),
-        "n": rep.n,
-        "curvature_check": rep.curvature_check,
     }
 
 
@@ -327,6 +317,10 @@ def main(argv=None) -> int:
         return exc.code if isinstance(exc.code, int) else EXIT_ERROR
     except InputError as exc:  # covers ParameterError and file diagnostics
         print(f"{TOOL_NAME}: error: {exc}", file=sys.stderr)
+        return EXIT_ERROR
+    except Exception as exc:
+        detail = " ".join(f"{type(exc).__name__}: {exc}".split())
+        print(f"{TOOL_NAME}: error: internal error: {detail}", file=sys.stderr)
         return EXIT_ERROR
 
 

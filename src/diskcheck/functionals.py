@@ -117,20 +117,13 @@ def as_polynomial(which: Functional, f: SeriesA, beta: complex = 0j) -> PolySeri
     return PolySeries(out)
 
 
-def eval_functional(
-    which: Functional,
-    f: SeriesA,
-    beta: complex = 0j,
-    z=0j,
-    *,
-    denom_floor: float = DEFAULT_DENOM_FLOOR,
-):
+def eval_functional(which: Functional, f: SeriesA, beta: complex = 0j, z=0j):
     """Pointwise value of a functional, assembled from runtime derivatives.
 
     z may be a scalar or an ndarray. Removable singularities at z = 0 never
     arise because f(z)/z is formed by coefficient shift rather than division;
     the genuine quotients guard their denominator and raise
-    SingularDenominatorError below ``denom_floor``.
+    SingularDenominatorError below ``DEFAULT_DENOM_FLOOR``.
     """
     beta = _checked_beta(beta)
     if isinstance(z, (int, float, complex)) and not isinstance(z, bool):
@@ -153,10 +146,10 @@ def eval_functional(
         return d1.eval(z) - 1.0
     if which is Functional.STAR_QUOTIENT:
         den = f.divide_by_z().eval(z)
-        _require_nonsingular(z, den, denom_floor)
+        _require_nonsingular(z, den, DEFAULT_DENOM_FLOOR)
         return d1.eval(z) / den - 1.0
     if which is Functional.CONVEX_QUOTIENT:
         den = d1.eval(z)
-        _require_nonsingular(z, den, denom_floor)
+        _require_nonsingular(z, den, DEFAULT_DENOM_FLOOR)
         return z * d1.derivative().eval(z) / den
     raise InputError(f"unknown functional {which!r}")

@@ -216,7 +216,7 @@ def falsify(
         f = sample_satisfying(theorem, n, params, cfg, rng)
         report = check(theorem, f, params, spec, cfg.r_max)
         if report.verdict.state is VerdictState.FAILS:
-            dense = GridSpec(m=16 * spec.m, radii=spec.radii, refine_depth=spec.refine_depth)
+            dense = GridSpec(m=16 * spec.m, refine_depth=spec.refine_depth)
             report = check(theorem, f, params, dense, cfg.r_max)
             if report.verdict.state is VerdictState.FAILS:
                 counterexamples.append(_counterexample_record(trial, f, report))
@@ -252,15 +252,9 @@ class RadiusReport:
     status: str
 
 
-def radius_of_validity(
-    theorem: Theorem,
-    f: SeriesA,
-    params: Params,
-    *,
-    tol: float = 1e-6,
-) -> RadiusReport:
+def radius_of_validity(theorem: Theorem, f: SeriesA, params: Params) -> RadiusReport:
     """Bisect the subdisk scale r at which f(rz)/r stops satisfying the
-    hypothesis with certainty.
+    hypothesis with certainty, down to a bracket of width 1e-6.
 
     The predicate certifies the hypothesis over the whole open disk through
     the radius-1 coefficient bound of the hypothesis polynomial; grid
@@ -280,7 +274,7 @@ def radius_of_validity(
     if not certified(lo):
         return RadiusReport(theorem, 0.0, 0, 0.0, "empty")
     iterations = 0
-    while hi - lo > tol:
+    while hi - lo > 1e-6:
         mid = 0.5 * (lo + hi)
         if certified(mid):
             lo = mid

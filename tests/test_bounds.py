@@ -17,7 +17,7 @@ from diskcheck import (
     disk_sup_profile,
     poly_sup,
 )
-from diskcheck.bounds import DEFAULT_RADII, _circle_argopt
+from diskcheck.bounds import _circle_argopt
 
 from conftest import random_series
 
@@ -30,23 +30,12 @@ class TestGridSpec:
     def test_defaults(self):
         spec = GridSpec()
         assert spec.m == 4096
-        assert spec.radii == DEFAULT_RADII
-        assert all(0 < r < 1 for r in spec.radii)
-        assert list(spec.radii) == sorted(spec.radii)
 
     def test_validation(self):
         with pytest.raises(InputError):
             GridSpec(m=8)
         with pytest.raises(InputError):
             GridSpec(m=True)
-        with pytest.raises(InputError):
-            GridSpec(radii=())
-        with pytest.raises(InputError):
-            GridSpec(radii=(0.5, 0.5))
-        with pytest.raises(InputError):
-            GridSpec(radii=(0.9, 0.5))
-        with pytest.raises(InputError):
-            GridSpec(radii=(0.5, 1.0))
         with pytest.raises(InputError):
             GridSpec(refine_depth=-1)
 

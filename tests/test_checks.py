@@ -140,6 +140,20 @@ class TestValidateParams:
         validate_params(Theorem.THM1, Params(), 1)  # rho ignored elsewhere
 
 
+def test_non_enum_arguments_raise_input_error():
+    f = SeriesA.from_tail(1, [0.1])
+    cases = [
+        (lambda: threshold("thm1", Params(), 1), "unknown theorem 'thm1'"),
+        (lambda: check("thm1", f, Params()), "unknown theorem 'thm1'"),
+        (lambda: membership("star", f, 0.5), "unknown function class 'star'"),
+    ]
+    for call, message in cases:
+        with pytest.raises(InputError) as info:
+            call()
+        assert info.type is InputError
+        assert str(info.value) == message
+
+
 class TestDecide:
     def test_singular_point_wins(self):
         state, witness = _decide(True, True, -0.5 + 0j, 0.1, 1.0, None)
@@ -254,11 +268,6 @@ class TestCheck:
         for bad in (0.0, 1.0, 1.5, math.nan):
             with pytest.raises(InputError):
                 check(Theorem.THM1, f, Params(), r_max=bad)
-
-    def test_slack_can_force_inconclusive(self):
-        f = SeriesA.from_tail(1, [1.0 / 3.0])
-        rep = check(Theorem.THM1, f, Params(alpha=0.5), SPEC, slack=0.1)
-        assert rep.verdict.state is VerdictState.INCONCLUSIVE
 
 
 def test_thm3_conclusion_equivalence(rng):

@@ -151,6 +151,22 @@ class TestExitCodes:
             capsys.readouterr()
             assert code == 3, argv
 
+    def test_internal_error_is_three(self, capsys, monkeypatch):
+        # a crash must never exit 1, which reads as "fails"
+        for exc, line in [
+            (MemoryError("Unable to allocate 7.28 TiB"), "MemoryError: Unable to allocate 7.28 TiB"),
+            (RuntimeError("first\n  second"), "RuntimeError: first second"),
+        ]:
+            def crash(*args, **kwargs):
+                raise exc
+
+            monkeypatch.setattr("diskcheck.cli.check", crash)
+            code = main(["check", "--theorem", "thm1", "--input", str(CORPUS / "halfdisk.json")])
+            captured = capsys.readouterr()
+            assert code == 3
+            assert captured.out == ""
+            assert captured.err.splitlines() == [f"diskcheck: error: internal error: {line}"]
+
 
 class TestReports:
     def test_check_envelope_shape(self, capsys, report_schema):

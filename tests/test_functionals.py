@@ -148,13 +148,6 @@ class TestQuotients:
         with pytest.raises(SingularDenominatorError):
             eval_functional(Functional.CONVEX_QUOTIENT, f, z=0.5)
 
-    def test_denom_floor_is_adjustable(self):
-        f = SeriesA.from_tail(1, [2.0])
-        z = -0.5 + 1e-8
-        eval_functional(Functional.STAR_QUOTIENT, f, z=z, denom_floor=1e-12)
-        with pytest.raises(SingularDenominatorError):
-            eval_functional(Functional.STAR_QUOTIENT, f, z=z, denom_floor=1e-3)
-
 
 def test_beta_must_be_finite(rng):
     f = random_series(rng, 1, tail_len=2)

@@ -3,10 +3,14 @@
 Runs `diskcheck.cli.main` in-process on every tests/corpus file through
 check and radius (7 theorems x 2 parameter sets) and membership (3 classes
 x 2 orders), plus example for each witness and falsify (50 trials) for each
-theorem and n in {1, 2, 3}. Each line is the argv, the exit code and the
-sha256 of stdout + stderr. Inputs are named relative to the repo root, so
-the output does not depend on where the checkout lives. Compare two trees
-with `python3 tools/report_digest.py > a.txt` in each and `diff`.
+theorem and n in {1, 2, 3}. A second set runs at `--grid-m 64`: check for
+every corpus file and theorem, membership for every class at `--rmax` 0.6,
+0.9 and 0.999 (so the radius ladder is cut at different rungs, and some
+runs exit 1), and falsify (50 trials, n = 2) for each theorem. Each line is
+the argv, the exit code and the sha256 of stdout + stderr. Inputs are named
+relative to the repo root, so the output does not depend on where the
+checkout lives. Compare two trees with `python3 tools/report_digest.py >
+a.txt` in each and `diff`.
 """
 
 import contextlib
@@ -45,6 +49,16 @@ def runs():
     for thm in THEOREMS:
         for n in (1, 2, 3):
             yield ["falsify", "--n", str(n), "--trials", "50"] + theorem_args(thm, *PARAMS[0])
+    coarse = ["--grid-m", "64"]
+    for path in sorted((ROOT / "tests" / "corpus").glob("*.json")):
+        name = str(path.relative_to(ROOT))
+        for thm in THEOREMS:
+            yield ["check", "--input", name] + theorem_args(thm, *PARAMS[0]) + coarse
+        for cls in ("star", "c", "k"):
+            for rmax in ("0.6", "0.9", "0.999"):
+                yield ["membership", "--class", cls, "--alpha", "0.5", "--rmax", rmax, "--input", name] + coarse
+    for thm in THEOREMS:
+        yield ["falsify", "--n", "2", "--trials", "50"] + theorem_args(thm, *PARAMS[0]) + coarse
 
 
 if __name__ == "__main__":
