@@ -17,7 +17,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import InputError, require_int
+from .errors import InputError, require_int, require_real
 from .series import PolySeries
 
 __all__ = [
@@ -86,13 +86,6 @@ def _unit_circle(m: int) -> np.ndarray:
     pts = np.exp(1j * (_TWO_PI * np.arange(m) / m))
     pts.setflags(write=False)
     return pts
-
-
-def _check_circle_radius(r: float) -> float:
-    r = float(r)
-    if not math.isfinite(r) or not (0.0 < r <= 1.0):
-        raise InputError("circle radius must lie in (0, 1]")
-    return r
 
 
 def _circle_point(r: float, t: float) -> complex:
@@ -170,7 +163,7 @@ def circle_argmax(g, r: float, spec: GridSpec | None = None):
     singular-denominator errors raised by g propagate.
     """
     spec = spec if spec is not None else GridSpec()
-    r = _check_circle_radius(r)
+    r = require_real(r, lambda v: 0.0 < v <= 1.0, "circle radius must lie in (0, 1]", InputError)
     val, t = _circle_argopt(lambda z: abs(g(z)), r, spec.m, spec.refine_depth)
     return val, _circle_point(r, t)
 
@@ -183,7 +176,7 @@ def circle_max(g, r: float, spec: GridSpec | None = None) -> float:
 
 def coeff_bound(p: PolySeries, r: float) -> float:
     """Coefficient-modulus bound sum |c_k| r^k, a certified disk sup bound."""
-    r = _check_circle_radius(r)
+    r = require_real(r, lambda v: 0.0 < v <= 1.0, "circle radius must lie in (0, 1]", InputError)
     mags = np.abs(p.coeffs)
     return float(np.sum(mags * np.float64(r) ** np.arange(mags.size)))
 
@@ -210,7 +203,7 @@ def poly_sup(p: PolySeries, r: float, spec: GridSpec | None = None) -> SupBracke
     padded by a derivative Lipschitz bound over half the arc gap pi r / m.
     """
     spec = spec if spec is not None else GridSpec()
-    r = _check_circle_radius(r)
+    r = require_real(r, lambda v: 0.0 < v <= 1.0, "circle radius must lie in (0, 1]", InputError)
     return _poly_sup_argmax(p, r, spec)[0]
 
 

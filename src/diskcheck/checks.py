@@ -26,6 +26,7 @@ is never certified from an equality.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -34,7 +35,7 @@ import numpy as np
 
 from .bounds import DEFAULT_RADII, GridSpec, SupBracket, BracketKind, _circle_argopt, _circle_point, \
     _poly_sup_argmax, poly_sup
-from .errors import InputError, ParameterError, SingularDenominatorError, require_int
+from .errors import InputError, ParameterError, SingularDenominatorError, require_complex, require_int, require_real
 from .functionals import DEFAULT_DENOM_FLOOR, Functional, _require_nonsingular, as_polynomial
 from .series import PolySeries, SeriesA
 
@@ -111,15 +112,12 @@ class Params:
 def validate_params(theorem: Theorem, params: Params, n: int) -> None:
     """Raise ParameterError naming the violated constraint, if any."""
     require_int(n, 1, "class index n must be a positive integer", ParameterError)
-    try:
-        alpha = float(params.alpha)
-        beta = complex(params.beta)
-    except (TypeError, ValueError):
-        raise ParameterError("alpha must be real and beta complex") from None
-    if not math.isfinite(alpha):
-        raise ParameterError("alpha must be finite")
-    if not (math.isfinite(beta.real) and math.isfinite(beta.imag)):
-        raise ParameterError("beta must be finite")
+    # Both conversions come before either finiteness test, so a non-number in
+    # either argument gets the shared message.
+    alpha = require_real(params.alpha, None, "alpha must be real and beta complex", ParameterError)
+    beta = require_complex(params.beta, None, "alpha must be real and beta complex", ParameterError)
+    require_real(alpha, math.isfinite, "alpha must be finite", ParameterError)
+    require_complex(beta, cmath.isfinite, "beta must be finite", ParameterError)
     if not isinstance(theorem, Theorem):
         raise InputError(f"unknown theorem {theorem!r}")
     shift = _RULES[theorem][1]
@@ -127,8 +125,8 @@ def validate_params(theorem: Theorem, params: Params, n: int) -> None:
         strip = "n+1" if shift else "n"
         raise ParameterError(f"{theorem.value} needs Re(beta) < {strip} = {n + shift}, got {beta.real}")
     if theorem in _RHO_THEOREMS:
-        if params.rho is None or not math.isfinite(float(params.rho)) or not float(params.rho) > 0:
-            raise ParameterError(f"{theorem.value} needs rho > 0, got {params.rho}")
+        message = f"{theorem.value} needs rho > 0, got {params.rho}"
+        require_real(params.rho, lambda rho: 0.0 < rho < math.inf, message, ParameterError)
     elif theorem is Theorem.THM3:
         if not (0.0 < alpha < 1.0):
             raise ParameterError(f"thm3 needs 0 < alpha < 1, got {alpha}")
@@ -206,10 +204,10 @@ class CheckReport:
     witness: complex | None
 
 
-def _decide(hyp_ok: bool, guard_ok: bool, singular_z, concl_lower, bound, concl_z):
+def _decide(hyp_ok: bool, singular_z, concl_lower, bound, concl_z):
     if singular_z is not None:
         return VerdictState.INCONCLUSIVE, singular_z
-    if not hyp_ok or not guard_ok or concl_lower is None:
+    if not hyp_ok or concl_lower is None:
         return VerdictState.INCONCLUSIVE, None
     if concl_lower < bound:
         return VerdictState.HOLDS, None
@@ -260,9 +258,7 @@ def check(
     strictly below the threshold.
     """
     spec = spec if spec is not None else GridSpec()
-    r_max = float(r_max)
-    if not math.isfinite(r_max) or not (0.0 < r_max < 1.0):
-        raise InputError("r_max must lie in (0, 1)")
+    r_max = require_real(r_max, lambda r: 0.0 < r < 1.0, "r_max must lie in (0, 1)", InputError)
     n = f.n
     thr = threshold(theorem, params, n, thm3_branch=thm3_branch)
     bound = _conclusion_bound(theorem, params)
@@ -274,13 +270,11 @@ def check(
     concl: SupBracket | None = None
     concl_z: complex | None = None
     singular: complex | None = None
-    guard_ok = True
     if isinstance(conclusion, Functional):
         concl, concl_z = _poly_sup_argmax(as_polynomial(conclusion, f), r_max, spec)
     else:
         q = _guarded_quotient(conclusion, f, r_max, spec)
-        guard_ok = q is not None
-        if guard_ok:
+        if q is not None:
             center = bound if conclusion is _Quotient.RECIPROCAL else 1.0
             try:
                 lower, t = _circle_argopt(lambda z: abs(q(z) - center), r_max, spec.m, spec.refine_depth)
@@ -290,7 +284,7 @@ def check(
                 singular = exc.z
 
     concl_lower = concl.lower if concl is not None else None
-    state, witness = _decide(hyp_ok, guard_ok, singular, concl_lower, bound, concl_z)
+    state, witness = _decide(hyp_ok, singular, concl_lower, bound, concl_z)
     verdict = Verdict(
         state=state,
         hypothesis_margin=thr - hyp.upper,
@@ -333,12 +327,10 @@ def membership(
     grid verdict, not a certificate: hypothesis_margin stays None.
     """
     spec = spec if spec is not None else GridSpec()
-    r_max = float(r_max)
-    if not math.isfinite(r_max) or not (0.0 < r_max < 1.0):
-        raise InputError("r_max must lie in (0, 1)")
-    alpha = float(alpha)
-    if not (0.0 <= alpha < 1.0):
-        raise ParameterError(f"membership needs 0 <= alpha < 1, got {alpha}")
+    r_max = require_real(r_max, lambda r: 0.0 < r < 1.0, "r_max must lie in (0, 1)", InputError)
+    # The message shows alpha as given when it is not a number, else as a float.
+    alpha = require_real(alpha, None, f"membership needs 0 <= alpha < 1, got {alpha}", ParameterError)
+    require_real(alpha, lambda a: 0.0 <= a < 1.0, f"membership needs 0 <= alpha < 1, got {alpha}", ParameterError)
 
     if not isinstance(which, FunctionClass):
         raise InputError(f"unknown function class {which!r}")
@@ -439,9 +431,7 @@ def jack_probe(w: PolySeries, n: int, r: float, spec: GridSpec | None = None) ->
     stationarity condition, so the reported ratio is real to roundoff.
     """
     spec = spec if spec is not None else GridSpec()
-    r = float(r)
-    if not math.isfinite(r) or not (0.0 < r < 1.0):
-        raise InputError("probe radius must lie in (0, 1)")
+    r = require_real(r, lambda v: 0.0 < v < 1.0, "probe radius must lie in (0, 1)", InputError)
     n = require_int(n, 1, "leading index n must be a positive integer")
     c = w.coeffs
     if c[0] != 0:

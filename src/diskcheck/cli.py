@@ -11,6 +11,7 @@ function spec file so it can be piped straight back into `check`.
 from __future__ import annotations
 
 import argparse
+import cmath
 import json
 import math
 import sys
@@ -26,7 +27,7 @@ from .checks import (
     check,
     membership,
 )
-from .errors import InputError
+from .errors import InputError, require_complex
 from .funcspec import function_to_dict, load_function
 from .witnesses import (
     FalsifyConfig,
@@ -53,13 +54,8 @@ def parse_beta(text: str) -> complex:
     cleaned = text.strip().replace(" ", "").lower().replace("i", "j")
     if not cleaned:
         raise InputError("empty beta literal")
-    try:
-        value = complex(cleaned)
-    except ValueError:
-        raise InputError(f"cannot parse beta literal {text!r}") from None
-    if not (math.isfinite(value.real) and math.isfinite(value.imag)):
-        raise InputError(f"beta must be finite, got {text!r}")
-    return value
+    value = require_complex(cleaned, None, f"cannot parse beta literal {text!r}", InputError)
+    return require_complex(value, cmath.isfinite, f"beta must be finite, got {text!r}", InputError)
 
 
 def _pair(z: complex | None):

@@ -37,3 +37,27 @@ def require_int(x, minimum: int, message: str, exc: type = InputError) -> int:
     if isinstance(x, bool) or not isinstance(x, (int, np.integer)) or x < minimum:
         raise exc(message)
     return int(x)
+
+
+def require_real(x, ok, message: str, exc: type) -> float:
+    """Return float(x) when x converts to a float v and ok(v) holds (ok None
+    accepts every float, NaN and infinities included); else raise exc(message)."""
+    try:
+        v = float(x)
+    except (TypeError, ValueError, OverflowError):
+        raise exc(message) from None
+    if ok is not None and not ok(v):
+        raise exc(message)
+    return v
+
+
+def require_complex(x, ok, message: str, exc: type) -> complex:
+    """Return complex(x) when x converts to a complex v and ok(v) holds (ok
+    None accepts every complex); else raise exc(message)."""
+    try:
+        v = complex(x)
+    except (TypeError, ValueError, OverflowError):
+        raise exc(message) from None
+    if ok is not None and not ok(v):
+        raise exc(message)
+    return v

@@ -11,11 +11,12 @@ cross-checks the other.
 
 from __future__ import annotations
 
+import cmath
 from enum import Enum
 
 import numpy as np
 
-from .errors import InputError, NotPolynomialError, SingularDenominatorError
+from .errors import InputError, NotPolynomialError, SingularDenominatorError, require_complex
 from .series import PolySeries, SeriesA
 
 __all__ = [
@@ -55,16 +56,6 @@ POLYNOMIAL_FUNCTIONALS = frozenset(
 )
 
 
-def _checked_beta(beta) -> complex:
-    try:
-        beta = complex(beta)
-    except (TypeError, ValueError):
-        raise InputError(f"beta not interpretable as a complex number: {beta!r}") from None
-    if not (np.isfinite(beta.real) and np.isfinite(beta.imag)):
-        raise InputError("beta must be finite")
-    return beta
-
-
 def _require_nonsingular(z, den, floor: float) -> None:
     """Raise if any denominator modulus falls below the floor, carrying the point."""
     mags = np.abs(den)
@@ -93,7 +84,8 @@ def as_polynomial(which: Functional, f: SeriesA, beta: complex = 0j) -> PolySeri
     The z^0 slot is identically zero because a_1 = 1. Quotient functionals
     raise NotPolynomialError.
     """
-    beta = _checked_beta(beta)
+    beta = require_complex(beta, None, f"beta not interpretable as a complex number: {beta!r}", InputError)
+    require_complex(beta, cmath.isfinite, "beta must be finite", InputError)
     a = f.body.coeffs
     k = np.arange(1, a.size)
     ak = a[1:]
@@ -125,7 +117,8 @@ def eval_functional(which: Functional, f: SeriesA, beta: complex = 0j, z=0j):
     the genuine quotients guard their denominator and raise
     SingularDenominatorError below ``DEFAULT_DENOM_FLOOR``.
     """
-    beta = _checked_beta(beta)
+    beta = require_complex(beta, None, f"beta not interpretable as a complex number: {beta!r}", InputError)
+    require_complex(beta, cmath.isfinite, "beta must be finite", InputError)
     if isinstance(z, (int, float, complex)) and not isinstance(z, bool):
         z = complex(z)
     else:

@@ -8,12 +8,12 @@ No operation ever extends the truncation order implicitly.
 
 from __future__ import annotations
 
-import math
+import cmath
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InputError, require_int
+from .errors import InputError, require_complex, require_int, require_real
 
 __all__ = ["PolySeries", "SeriesA"]
 
@@ -67,9 +67,7 @@ class PolySeries:
     def eval(self, z):
         """Evaluate by backward (Horner) recursion; z may be scalar or ndarray."""
         if isinstance(z, (int, float, complex)) and not isinstance(z, bool):
-            zc = complex(z)
-            if not (math.isfinite(zc.real) and math.isfinite(zc.imag)):
-                raise InputError("non-finite evaluation point")
+            zc = require_complex(z, cmath.isfinite, "non-finite evaluation point", InputError)
             py = self._py
             acc = py[-1]
             for k in range(len(py) - 2, -1, -1):
@@ -153,9 +151,7 @@ class SeriesA:
 
         Stays inside the same class; r must lie in (0, 1].
         """
-        r = float(r)
-        if not math.isfinite(r) or not (0.0 < r <= 1.0):
-            raise InputError("scale radius must lie in (0, 1]")
+        r = require_real(r, lambda v: 0.0 < v <= 1.0, "scale radius must lie in (0, 1]", InputError)
         c = self.body.coeffs
         powers = np.float64(r) ** np.arange(-1, c.size - 1)
         scaled = c * powers

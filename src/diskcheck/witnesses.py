@@ -15,6 +15,7 @@ their sups have closed forms, which anchors the bracket machinery.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -31,7 +32,7 @@ from .checks import (
     check,
     threshold,
 )
-from .errors import InputError, ParameterError, require_int
+from .errors import InputError, ParameterError, require_complex, require_int, require_real
 from .funcspec import function_to_dict
 from .functionals import as_polynomial
 from .series import SeriesA
@@ -58,9 +59,7 @@ class Witness(Enum):
 
 def _witness_coefficient(which: Witness, n: int, alpha: float) -> float:
     require_int(n, 1, "class index n must be a positive integer", ParameterError)
-    alpha = float(alpha)
-    if not math.isfinite(alpha):
-        raise ParameterError("alpha must be finite")
+    alpha = require_real(alpha, math.isfinite, "alpha must be finite", ParameterError)
     if which is Witness.EX1:
         if not (0.0 <= alpha < 1.0):
             raise ParameterError(f"ex1 needs 0 <= alpha < 1, got {alpha}")
@@ -97,12 +96,8 @@ def witness_closed_forms(which: Witness, n: int, alpha: float, beta: complex, r:
     (n+1) c r^n |n-beta| with the derivative-defect sup (n+1) c r^n.
     """
     c = _witness_coefficient(which, n, alpha)
-    beta = complex(beta)
-    if not (math.isfinite(beta.real) and math.isfinite(beta.imag)):
-        raise InputError("beta must be finite")
-    r = float(r)
-    if not math.isfinite(r) or not (0.0 < r < 1.0):
-        raise InputError("r must lie in (0, 1)")
+    beta = require_complex(beta, cmath.isfinite, "beta must be finite", InputError)
+    r = require_real(r, lambda v: 0.0 < v < 1.0, "r must lie in (0, 1)", InputError)
     rn = r**n
     if which is Witness.EX1:
         return WitnessForms(
@@ -128,16 +123,14 @@ class FalsifyConfig:
     def __post_init__(self):
         trials = require_int(self.trials, 1, "trials must be a positive integer")
         seed = require_int(self.seed, 0, "seed must be a nonnegative integer")
-        if not (0.0 < float(self.margin) < 1.0):
-            raise InputError("margin must lie in (0, 1)")
+        margin = require_real(self.margin, lambda v: 0.0 < v < 1.0, "margin must lie in (0, 1)", InputError)
         tail_len = require_int(self.tail_len, 0, "tail_len must be a nonnegative integer")
-        if not (0.0 < float(self.r_max) < 1.0):
-            raise InputError("r_max must lie in (0, 1)")
+        r_max = require_real(self.r_max, lambda v: 0.0 < v < 1.0, "r_max must lie in (0, 1)", InputError)
         object.__setattr__(self, "trials", trials)
         object.__setattr__(self, "seed", seed)
-        object.__setattr__(self, "margin", float(self.margin))
+        object.__setattr__(self, "margin", margin)
         object.__setattr__(self, "tail_len", tail_len)
-        object.__setattr__(self, "r_max", float(self.r_max))
+        object.__setattr__(self, "r_max", r_max)
 
 
 def sample_satisfying(

@@ -7,6 +7,7 @@ import pytest
 
 from diskcheck import (
     BracketKind,
+    FalsifyConfig,
     FunctionClass,
     GridSpec,
     InputError,
@@ -16,12 +17,17 @@ from diskcheck import (
     SeriesA,
     Theorem,
     VerdictState,
+    Witness,
     check,
+    coeff_bound,
     duality_check,
     jack_probe,
+    make_witness,
     membership,
+    poly_sup,
     threshold,
     validate_params,
+    witness_closed_forms,
 )
 from diskcheck.checks import _decide
 
@@ -154,30 +160,69 @@ def test_non_enum_arguments_raise_input_error():
         assert str(info.value) == message
 
 
+def test_non_number_arguments_raise_the_site_error():
+    f = SeriesA.from_tail(1, [0.1])
+    w = PolySeries([0.0, 1.0, 0.2])
+    cases = [
+        (lambda: check(Theorem.THM1, f, Params(), SPEC, "x"), InputError, "r_max must lie in (0, 1)"),
+        (lambda: check(Theorem.THM1, f, Params(), SPEC, None), InputError, "r_max must lie in (0, 1)"),
+        (lambda: membership(FunctionClass.STARLIKE, f, "x"), ParameterError, "membership needs 0 <= alpha < 1, got x"),
+        (lambda: membership(FunctionClass.STARLIKE, f, None), ParameterError,
+         "membership needs 0 <= alpha < 1, got None"),
+        (lambda: membership(FunctionClass.STARLIKE, f, 0.5, SPEC, None), InputError, "r_max must lie in (0, 1)"),
+        (lambda: jack_probe(w, 1, None), InputError, "probe radius must lie in (0, 1)"),
+        (lambda: poly_sup(w, "x"), InputError, "circle radius must lie in (0, 1]"),
+        (lambda: coeff_bound(w, None), InputError, "circle radius must lie in (0, 1]"),
+        (lambda: f.scale_radius(None), InputError, "scale radius must lie in (0, 1]"),
+        (lambda: witness_closed_forms(Witness.EX1, 1, 0.0, None, 0.5), InputError, "beta must be finite"),
+        (lambda: witness_closed_forms(Witness.EX1, 1, 0.0, "x", 0.5), InputError, "beta must be finite"),
+        (lambda: witness_closed_forms(Witness.EX1, 1, 0.0, 0j, None), InputError, "r must lie in (0, 1)"),
+        (lambda: make_witness(Witness.EX1, 1, None), ParameterError, "alpha must be finite"),
+        (lambda: FalsifyConfig(margin="x"), InputError, "margin must lie in (0, 1)"),
+        (lambda: FalsifyConfig(r_max=None), InputError, "r_max must lie in (0, 1)"),
+        (lambda: threshold(Theorem.LEM11, Params(rho="x"), 1), ParameterError, "lem11 needs rho > 0, got x"),
+    ]
+    for call, exc, message in cases:
+        with pytest.raises(InputError) as info:
+            call()
+        assert info.type is exc
+        assert str(info.value) == message
+
+
 class TestDecide:
     def test_singular_point_wins(self):
-        state, witness = _decide(True, True, -0.5 + 0j, 0.1, 1.0, None)
+        state, witness = _decide(True, -0.5 + 0j, 0.1, 1.0, None)
         assert state is VerdictState.INCONCLUSIVE
         assert witness == -0.5 + 0j
 
     def test_unproven_hypothesis_is_inconclusive(self):
-        state, witness = _decide(False, True, None, 0.1, 1.0, 0.9 + 0j)
+        state, witness = _decide(False, None, 0.1, 1.0, 0.9 + 0j)
         assert state is VerdictState.INCONCLUSIVE and witness is None
 
     def test_failed_guard_is_inconclusive(self):
-        state, _ = _decide(True, False, None, None, 1.0, None)
-        assert state is VerdictState.INCONCLUSIVE
+        # check leaves the conclusion bracket None when the nonvanishing guard fails
+        spec = GridSpec(m=256)
+        cases = [
+            (Theorem.THM1, SeriesA.from_tail(1, [1.2])),   # sup |f/z - 1| = 1.2 r
+            (Theorem.COR1, SeriesA.from_tail(1, [0.6])),   # sup |f' - 1| = 1.2 r
+            (Theorem.THM3, SeriesA.from_tail(1, [0.6])),
+        ]
+        for theorem, f in cases:
+            rep = check(theorem, f, Params(alpha=0.5), spec)
+            assert rep.concl is None
+            assert rep.verdict.conclusion_margin is None
+            assert rep.verdict.state is VerdictState.INCONCLUSIVE
 
     def test_missing_conclusion_is_inconclusive(self):
-        state, _ = _decide(True, True, None, None, 1.0, None)
+        state, _ = _decide(True, None, None, 1.0, None)
         assert state is VerdictState.INCONCLUSIVE
 
     def test_holds(self):
-        state, witness = _decide(True, True, None, 0.4, 0.5, 0.9j)
+        state, witness = _decide(True, None, 0.4, 0.5, 0.9j)
         assert state is VerdictState.HOLDS and witness is None
 
     def test_fails_carries_witness(self):
-        state, witness = _decide(True, True, None, 0.6, 0.5, 0.9j)
+        state, witness = _decide(True, None, 0.6, 0.5, 0.9j)
         assert state is VerdictState.FAILS and witness == 0.9j
 
 
