@@ -130,6 +130,15 @@ def _golden_max(h, a: float, b: float, iters: int, best_val: float, best_x: floa
     return best_val, best_x
 
 
+def _refine_sample(hs, svals: np.ndarray, i: int, iters: int, tol: float):
+    """_golden_max of the angle objective hs over one grid step either side of
+    sample i of svals, the values of hs on an m-point grid starting at angle 0."""
+    m = svals.size
+    dt = _TWO_PI / m
+    t0 = _TWO_PI * i / m
+    return _golden_max(hs, t0 - dt, t0 + dt, iters, float(svals[i]), t0, tol)
+
+
 def _circle_argopt(h, r: float, m: int, iters: int, *, minimize: bool = False, basins: int = 1,
                    tol: float = 0.0):
     """Grid extremum of a real objective over |z| = r plus golden refinement.
@@ -143,12 +152,10 @@ def _circle_argopt(h, r: float, m: int, iters: int, *, minimize: bool = False, b
     sign = -1.0 if minimize else 1.0
     svals = sign * np.asarray(h(r * _unit_circle(m)), dtype=np.float64)
     hs = lambda t: sign * h(_circle_point(r, t))  # noqa: E731
-    dt = _TWO_PI / m
     best_val, best_t = -math.inf, 0.0
     for k in range(basins):
         i = int(np.argmax(svals))
-        t0 = _TWO_PI * i / m
-        val, t = _golden_max(hs, t0 - dt, t0 + dt, iters, float(svals[i]), t0, tol)
+        val, t = _refine_sample(hs, svals, i, iters, tol)
         if val > best_val:
             best_val, best_t = val, t
         if k + 1 < basins:
@@ -177,8 +184,12 @@ def circle_max(g, r: float, spec: GridSpec | None = None) -> float:
 def coeff_bound(p: PolySeries, r: float) -> float:
     """Coefficient-modulus bound sum |c_k| r^k, a certified disk sup bound."""
     r = require_real(r, lambda v: 0.0 < v <= 1.0, "circle radius must lie in (0, 1]", InputError)
-    mags = np.abs(p.coeffs)
-    return float(np.sum(mags * np.float64(r) ** np.arange(mags.size)))
+    return float(_coeff_sums(p.coeffs, r))
+
+
+def _coeff_sums(c: np.ndarray, r: float):
+    """sum_k |c[..., k]| r^k for every polynomial row of c."""
+    return np.sum(np.abs(c) * np.float64(r) ** np.arange(c.shape[-1]), axis=-1)
 
 
 def _poly_sup_argmax(p: PolySeries, r: float, spec: GridSpec):

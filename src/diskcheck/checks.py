@@ -33,11 +33,11 @@ from enum import Enum
 
 import numpy as np
 
-from .bounds import DEFAULT_RADII, GridSpec, SupBracket, BracketKind, _circle_argopt, _circle_point, \
-    _poly_sup_argmax, poly_sup
+from .bounds import GridSpec, SupBracket, BracketKind, _circle_argopt, _circle_point, _coeff_sums, \
+    _poly_sup_argmax, _refine_sample, _unit_circle, poly_sup
 from .errors import InputError, ParameterError, SingularDenominatorError, require_complex, require_int, require_real
-from .functionals import DEFAULT_DENOM_FLOOR, Functional, _require_nonsingular, as_polynomial
-from .series import PolySeries, SeriesA
+from .functionals import DEFAULT_DENOM_FLOOR, Functional, _polynomial_coeffs, _require_nonsingular, as_polynomial
+from .series import PolySeries, SeriesA, _derivative_coeffs, _horner, _horner_rows
 
 __all__ = [
     "Theorem",
@@ -214,28 +214,57 @@ def _decide(hyp_ok: bool, singular_z, concl_lower, bound, concl_z):
     return VerdictState.FAILS, concl_z
 
 
+#: Guard polynomial g of each guarded quotient: its nonvanishing needs sup |g| < 1.
+_GUARD = {
+    _Quotient.STARLIKE: Functional.RATIO_DEFECT,
+    _Quotient.CONVEX: Functional.DERIV_MINUS_ONE,
+    _Quotient.RECIPROCAL: Functional.DERIV_MINUS_ONE,
+}
+
+
+def _quotient_parts(kind: _Quotient, a: np.ndarray):
+    """Denominator and numerator coefficients of a guarded quotient for every
+    row a[..., :] of series coefficients (numerator None for 1/f')."""
+    d1 = _derivative_coeffs(a)
+    if kind is _Quotient.STARLIKE:
+        return a[..., 1:], d1
+    if kind is _Quotient.CONVEX:
+        return d1, _derivative_coeffs(d1)
+    return d1, None
+
+
+def _quotient_value(kind: _Quotient, z, den, top):
+    """The quotient from its denominator and numerator values at z."""
+    if kind is _Quotient.STARLIKE:
+        return top / den
+    if kind is _Quotient.CONVEX:
+        return 1.0 + z * top / den
+    return 1.0 / den
+
+
 def _guarded_quotient(kind: _Quotient, f: SeriesA, r_max: float, spec: GridSpec):
     """Pointwise evaluator of a quotient of f, or None when its nonvanishing
     guard is not certified on |z| <= r_max. The evaluator takes a point or an
     ndarray and raises SingularDenominatorError below DEFAULT_DENOM_FLOOR."""
     if kind is _Quotient.BOUNDED_TURNING:
         return f.derivative().eval
-    star = kind is _Quotient.STARLIKE
-    guard = as_polynomial(Functional.RATIO_DEFECT if star else Functional.DERIV_MINUS_ONE, f)
-    if not poly_sup(guard, r_max, spec).upper < 1.0:
+    if not poly_sup(as_polynomial(_GUARD[kind], f), r_max, spec).upper < 1.0:
         return None
-    d1 = f.derivative()
-    den_poly = f.divide_by_z() if star else d1
-    d2 = d1.derivative() if kind is _Quotient.CONVEX else None
+    den_c, top_c = _quotient_parts(kind, f.body.coeffs)
+    den_poly = PolySeries(den_c)
+    top_poly = PolySeries(top_c) if top_c is not None else None
 
     def q(z):
         den = den_poly.eval(z)
         _require_nonsingular(z, den, DEFAULT_DENOM_FLOOR)
-        if star:
-            return d1.eval(z) / den
-        return 1.0 / den if d2 is None else 1.0 + z * d2.eval(z) / den
+        return _quotient_value(kind, z, den, top_poly.eval(z) if top_poly is not None else None)
 
     return q
+
+
+def _center(kind: _Quotient, bound: float) -> float:
+    """Center c of a quotient conclusion |q - c| < bound."""
+    return bound if kind is _Quotient.RECIPROCAL else 1.0
 
 
 def check(
@@ -275,7 +304,7 @@ def check(
     else:
         q = _guarded_quotient(conclusion, f, r_max, spec)
         if q is not None:
-            center = bound if conclusion is _Quotient.RECIPROCAL else 1.0
+            center = _center(conclusion, bound)
             try:
                 lower, t = _circle_argopt(lambda z: abs(q(z) - center), r_max, spec.m, spec.refine_depth)
                 concl_z = _circle_point(r_max, t)
@@ -305,6 +334,77 @@ def check(
     )
 
 
+#: Relative room a coefficient sum must leave below its bound to certify a
+#: block row. check's certified upper bound is that sum, or the grid value
+#: when rounding puts it above the sum, and Horner rounding moves a grid
+#: value by far less than this.
+_SUM_SLACK = 2.0**-20
+
+
+def _block_margins(theorem: Theorem, n: int, a: np.ndarray, params: Params, spec: GridSpec, r_max: float):
+    """check's conclusion margins for the functions with coefficient rows a
+    (shape (rows, M+1), class index n): bit for bit the margin check reports
+    for every row that certifiably holds, and None for each row it leaves to
+    check.
+
+    A row's hypothesis is certified by its coefficient sum at r_max lying
+    below the threshold, and a quotient's guard by its coefficient sum lying
+    below 1, each with room _SUM_SLACK; check's certified upper bounds then
+    lie below them too. The conclusion is evaluated on the (rows, m) grid with
+    check's arithmetic and each row's grid argmax refined by _refine_sample.
+    A row is left to check when a certificate fails, a denominator modulus
+    comes below twice DEFAULT_DENOM_FLOOR at a grid or refinement point, a
+    value is not finite, or the conclusion reaches its bound.
+    """
+    thr = threshold(theorem, params, n)
+    bound = _conclusion_bound(theorem, params)
+    hyp_fun, _, conclusion = _RULES[theorem]
+    hyp_sums = _coeff_sums(_polynomial_coeffs(hyp_fun, a, complex(params.beta)), r_max)
+    ok = hyp_sums < thr * (1.0 - _SUM_SLACK)
+    z = r_max * _unit_circle(spec.m)
+    if isinstance(conclusion, Functional):
+        c = _polynomial_coeffs(conclusion, a, 0j)
+        grid = np.abs(_horner_rows(c, z))
+        rows_py = c.tolist()
+
+        def objective(row):
+            py = rows_py[row]
+            return lambda t: abs(_horner(py, _circle_point(r_max, t)))
+    else:
+        ok &= _coeff_sums(_polynomial_coeffs(_GUARD[conclusion], a, 0j), r_max) < 1.0 - _SUM_SLACK
+        den_c, top_c = _quotient_parts(conclusion, a)
+        den = _horner_rows(den_c, z)
+        top = _horner_rows(top_c, z) if top_c is not None else None
+        floor = 2.0 * DEFAULT_DENOM_FLOOR
+        ok &= np.all(np.abs(den) >= floor, axis=-1)
+        center = _center(conclusion, bound)
+        grid = np.abs(_quotient_value(conclusion, z, den, top) - center)
+        den_py = den_c.tolist()
+        top_py = top_c.tolist() if top_c is not None else None
+
+        def objective(row):
+            def hs(t):
+                zt = _circle_point(r_max, t)
+                d = _horner(den_py[row], zt)
+                if abs(d) < floor:
+                    raise SingularDenominatorError(zt)
+                num = _horner(top_py[row], zt) if top_py is not None else None
+                return abs(_quotient_value(conclusion, zt, d, num) - center)
+            return hs
+
+    ok &= np.all(np.isfinite(grid), axis=-1)
+    peaks = np.argmax(grid, axis=-1)
+    margins = [None] * len(a)
+    for row in np.flatnonzero(ok):
+        try:
+            lower, _ = _refine_sample(objective(row), grid[row], int(peaks[row]), spec.refine_depth, 0.0)
+        except SingularDenominatorError:
+            continue
+        if lower < bound:
+            margins[row] = bound - lower
+    return margins
+
+
 class FunctionClass(Enum):
     STARLIKE = "star"          # Re(z f'/f) > alpha
     BOUNDED_TURNING = "c"      # Re(f') > alpha
@@ -318,13 +418,15 @@ def membership(
     spec: GridSpec | None = None,
     r_max: float = 0.999,
 ) -> Verdict:
-    """Grid verdict on class membership of order alpha over circles up to r_max.
+    """Grid verdict on class membership of order alpha on the disk |z| <= r_max.
 
-    Scans the ladder radii below r_max plus r_max itself for the minimum of
-    the relevant real part. Quotient classes run behind the same nonvanishing
-    guards as check(); a failed guard or a singular denominator yields
-    Inconclusive (the latter with the singular point as witness). This is a
-    grid verdict, not a certificate: hypothesis_margin stays None.
+    Quotient classes run behind the same nonvanishing guards as check(); a
+    failed guard or a singular denominator yields Inconclusive (the latter
+    with the singular point as witness). Behind the guard the quotient is
+    analytic on the closed disk, so its real part is harmonic there and takes
+    its minimum on the circle |z| = r_max (minimum principle): only that
+    circle is scanned. This is a grid verdict, not a certificate:
+    hypothesis_margin stays None.
     """
     spec = spec if spec is not None else GridSpec()
     r_max = require_real(r_max, lambda r: 0.0 < r < 1.0, "r_max must lie in (0, 1)", InputError)
@@ -338,22 +440,15 @@ def membership(
     if quotient is None:
         return Verdict(VerdictState.INCONCLUSIVE, None, None, None)
 
-    radii = [r for r in DEFAULT_RADII if r < r_max] + [r_max]
-    min_re = math.inf
-    witness: complex | None = None
     try:
-        for r in radii:
-            val, t = _circle_argopt(lambda z: quotient(z).real, r, spec.m, spec.refine_depth, minimize=True)
-            if val < min_re:
-                min_re = val
-                witness = _circle_point(r, t)
+        min_re, t = _circle_argopt(lambda z: quotient(z).real, r_max, spec.m, spec.refine_depth, minimize=True)
     except SingularDenominatorError as exc:
         return Verdict(VerdictState.INCONCLUSIVE, None, None, exc.z)
 
     margin = min_re - alpha
     if min_re > alpha:
         return Verdict(VerdictState.HOLDS, None, margin, None)
-    return Verdict(VerdictState.FAILS, None, margin, witness)
+    return Verdict(VerdictState.FAILS, None, margin, _circle_point(r_max, t))
 
 
 def duality_check(

@@ -17,7 +17,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import InputError, NotPolynomialError, SingularDenominatorError, require_complex
-from .series import PolySeries, SeriesA
+from .series import PolySeries, SeriesA, _points
 
 __all__ = [
     "Functional",
@@ -86,27 +86,33 @@ def as_polynomial(which: Functional, f: SeriesA, beta: complex = 0j) -> PolySeri
     """
     beta = require_complex(beta, None, f"beta not interpretable as a complex number: {beta!r}", InputError)
     require_complex(beta, cmath.isfinite, "beta must be finite", InputError)
-    a = f.body.coeffs
-    k = np.arange(1, a.size)
-    ak = a[1:]
+    return PolySeries(_polynomial_coeffs(which, f.body.coeffs, beta))
+
+
+def _polynomial_coeffs(which: Functional, a: np.ndarray, beta: complex) -> np.ndarray:
+    """as_polynomial's coefficient formulas for every row a[..., :] of series
+    coefficients; one degree less than a."""
+    k = np.arange(1, a.shape[-1])
+    ak = a[..., 1:]
     if which is Functional.DERIV_DEFECT:
-        out = (k - 1) * ak
-    elif which is Functional.RATIO_DEFECT:
+        return (k - 1) * ak
+    if which is Functional.STAR_TEST:
+        return (k - 1) * (k - beta) * ak
+    if which is Functional.CONVEX_TEST:
+        return k * (k - 1) * (k - beta) * ak
+    # the other three carry no factor k - 1, so their z^0 slot is set to zero
+    if which is Functional.RATIO_DEFECT:
         out = ak.copy()
-        out[0] = 0.0
-    elif which is Functional.STAR_TEST:
-        out = (k - 1) * (k - beta) * ak
     elif which is Functional.TURN_TEST:
         out = k * (k - 1 - beta) * ak
-        out[0] = 0.0
-    elif which is Functional.CONVEX_TEST:
-        out = k * (k - 1) * (k - beta) * ak
     elif which is Functional.DERIV_MINUS_ONE:
-        out = (k * ak).astype(np.complex128)
-        out[0] = 0.0
-    else:
+        out = k * ak
+    elif isinstance(which, Functional):
         raise NotPolynomialError(f"{which.value} is rational; use eval_functional instead")
-    return PolySeries(out)
+    else:
+        raise InputError(f"unknown functional {which!r}")
+    out[..., 0] = 0.0
+    return out
 
 
 def eval_functional(which: Functional, f: SeriesA, beta: complex = 0j, z=0j):
@@ -122,7 +128,7 @@ def eval_functional(which: Functional, f: SeriesA, beta: complex = 0j, z=0j):
     if isinstance(z, (int, float, complex)) and not isinstance(z, bool):
         z = complex(z)
     else:
-        z = np.asarray(z, dtype=np.complex128)
+        z = _points(z)
     d1 = f.derivative()
     if which is Functional.DERIV_DEFECT:
         return d1.eval(z) - f.divide_by_z().eval(z)

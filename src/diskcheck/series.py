@@ -18,6 +18,49 @@ from .errors import InputError, require_complex, require_int, require_real
 __all__ = ["PolySeries", "SeriesA"]
 
 
+def _points(z) -> np.ndarray:
+    """z as an ndarray of complex points; InputError when it is not numeric."""
+    try:
+        return np.asarray(z, dtype=np.complex128)
+    except (TypeError, ValueError):
+        raise InputError("evaluation point not interpretable as complex numbers") from None
+
+
+def _horner(coeffs, z: complex) -> complex:
+    """Horner recursion in plain complex arithmetic; coeffs lowest degree first."""
+    acc = coeffs[-1]
+    for k in range(len(coeffs) - 2, -1, -1):
+        acc = acc * z + coeffs[k]
+    return acc
+
+
+def _horner_rows(c: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """Horner recursion for every polynomial c[..., :] (lowest degree first)
+    at every point of z; the result has shape c.shape[:-1] + z.shape."""
+    cz = np.moveaxis(c, -1, 0).reshape(c.shape[-1:] + c.shape[:-1] + (1,) * z.ndim)
+    acc = np.full(c.shape[:-1] + z.shape, cz[-1])
+    for k in range(c.shape[-1] - 2, -1, -1):
+        acc *= z
+        acc += cz[k]
+    return acc
+
+
+def _derivative_coeffs(c: np.ndarray) -> np.ndarray:
+    """Termwise derivative of every polynomial c[..., :]; one degree less,
+    except that a constant gives the zero constant."""
+    if c.shape[-1] == 1:
+        return np.zeros(c.shape, dtype=np.complex128)
+    return c[..., 1:] * np.arange(1, c.shape[-1])
+
+
+def _tail_coeffs(n: int, tail: np.ndarray) -> np.ndarray:
+    """Coefficients of z + tail[..., 0] z^{n+1} + ... for every tail row."""
+    coeffs = np.zeros(tail.shape[:-1] + (max(2, n + 1 + tail.shape[-1]),), dtype=np.complex128)
+    coeffs[..., 1] = 1.0
+    coeffs[..., n + 1 :] = tail
+    return coeffs
+
+
 def _coeff_array(coeffs) -> np.ndarray:
     try:
         arr = np.array(coeffs, dtype=np.complex128)
@@ -68,18 +111,11 @@ class PolySeries:
         """Evaluate by backward (Horner) recursion; z may be scalar or ndarray."""
         if isinstance(z, (int, float, complex)) and not isinstance(z, bool):
             zc = require_complex(z, cmath.isfinite, "non-finite evaluation point", InputError)
-            py = self._py
-            acc = py[-1]
-            for k in range(len(py) - 2, -1, -1):
-                acc = acc * zc + py[k]
-            return acc
-        zz = np.asarray(z, dtype=np.complex128)
+            return _horner(self._py, zc)
+        zz = _points(z)
         if not np.isfinite(zz).all():
             raise InputError("non-finite evaluation point")
-        c = self.coeffs
-        acc = np.full(zz.shape, c[-1])
-        for k in range(c.size - 2, -1, -1):
-            acc = acc * zz + c[k]
+        acc = _horner_rows(self.coeffs, zz)
         if zz.ndim == 0:
             return complex(acc)
         return acc
@@ -88,10 +124,7 @@ class PolySeries:
 
     def derivative(self) -> PolySeries:
         """Termwise derivative; the truncation order drops by one."""
-        c = self.coeffs
-        if c.size == 1:
-            return PolySeries(np.zeros(1, dtype=np.complex128))
-        return PolySeries(c[1:] * np.arange(1, c.size))
+        return PolySeries(_derivative_coeffs(self.coeffs))
 
 
 @dataclass(frozen=True, eq=False)
@@ -122,12 +155,14 @@ class SeriesA:
     @classmethod
     def from_tail(cls, n: int, tail=()) -> SeriesA:
         """Build z + tail[0] z^{n+1} + tail[1] z^{n+2} + ..."""
-        tail = np.asarray(tail, dtype=np.complex128)
-        coeffs = np.zeros(max(2, int(n) + 1 + tail.size), dtype=np.complex128)
-        coeffs[1] = 1.0
-        if tail.size:
-            coeffs[int(n) + 1 :] = tail
-        return cls(n, PolySeries(coeffs))
+        n = require_int(n, 1, "class index n must be a positive integer")
+        try:
+            tail = np.atleast_1d(np.asarray(tail, dtype=np.complex128))
+        except (TypeError, ValueError):
+            raise InputError("tail must be a sequence of complex numbers") from None
+        if tail.ndim != 1:
+            raise InputError("tail must be a sequence of complex numbers")
+        return cls(n, PolySeries(_tail_coeffs(n, tail)))
 
     @property
     def tail(self) -> np.ndarray:

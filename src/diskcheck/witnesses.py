@@ -22,9 +22,10 @@ from enum import Enum
 
 import numpy as np
 
-from .bounds import GridSpec, coeff_bound
+from .bounds import GridSpec, _coeff_sums, coeff_bound
 from .checks import (
     HYPOTHESIS_FUNCTIONAL,
+    _block_margins,
     CheckReport,
     Params,
     Theorem,
@@ -34,8 +35,8 @@ from .checks import (
 )
 from .errors import InputError, ParameterError, require_complex, require_int, require_real
 from .funcspec import function_to_dict
-from .functionals import as_polynomial
-from .series import SeriesA
+from .functionals import _polynomial_coeffs, as_polynomial
+from .series import SeriesA, _tail_coeffs
 
 __all__ = [
     "Witness",
@@ -49,6 +50,10 @@ __all__ = [
     "falsify",
     "radius_of_validity",
 ]
+
+
+#: Grid points one falsify block evaluates: a block holds max(1, 8192 // m) trials.
+_BLOCK_POINTS = 8192
 
 
 class Witness(Enum):
@@ -133,6 +138,11 @@ class FalsifyConfig:
         object.__setattr__(self, "r_max", r_max)
 
 
+def _draw_tail(rng: np.random.Generator, tail_len: int) -> np.ndarray:
+    box = rng.uniform(-1.0, 1.0, size=(tail_len, 2))
+    return box[:, 0] + 1j * box[:, 1]
+
+
 def sample_satisfying(
     theorem: Theorem,
     n: int,
@@ -150,8 +160,7 @@ def sample_satisfying(
     disk with a certified margin. tail_len = 0 yields the identity.
     """
     target = cfg.margin * threshold(theorem, params, n)
-    box = rng.uniform(-1.0, 1.0, size=(cfg.tail_len, 2))
-    tail = box[:, 0] + 1j * box[:, 1]
+    tail = _draw_tail(rng, cfg.tail_len)
     f = SeriesA.from_tail(n, tail)
     if cfg.tail_len == 0:
         return f
@@ -185,6 +194,33 @@ def _counterexample_record(trial: int, f: SeriesA, report: CheckReport) -> dict:
     }
 
 
+def _sample_block(theorem: Theorem, n: int, params: Params, cfg: FalsifyConfig, target: float, trials: range):
+    """Coefficient rows of the functions sample_satisfying draws for these
+    trials, bit for bit, each tail from its own (seed, trial) stream and all
+    rescaled at once. A row whose hypothesis coefficient sum is not finite is
+    set to NaN, so that no certificate holds for it and check decides it."""
+    tails = np.array([_draw_tail(np.random.default_rng([cfg.seed, t]), cfg.tail_len) for t in trials])
+    a = _tail_coeffs(n, tails)
+    bound = _coeff_sums(_polynomial_coeffs(HYPOTHESIS_FUNCTIONAL[theorem], a, complex(params.beta)), 1.0)
+    big = bound > target
+    a[big, n + 1 :] = tails[big] * (target / bound[big])[:, None]
+    a[~np.isfinite(bound)] = np.nan
+    return a
+
+
+def _check_trial(theorem: Theorem, n: int, params: Params, cfg: FalsifyConfig, spec: GridSpec, trial: int):
+    """One trial through sample_satisfying and check, with the 16x dense
+    re-check of a Fails: (report, counterexample record or None)."""
+    f = sample_satisfying(theorem, n, params, cfg, np.random.default_rng([cfg.seed, trial]))
+    report = check(theorem, f, params, spec, cfg.r_max)
+    if report.verdict.state is VerdictState.FAILS:
+        dense = GridSpec(m=16 * spec.m, refine_depth=spec.refine_depth)
+        report = check(theorem, f, params, dense, cfg.r_max)
+        if report.verdict.state is VerdictState.FAILS:
+            return report, _counterexample_record(trial, f, report)
+    return report, None
+
+
 def falsify(
     theorem: Theorem,
     n: int,
@@ -195,28 +231,42 @@ def falsify(
     """Seeded search for hypothesis-satisfying functions that break a conclusion.
 
     Every trial draws from its own seed substream (seed, trial index), so
-    summaries are reproducible and trials could run in any order. A Fails
-    verdict is re-verified at 16x grid density before being reported, to
-    exclude grid artifacts; zero fails is the expected outcome for a sound
-    checker.
+    summaries are reproducible and trials could run in any order. Trials are
+    decided in blocks of max(1, 8192 // m) rows: the block's tails are drawn
+    trial by trial and rescaled together, the hypothesis (and a quotient's
+    nonvanishing guard) is certified from its coefficient sum, and the
+    conclusion is evaluated on a (rows, m) grid and refined row by row, with
+    check's own rules and arithmetic, so the summary is the one the
+    per-trial sample_satisfying + check loop gives. Memory therefore stays
+    bounded by the block, whatever the trial count. A row that the block
+    cannot certify, or that comes out Fails, goes through sample_satisfying
+    and check itself; a Fails verdict is re-verified at 16x grid density
+    before being reported, to exclude grid artifacts. Zero fails is the
+    expected outcome for a sound checker.
     """
     spec = spec if spec is not None else GridSpec(m=512, refine_depth=2)
+    target = cfg.margin * threshold(theorem, params, n)
+    rows = max(1, _BLOCK_POINTS // spec.m)
     counts = {VerdictState.HOLDS: 0, VerdictState.FAILS: 0, VerdictState.INCONCLUSIVE: 0}
     min_margin: float | None = None
     counterexamples: list[dict] = []
-    for trial in range(cfg.trials):
-        rng = np.random.default_rng([cfg.seed, trial])
-        f = sample_satisfying(theorem, n, params, cfg, rng)
-        report = check(theorem, f, params, spec, cfg.r_max)
-        if report.verdict.state is VerdictState.FAILS:
-            dense = GridSpec(m=16 * spec.m, refine_depth=spec.refine_depth)
-            report = check(theorem, f, params, dense, cfg.r_max)
-            if report.verdict.state is VerdictState.FAILS:
-                counterexamples.append(_counterexample_record(trial, f, report))
-        counts[report.verdict.state] += 1
-        margin = report.verdict.conclusion_margin
-        if margin is not None and (min_margin is None or margin < min_margin):
-            min_margin = margin
+    for start in range(0, cfg.trials, rows):
+        trials = range(start, min(start + rows, cfg.trials))
+        # a row left to check may overflow or divide by zero here; check then
+        # meets the same values and reports them itself
+        with np.errstate(all="ignore"):
+            a = _sample_block(theorem, n, params, cfg, target, trials)
+            margins = _block_margins(theorem, n, a, params, spec, cfg.r_max)
+        for trial, margin in zip(trials, margins):
+            state = VerdictState.HOLDS
+            if margin is None:
+                report, record = _check_trial(theorem, n, params, cfg, spec, trial)
+                state, margin = report.verdict.state, report.verdict.conclusion_margin
+                if record is not None:
+                    counterexamples.append(record)
+            counts[state] += 1
+            if margin is not None and (min_margin is None or margin < min_margin):
+                min_margin = margin
     return FalsifySummary(
         theorem=theorem,
         n=n,

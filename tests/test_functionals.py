@@ -161,3 +161,20 @@ def test_list_input_for_z(rng):
     f = random_series(rng, 1, tail_len=2)
     out = eval_functional(Functional.DERIV_MINUS_ONE, f, 0j, [0.1, 0.2j])
     assert out.shape == (2,)
+
+
+def test_non_number_and_non_enum_arguments_raise_input_error():
+    f = SeriesA.from_tail(1, [0.1])
+    cases = [
+        (lambda: as_polynomial("star_test", f), "unknown functional 'star_test'"),
+        (lambda: as_polynomial(None, f), "unknown functional None"),
+        (lambda: eval_functional(Functional.RATIO_DEFECT, f, 0j, "x"),
+         "evaluation point not interpretable as complex numbers"),
+        (lambda: eval_functional(Functional.STAR_QUOTIENT, f, 0j, [0.5, "x"]),
+         "evaluation point not interpretable as complex numbers"),
+    ]
+    for call, message in cases:
+        with pytest.raises(InputError) as info:
+            call()
+        assert info.type is InputError
+        assert str(info.value) == message

@@ -132,3 +132,23 @@ class TestSeriesA:
         f = SeriesA.from_tail(1, [0.5])
         z = 0.2 + 0.1j
         assert f(z) == pytest.approx(z + 0.5 * z * z, abs=1e-16)
+
+
+def test_non_number_arguments_raise_input_error():
+    f = SeriesA.from_tail(1, [0.1])
+    p = PolySeries([0.0, 1.0, 0.2])
+    cases = [
+        (lambda: SeriesA.from_tail("x", [0.1]), "class index n must be a positive integer"),
+        (lambda: SeriesA.from_tail(None, [0.1]), "class index n must be a positive integer"),
+        (lambda: SeriesA.from_tail(1, ["x"]), "tail must be a sequence of complex numbers"),
+        (lambda: SeriesA.from_tail(1, {"a": 1}), "tail must be a sequence of complex numbers"),
+        (lambda: SeriesA.from_tail(1, [[0.1, 0.2]]), "tail must be a sequence of complex numbers"),
+        (lambda: p.eval("x"), "evaluation point not interpretable as complex numbers"),
+        (lambda: p.eval([0.5, "x"]), "evaluation point not interpretable as complex numbers"),
+        (lambda: f.eval("x"), "evaluation point not interpretable as complex numbers"),
+    ]
+    for call, message in cases:
+        with pytest.raises(InputError) as info:
+            call()
+        assert info.type is InputError
+        assert str(info.value) == message

@@ -27,8 +27,11 @@ from diskcheck import (
     threshold,
     witness_closed_forms,
 )
-from diskcheck.checks import HYPOTHESIS_FUNCTIONAL
+from diskcheck.checks import HYPOTHESIS_FUNCTIONAL, _block_margins
+from diskcheck.funcspec import function_to_dict
 from diskcheck.functionals import as_polynomial
+from diskcheck.series import _tail_coeffs
+from diskcheck.witnesses import FalsifySummary
 
 LADDER = (0.9, 0.99, 0.999, 0.9999)
 DENSE = GridSpec(m=8192, refine_depth=5)
@@ -235,6 +238,138 @@ class TestFalsify:
         cfg = FalsifyConfig(trials=10, seed=3)
         out = falsify(Theorem.LEM12, 1, Params(rho=0.5), cfg)
         assert out.fails == 0
+
+
+def per_trial_falsify(theorem, n, params, cfg, spec):
+    """The falsifier as one sample_satisfying + check per trial, with the 16x
+    dense re-check and counterexample record of a Fails: the oracle for the
+    block-wise falsify."""
+    counts = dict.fromkeys(VerdictState, 0)
+    min_margin = None
+    records = []
+    for trial in range(cfg.trials):
+        f = sample_satisfying(theorem, n, params, cfg, np.random.default_rng([cfg.seed, trial]))
+        report = check(theorem, f, params, spec, cfg.r_max)
+        if report.verdict.state is VerdictState.FAILS:
+            report = check(theorem, f, params, GridSpec(m=16 * spec.m, refine_depth=spec.refine_depth), cfg.r_max)
+            if report.verdict.state is VerdictState.FAILS:
+                records.append({
+                    "trial": trial,
+                    "function": function_to_dict(f),
+                    "witness": [report.witness.real, report.witness.imag],
+                    "conclusion_value": report.concl.lower,
+                    "conclusion_bound": report.concl_bound,
+                })
+        counts[report.verdict.state] += 1
+        margin = report.verdict.conclusion_margin
+        if margin is not None and (min_margin is None or margin < min_margin):
+            min_margin = margin
+    return FalsifySummary(
+        theorem=theorem,
+        n=n,
+        params=params,
+        config=cfg,
+        holds=counts[VerdictState.HOLDS],
+        inconclusive=counts[VerdictState.INCONCLUSIVE],
+        fails=counts[VerdictState.FAILS],
+        min_conclusion_margin=min_margin,
+        counterexamples=tuple(records),
+    )
+
+
+def _params(theorem, alpha, beta):
+    if theorem in (Theorem.LEM11, Theorem.LEM12, Theorem.LEM3):
+        return Params(beta=beta, rho=1.0 - alpha)
+    return Params(alpha=alpha, beta=beta)
+
+
+#: (grid, trials): 16 rows a block for m = 512, one row for m = 8192, and a
+#: single partial block for m = 16; no trial count is a multiple of its rows.
+ORACLE_GRIDS = (
+    (GridSpec(m=16, refine_depth=0), 40),
+    (GridSpec(m=512, refine_depth=2), 37),
+    (GridSpec(m=8192, refine_depth=3), 3),
+)
+ORACLE_TAIL_LENS = (0, 1, 6)
+
+
+class TestFalsifyOracle:
+    @pytest.mark.parametrize("theorem", list(Theorem))
+    def test_summary_equals_per_trial_loop(self, theorem):
+        # every theorem meets every grid with every tail length through n
+        for n in (1, 2, 3):
+            for i, (alpha, beta) in enumerate(((0.25, 0j), (0.6, -0.5 + 0.5j))):
+                params = _params(theorem, alpha, beta)
+                for j, (spec, trials) in enumerate(ORACLE_GRIDS):
+                    tail_len = ORACLE_TAIL_LENS[(n + i + j) % 3]
+                    cfg = FalsifyConfig(trials=trials, seed=17 + n, tail_len=tail_len)
+                    got = falsify(theorem, n, params, cfg, spec)
+                    assert got == per_trial_falsify(theorem, n, params, cfg, spec), (n, alpha, spec, tail_len)
+
+    @pytest.mark.parametrize("theorem", [Theorem.THM2, Theorem.THM1])
+    def test_every_trial_past_its_bound_is_rechecked_and_recorded(self, theorem, monkeypatch):
+        # a conclusion bound of 1e-3 turns every trial whose guard holds into
+        # Fails, at the coarse grid and at the 16x dense re-check
+        monkeypatch.setattr("diskcheck.checks._conclusion_bound", lambda theorem, params: 1e-3)
+        params = Params(alpha=0.25)
+        cfg = FalsifyConfig(trials=6, seed=4)
+        spec = GridSpec(m=512, refine_depth=2)
+        got = falsify(theorem, 2, params, cfg, spec)
+        assert got == per_trial_falsify(theorem, 2, params, cfg, spec)
+        assert got.fails == len(got.counterexamples) > 0
+        if theorem is Theorem.THM2:
+            assert [c["trial"] for c in got.counterexamples] == list(range(6))
+        for record in got.counterexamples:
+            f = sample_satisfying(theorem, 2, params, cfg, np.random.default_rng([cfg.seed, record["trial"]]))
+            assert record["function"] == function_to_dict(f)
+            assert record["conclusion_bound"] == 1e-3
+            assert record["conclusion_value"] >= 1e-3
+            assert math.hypot(*record["witness"]) == pytest.approx(cfg.r_max, rel=1e-12)
+
+    def test_uncertified_rows_are_left_to_check(self, monkeypatch):
+        params = Params(alpha=0.25)
+        spec = GridSpec(m=512, refine_depth=2)
+        r_max = 0.999
+        thr = threshold(Theorem.THM2, params, 1)
+        # the turn test of z + c z^2 is 2 c z, whose coefficient sum at r_max is 2 c r_max
+        big = 1.01 * thr / (2.0 * r_max)
+        a = _tail_coeffs(1, np.array([[0.05], [big]], dtype=complex))
+        margins = _block_margins(Theorem.THM2, 1, a, params, spec, r_max)
+        small_report = check(Theorem.THM2, SeriesA.from_tail(1, [0.05]), params, spec, r_max)
+        big_report = check(Theorem.THM2, SeriesA.from_tail(1, [big]), params, spec, r_max)
+        assert margins[0] == small_report.verdict.conclusion_margin
+        assert margins[1] is None
+        assert big_report.verdict.state is VerdictState.INCONCLUSIVE
+        assert big_report.verdict.hypothesis_margin < 0
+
+        # with the hypothesis threshold out of the way, f = z + 0.3 z^2 + 0.2 z^3
+        # meets the thm3 conclusion Re f' > alpha on |z| = r_max (min 0.33) but
+        # not the guard sup |f' - 1| < 1 (1.198), so check, not the block, decides it
+        with monkeypatch.context() as patch:
+            patch.setattr("diskcheck.checks.threshold", lambda theorem, params, n, **kw: 1e9)
+            tails = [[0.1, 0.0], [0.3, 0.2]]
+            margins = _block_margins(Theorem.THM3, 1, _tail_coeffs(1, np.array(tails, dtype=complex)), params,
+                                     spec, r_max)
+            reports = [check(Theorem.THM3, SeriesA.from_tail(1, t), params, spec, r_max) for t in tails]
+        assert margins[0] == reports[0].verdict.conclusion_margin
+        assert margins[1] is None
+        assert reports[1].verdict.state is VerdictState.INCONCLUSIVE
+        assert reports[1].verdict.conclusion_margin is None
+
+        # a margin and r_max this close to 1 leave no room below the threshold,
+        # so falsify hands every trial to check
+        calls = []
+        real_check = check
+
+        def counting_check(*args, **kwargs):
+            calls.append(args)
+            return real_check(*args, **kwargs)
+
+        monkeypatch.setattr("diskcheck.witnesses.check", counting_check)
+        cfg = FalsifyConfig(trials=5, seed=1, margin=1.0 - 1e-12, r_max=1.0 - 1e-12)
+        got = falsify(Theorem.THM2, 2, params, cfg, spec)
+        assert len(calls) == 5
+        assert got == per_trial_falsify(Theorem.THM2, 2, params, cfg, spec)
 
 
 class TestRadiusOfValidity:

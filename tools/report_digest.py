@@ -5,8 +5,8 @@ check and radius (7 theorems x 2 parameter sets) and membership (3 classes
 x 2 orders), plus example for each witness and falsify (50 trials) for each
 theorem and n in {1, 2, 3}. A second set runs at `--grid-m 64`: check for
 every corpus file and theorem, membership for every class at `--rmax` 0.6,
-0.9 and 0.999 (so the radius ladder is cut at different rungs, and some
-runs exit 1), and falsify (50 trials, n = 2) for each theorem. A third set
+0.9 and 0.999 (membership scans the circle |z| = rmax, and some runs exit
+1), and falsify (50 trials, n = 2) for each theorem. A third set
 passes out-of-range and non-finite arguments (--rmax, --alpha, --beta,
 --rho, --margin, --n) to every command, so that each argument error the CLI
 can print is covered. Each line is the argv, the exit code and the sha256
