@@ -10,7 +10,7 @@ grid; for monomials it collapses to zero.
 
 import numpy as np
 
-from diskcheck import GridSpec, PolySeries, coeff_bound, disk_sup_profile, poly_sup
+from diskcheck import GridSpec, PolySeries, circle_max, coeff_bound, poly_sup
 
 p = PolySeries(np.array([0, 1, -0.4, 0.25j, 0.1], dtype=complex))
 
@@ -27,5 +27,5 @@ print("\nmonomial 2i z^3 at r=0.5:", b.lower, b.upper, "(truth 0.25)")
 
 # circle maxima grow with the radius for analytic functions
 print("\nradius ladder for |p| (maximum principle in action):")
-for r, v in disk_sup_profile(p.eval, GridSpec(m=1024, refine_depth=2)):
-    print(f"  r={r:.10f}  sup={v:.10f}")
+for r in (1.0 - 2.0**-k for k in range(1, 11)):
+    print(f"  r={r:.10f}  sup={circle_max(p.eval, r, GridSpec(m=1024, refine_depth=2)):.10f}")

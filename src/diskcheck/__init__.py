@@ -19,7 +19,6 @@ from .bounds import (
     circle_argmax,
     circle_max,
     coeff_bound,
-    disk_sup_profile,
     poly_sup,
 )
 from .checks import (
@@ -92,7 +91,6 @@ __all__ = [
     "circle_argmax",
     "circle_max",
     "coeff_bound",
-    "disk_sup_profile",
     "duality_check",
     "eval_functional",
     "falsify",

@@ -17,11 +17,10 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import InputError, require_int, require_real
-from .series import PolySeries
+from .errors import InputError, require_finite, require_int, require_real
+from .series import PolySeries, _horner, _horner_rows
 
 __all__ = [
-    "DEFAULT_RADII",
     "GridSpec",
     "BracketKind",
     "SupBracket",
@@ -29,11 +28,7 @@ __all__ = [
     "circle_max",
     "circle_argmax",
     "poly_sup",
-    "disk_sup_profile",
 ]
-
-#: Radius ladder approaching the boundary: 1 - 2^-1, ..., 1 - 2^-10.
-DEFAULT_RADII = tuple(1.0 - 2.0**-k for k in range(1, 11))
 
 _INV_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 _TWO_PI = 2.0 * math.pi
@@ -92,8 +87,9 @@ def _circle_point(r: float, t: float) -> complex:
     return r * complex(math.cos(t), math.sin(t))
 
 
-def _golden_max(h, a: float, b: float, iters: int, best_val: float, best_x: float, tol: float = 0.0):
-    """Golden-section shrink of [a, b], maximizing the scalar objective h.
+def _golden_max(h, r: float, a: float, b: float, iters: int, best_val: float, best_x: float, tol: float):
+    """Golden-section shrink of the angle interval [a, b], maximizing the
+    objective h of the point at that angle on |z| = r.
 
     Runs interval contractions (one new evaluation each after the initial
     pair) until `iters` are done or b - a <= tol; tol = 0 means exactly
@@ -104,8 +100,8 @@ def _golden_max(h, a: float, b: float, iters: int, best_val: float, best_x: floa
         return best_val, best_x
     x1 = b - _INV_GOLDEN * (b - a)
     x2 = a + _INV_GOLDEN * (b - a)
-    f1 = h(x1)
-    f2 = h(x2)
+    f1 = h(_circle_point(r, x1))
+    f2 = h(_circle_point(r, x2))
     if f1 > best_val:
         best_val, best_x = f1, x1
     if f2 > best_val:
@@ -116,51 +112,43 @@ def _golden_max(h, a: float, b: float, iters: int, best_val: float, best_x: floa
             a = x1
             x1, f1 = x2, f2
             x2 = a + _INV_GOLDEN * (b - a)
-            f2 = h(x2)
+            f2 = h(_circle_point(r, x2))
             if f2 > best_val:
                 best_val, best_x = f2, x2
         else:
             b = x2
             x2, f2 = x1, f1
             x1 = b - _INV_GOLDEN * (b - a)
-            f1 = h(x1)
+            f1 = h(_circle_point(r, x1))
             if f1 > best_val:
                 best_val, best_x = f1, x1
         it += 1
     return best_val, best_x
 
 
-def _refine_sample(hs, svals: np.ndarray, i: int, iters: int, tol: float):
-    """_golden_max of the angle objective hs over one grid step either side of
-    sample i of svals, the values of hs on an m-point grid starting at angle 0."""
+def _circle_argopt(h, r: float, svals: np.ndarray, iters: int, *, basins: int = 1, tol: float = 0.0):
+    """Maximum of a real objective over |z| = r from its values svals on the
+    m-point grid (m = svals.size, starting at angle 0), refined by golden
+    section over one grid step either side of the best sample.
+
+    h maps a circle point to a real value. The best `basins` grid samples,
+    each at least 3 samples from those picked before, are refined by
+    _golden_max(iters, tol); refining several separated basins protects
+    against near-tied peaks picking the wrong one. Returns (value, theta).
+    """
     m = svals.size
     dt = _TWO_PI / m
-    t0 = _TWO_PI * i / m
-    return _golden_max(hs, t0 - dt, t0 + dt, iters, float(svals[i]), t0, tol)
-
-
-def _circle_argopt(h, r: float, m: int, iters: int, *, minimize: bool = False, basins: int = 1,
-                   tol: float = 0.0):
-    """Grid extremum of a real objective over |z| = r plus golden refinement.
-
-    h maps a circle point, or an ndarray of them, to real values. The best
-    `basins` grid samples, each at least 3 samples from those picked before,
-    are refined over one grid step either side by _golden_max(iters, tol);
-    refining several separated basins protects against near-tied peaks
-    picking the wrong one. Returns (value, theta).
-    """
-    sign = -1.0 if minimize else 1.0
-    svals = sign * np.asarray(h(r * _unit_circle(m)), dtype=np.float64)
-    hs = lambda t: sign * h(_circle_point(r, t))  # noqa: E731
     best_val, best_t = -math.inf, 0.0
     for k in range(basins):
-        i = int(np.argmax(svals))
-        val, t = _refine_sample(hs, svals, i, iters, tol)
+        i = int(svals.argmax())
+        t0 = _TWO_PI * i / m
+        val, t = _golden_max(h, r, t0 - dt, t0 + dt, iters, float(svals[i]), t0, tol)
         if val > best_val:
             best_val, best_t = val, t
-        if k + 1 < basins:
+        if k + 1 < basins:  # mask this basin in a copy
+            svals = svals.copy()
             np.put(svals, range(i - 2, i + 3), -np.inf, mode="wrap")
-    return sign * best_val, best_t
+    return best_val, best_t
 
 
 def circle_argmax(g, r: float, spec: GridSpec | None = None):
@@ -171,7 +159,8 @@ def circle_argmax(g, r: float, spec: GridSpec | None = None):
     """
     spec = spec if spec is not None else GridSpec()
     r = require_real(r, lambda v: 0.0 < v <= 1.0, "circle radius must lie in (0, 1]", InputError)
-    val, t = _circle_argopt(lambda z: abs(g(z)), r, spec.m, spec.refine_depth)
+    h = lambda z: abs(g(z))  # noqa: E731
+    val, t = _circle_argopt(h, r, np.asarray(h(r * _unit_circle(spec.m)), dtype=np.float64), spec.refine_depth)
     return val, _circle_point(r, t)
 
 
@@ -187,23 +176,73 @@ def coeff_bound(p: PolySeries, r: float) -> float:
     return float(_coeff_sums(p.coeffs, r))
 
 
+@np.errstate(all="ignore")
 def _coeff_sums(c: np.ndarray, r: float):
     """sum_k |c[..., k]| r^k for every polynomial row of c."""
     return np.sum(np.abs(c) * np.float64(r) ** np.arange(c.shape[-1]), axis=-1)
 
 
-def _poly_sup_argmax(p: PolySeries, r: float, spec: GridSpec):
-    lower, z0 = circle_argmax(p.eval, r, spec)
-    if p.coeffs.size > 1:
-        k = np.arange(1, p.coeffs.size)
-        lip = float(np.sum(k * np.abs(p.coeffs[1:]) * np.float64(r) ** (k - 1)))
-    else:
-        lip = 0.0
-    pad = lip * math.pi * r / spec.m
-    upper = min(coeff_bound(p, r), lower + pad)
-    if upper < lower:  # ulp-scale rounding in the coefficient sum
-        upper = lower
-    return SupBracket(lower, upper, r, BracketKind.CERTIFIED), z0
+def _circle_rows(c: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """Values of every polynomial row of c at the points z, shape (rows,) +
+    z.shape. A single row takes the one-dimensional Horner loop, which is
+    faster than its two-dimensional form and gives the same values."""
+    if len(c) == 1:
+        return _horner_rows(c[0], z)[None]
+    return _horner_rows(c, z)
+
+
+@np.errstate(all="ignore")
+def _sup_rows(c: np.ndarray, r: float, spec: GridSpec):
+    """Lower bounds on sup |p| over |z| <= r for every polynomial row p of c
+    (shape (rows, M+1)): one (value, theta) pair a row, the _circle_argopt
+    maximum from the row's m-point grid, refined on the scalar Horner
+    recursion.
+    """
+    svals = np.abs(_circle_rows(c, r * _unit_circle(spec.m)))
+    return [_circle_argopt(lambda z: abs(_horner(row, z)), r, svals[i], spec.refine_depth)
+            for i, row in enumerate(c.tolist())]
+
+
+@np.errstate(all="ignore")
+def _sup_upper(c: np.ndarray, r: float, lower, spec: GridSpec) -> np.ndarray:
+    """Certified upper bounds on sup |p| over |z| <= r for the polynomial rows
+    p of c, given their _sup_rows values lower: the smaller of the coefficient
+    sum and lower padded by a derivative Lipschitz bound over half the arc gap
+    pi r / m, and at least lower (the sum can round below it). InputError when
+    one overflows.
+    """
+    lower = np.asarray(lower, dtype=np.float64)
+    moduli = np.abs(c)
+    powers = np.float64(r) ** np.arange(c.shape[-1])
+    lip = np.sum(np.arange(1, c.shape[-1]) * moduli[:, 1:] * powers[:-1], axis=-1)
+    upper = np.maximum(lower, np.minimum(np.sum(moduli * powers, axis=-1), lower + lip * math.pi * r / spec.m))
+    return require_finite(upper, f"the sup on |z| = {r}")
+
+
+def _sup_bracket(c: np.ndarray, r: float, spec: GridSpec) -> SupBracket:
+    """Certified bracket on sup |p| over |z| <= r for the one polynomial row
+    p of c (shape (1, M+1))."""
+    [(lower, _)] = _sup_rows(c, r, spec)
+    return SupBracket(lower, float(_sup_upper(c, r, [lower], spec)[0]), r, BracketKind.CERTIFIED)
+
+
+#: Relative room a coefficient sum must leave below a bound for _below to
+#: accept it without a grid. The _sup_upper bound is that sum, or the grid
+#: value when rounding puts it above the sum, and Horner rounding moves a grid
+#: value by far less than this.
+_SUM_SLACK = 2.0**-20
+
+
+def _below(c: np.ndarray, r: float, bound: float, spec: GridSpec) -> np.ndarray:
+    """Whether the certified sup of every polynomial row of c over |z| <= r
+    lies strictly below bound: the decision of the _sup_upper bound, taken
+    from the coefficient sum alone when that leaves _SUM_SLACK of room."""
+    ok = _coeff_sums(c, r) < bound * (1.0 - _SUM_SLACK)
+    rest = np.flatnonzero(~ok)
+    if rest.size:
+        lower = [value for value, _ in _sup_rows(c[rest], r, spec)]
+        ok[rest] = _sup_upper(c[rest], r, lower, spec) < bound
+    return ok
 
 
 def poly_sup(p: PolySeries, r: float, spec: GridSpec | None = None) -> SupBracket:
@@ -215,14 +254,4 @@ def poly_sup(p: PolySeries, r: float, spec: GridSpec | None = None) -> SupBracke
     """
     spec = spec if spec is not None else GridSpec()
     r = require_real(r, lambda v: 0.0 < v <= 1.0, "circle radius must lie in (0, 1]", InputError)
-    return _poly_sup_argmax(p, r, spec)[0]
-
-
-def disk_sup_profile(g, spec: GridSpec | None = None):
-    """Circle maxima of |g| along DEFAULT_RADII, as (r, value) pairs.
-
-    For analytic g the values must be nondecreasing in r (maximum
-    principle); the property suite asserts this rather than assuming it.
-    """
-    spec = spec if spec is not None else GridSpec()
-    return [(r, circle_max(g, r, spec)) for r in DEFAULT_RADII]
+    return _sup_bracket(p.coeffs[None], r, spec)

@@ -33,11 +33,14 @@ from enum import Enum
 
 import numpy as np
 
-from .bounds import GridSpec, SupBracket, BracketKind, _circle_argopt, _circle_point, _coeff_sums, \
-    _poly_sup_argmax, _refine_sample, _unit_circle, poly_sup
-from .errors import InputError, ParameterError, SingularDenominatorError, require_complex, require_int, require_real
-from .functionals import DEFAULT_DENOM_FLOOR, Functional, _polynomial_coeffs, _require_nonsingular, as_polynomial
-from .series import PolySeries, SeriesA, _derivative_coeffs, _horner, _horner_rows
+# poly_sup is not called here, but diskcheck.checks.poly_sup stays importable:
+# bench/tracer.py wraps that name and bench/test_bench.py deletes it.
+from .bounds import GridSpec, SupBracket, BracketKind, _below, _circle_argopt, _circle_point, _circle_rows, \
+    _sup_bracket, _sup_rows, _sup_upper, _unit_circle, poly_sup  # noqa: F401
+from .errors import InputError, ParameterError, SingularDenominatorError, require_complex, require_finite, \
+    require_int, require_real
+from .functionals import DEFAULT_DENOM_FLOOR, Functional, _polynomial_coeffs, _require_nonsingular
+from .series import PolySeries, SeriesA, _derivative_coeffs, _horner
 
 __all__ = [
     "Theorem",
@@ -143,21 +146,28 @@ def threshold(theorem: Theorem, params: Params, n: int, *, thm3_branch: str = "a
     """
     validate_params(theorem, params, n)
     alpha = float(params.alpha)
-    beta = complex(params.beta)
+    try:
+        strip = abs(n + _RULES[theorem][1] - complex(params.beta))
+    except OverflowError:  # |beta| beyond the float range
+        strip = math.inf
     if theorem is Theorem.LEM11:
-        return float(params.rho) * abs(n + 1 - beta)
-    if theorem is Theorem.LEM12:
-        return float(params.rho) * n * abs(n + 1 - beta)
-    if theorem in (Theorem.THM1, Theorem.COR1):
-        return (1.0 - alpha) * n * abs(n + 1 - beta) / (n + 1 - alpha)
-    if theorem is Theorem.THM2:
-        return (1.0 - alpha) * abs(n - beta)
-    if theorem is Theorem.LEM3:
-        return float(params.rho) * abs(n - beta)
-    if thm3_branch not in ("auto", "low", "high"):
-        raise InputError(f"thm3_branch must be auto, low, or high, got {thm3_branch!r}")
-    low = alpha <= 0.5 if thm3_branch == "auto" else thm3_branch == "low"
-    return (alpha if low else 1.0 - alpha) * abs(n - beta)
+        value = float(params.rho) * strip
+    elif theorem is Theorem.LEM12:
+        value = float(params.rho) * n * strip
+    elif theorem in (Theorem.THM1, Theorem.COR1):
+        value = (1.0 - alpha) * n * strip / (n + 1 - alpha)
+    elif theorem is Theorem.THM2:
+        value = (1.0 - alpha) * strip
+    elif theorem is Theorem.LEM3:
+        value = float(params.rho) * strip
+    else:
+        if thm3_branch not in ("auto", "low", "high"):
+            raise InputError(f"thm3_branch must be auto, low, or high, got {thm3_branch!r}")
+        low = alpha <= 0.5 if thm3_branch == "auto" else thm3_branch == "low"
+        value = (alpha if low else 1.0 - alpha) * strip
+    if not math.isfinite(value):
+        raise ParameterError(f"{theorem.value} threshold overflows the float range")
+    return value
 
 
 def _conclusion_bound(theorem: Theorem, params: Params) -> float:
@@ -204,14 +214,13 @@ class CheckReport:
     witness: complex | None
 
 
-def _decide(hyp_ok: bool, singular_z, concl_lower, bound, concl_z):
-    if singular_z is not None:
-        return VerdictState.INCONCLUSIVE, singular_z
-    if not hyp_ok or concl_lower is None:
-        return VerdictState.INCONCLUSIVE, None
+def _decide(hyp_ok: bool, concl_lower, bound: float) -> VerdictState:
+    """check's verdict state; concl_lower None leaves the conclusion unknown."""
+    if concl_lower is None or not hyp_ok:
+        return VerdictState.INCONCLUSIVE
     if concl_lower < bound:
-        return VerdictState.HOLDS, None
-    return VerdictState.FAILS, concl_z
+        return VerdictState.HOLDS
+    return VerdictState.FAILS
 
 
 #: Guard polynomial g of each guarded quotient: its nonvanishing needs sup |g| < 1.
@@ -223,14 +232,17 @@ _GUARD = {
 
 
 def _quotient_parts(kind: _Quotient, a: np.ndarray):
-    """Denominator and numerator coefficients of a guarded quotient for every
-    row a[..., :] of series coefficients (numerator None for 1/f')."""
-    d1 = _derivative_coeffs(a)
+    """Denominator and numerator coefficients of a quotient for every row
+    a[..., :] of series coefficients (no denominator for f', no numerator for
+    1/f'). InputError when one overflows; call under np.errstate."""
+    d1 = require_finite(_derivative_coeffs(a), f"the coefficients of {kind.value}")
     if kind is _Quotient.STARLIKE:
         return a[..., 1:], d1
     if kind is _Quotient.CONVEX:
-        return d1, _derivative_coeffs(d1)
-    return d1, None
+        return d1, require_finite(_derivative_coeffs(d1), f"the coefficients of {kind.value}")
+    if kind is _Quotient.RECIPROCAL:
+        return d1, None
+    return None, d1
 
 
 def _quotient_value(kind: _Quotient, z, den, top):
@@ -239,32 +251,72 @@ def _quotient_value(kind: _Quotient, z, den, top):
         return top / den
     if kind is _Quotient.CONVEX:
         return 1.0 + z * top / den
-    return 1.0 / den
+    if kind is _Quotient.RECIPROCAL:
+        return 1.0 / den
+    return top
 
 
-def _guarded_quotient(kind: _Quotient, f: SeriesA, r_max: float, spec: GridSpec):
-    """Pointwise evaluator of a quotient of f, or None when its nonvanishing
-    guard is not certified on |z| <= r_max. The evaluator takes a point or an
-    ndarray and raises SingularDenominatorError below DEFAULT_DENOM_FLOOR."""
-    if kind is _Quotient.BOUNDED_TURNING:
-        return f.derivative().eval
-    if not poly_sup(as_polynomial(_GUARD[kind], f), r_max, spec).upper < 1.0:
-        return None
-    den_c, top_c = _quotient_parts(kind, f.body.coeffs)
-    den_poly = PolySeries(den_c)
-    top_poly = PolySeries(top_c) if top_c is not None else None
+@np.errstate(all="ignore")
+def _quotient_rows(kind: _Quotient, a: np.ndarray, r: float, spec: GridSpec, h):
+    """Maximum over |z| = r of the real objective h(q), for the quotient q of
+    every row a[i] of series coefficients: one (value, z) pair a row.
 
-    def q(z):
-        den = den_poly.eval(z)
-        _require_nonsingular(z, den, DEFAULT_DENOM_FLOOR)
-        return _quotient_value(kind, z, den, top_poly.eval(z) if top_poly is not None else None)
+    A guarded quotient is scanned only when its guard is certified below 1 by
+    _below; otherwise the pair is (None, None). The scan evaluates h(q) on the
+    m-point grid and refines the best sample by _circle_argopt. When a
+    denominator modulus falls below DEFAULT_DENOM_FLOOR at a grid point, or
+    else at a refinement point, the pair is (None, z) with z the first such
+    point; otherwise value is the refined maximum and z its point. h takes an
+    ndarray or a complex. InputError when a value overflows.
+    """
+    out = [(None, None)] * len(a)
+    parts = _quotient_parts(kind, a)
+    rows = np.arange(len(a))
+    if kind in _GUARD:
+        rows = rows[_below(_polynomial_coeffs(_GUARD[kind], a, 0j), r, 1.0, spec)]
+    z = r * _unit_circle(spec.m)
+    den, top = (None if p is None else _circle_rows(p[rows], z) for p in parts)
+    vals = h(_quotient_value(kind, z, den, top))
+    bad = np.abs(den) < DEFAULT_DENOM_FLOOR if den is not None else np.zeros(vals.shape, dtype=bool)
+    singular = bad.any(axis=-1)
+    if not (singular | np.isfinite(vals).all(axis=-1)).all():
+        raise InputError(f"float overflow in {kind.value} on |z| = {r}")
+    den_rows, top_rows = ([None] * len(a) if p is None else p.tolist() for p in parts)
+    for i, row in enumerate(rows.tolist()):
+        if singular[i]:
+            out[row] = (None, complex(z[np.argmax(bad[i])]))
+            continue
+        den_py, top_py = den_rows[row], top_rows[row]
 
-    return q
+        def hz(zt):
+            d = None if den_py is None else _horner(den_py, zt)
+            if d is not None and abs(d) < DEFAULT_DENOM_FLOOR:
+                raise SingularDenominatorError(zt)
+            return h(_quotient_value(kind, zt, d, None if top_py is None else _horner(top_py, zt)))
+
+        try:
+            value, t = _circle_argopt(hz, r, vals[i], spec.refine_depth)
+        except SingularDenominatorError as exc:
+            out[row] = (None, exc.z)
+        else:
+            out[row] = (value, _circle_point(r, t))
+    return out
 
 
-def _center(kind: _Quotient, bound: float) -> float:
-    """Center c of a quotient conclusion |q - c| < bound."""
-    return bound if kind is _Quotient.RECIPROCAL else 1.0
+def _conclusion_rows(conclusion, a: np.ndarray, bound: float, r_max: float, spec: GridSpec):
+    """check's conclusion scan of every row a[i] of series coefficients: the
+    coefficient rows of a polynomial conclusion, which check certifies from
+    above, or None for a quotient, and one (lower, z) pair a row. A
+    polynomial conclusion gets the _sup_rows lower bound and its point. A
+    quotient q, bounded as |q - center| < bound, gets the _quotient_rows
+    value of that modulus and its point, None for a failed guard or a
+    singular point.
+    """
+    if isinstance(conclusion, Functional):
+        c = _polynomial_coeffs(conclusion, a, 0j)
+        return c, [(value, _circle_point(r_max, t)) for value, t in _sup_rows(c, r_max, spec)]
+    center = bound if conclusion is _Quotient.RECIPROCAL else 1.0
+    return None, _quotient_rows(conclusion, a, r_max, spec, lambda q: abs(q - center))
 
 
 def check(
@@ -284,7 +336,8 @@ def check(
     sup |f/z - 1| < 1 for the starlike quotient, certified sup |f' - 1| < 1
     for the quotients over f'); a failed guard yields Inconclusive, never
     Fails. Holds additionally demands the certified hypothesis upper bound
-    strictly below the threshold.
+    strictly below the threshold. InputError when a derived coefficient or
+    value overflows the float range.
     """
     spec = spec if spec is not None else GridSpec()
     r_max = require_real(r_max, lambda r: 0.0 < r < 1.0, "r_max must lie in (0, 1)", InputError)
@@ -292,34 +345,20 @@ def check(
     thr = threshold(theorem, params, n, thm3_branch=thm3_branch)
     bound = _conclusion_bound(theorem, params)
     hyp_fun, _, conclusion = _RULES[theorem]
-
-    hyp, _ = _poly_sup_argmax(as_polynomial(hyp_fun, f, params.beta), r_max, spec)
-    hyp_ok = hyp.upper < thr
-
-    concl: SupBracket | None = None
-    concl_z: complex | None = None
-    singular: complex | None = None
-    if isinstance(conclusion, Functional):
-        concl, concl_z = _poly_sup_argmax(as_polynomial(conclusion, f), r_max, spec)
-    else:
-        q = _guarded_quotient(conclusion, f, r_max, spec)
-        if q is not None:
-            center = _center(conclusion, bound)
-            try:
-                lower, t = _circle_argopt(lambda z: abs(q(z) - center), r_max, spec.m, spec.refine_depth)
-                concl_z = _circle_point(r_max, t)
-                concl = SupBracket(lower, math.inf, r_max, BracketKind.GRID_ONLY)
-            except SingularDenominatorError as exc:
-                singular = exc.z
-
-    concl_lower = concl.lower if concl is not None else None
-    state, witness = _decide(hyp_ok, singular, concl_lower, bound, concl_z)
-    verdict = Verdict(
-        state=state,
-        hypothesis_margin=thr - hyp.upper,
-        conclusion_margin=(bound - concl_lower) if concl_lower is not None else None,
-        witness=witness,
-    )
+    a = f.body.coeffs[None]
+    hyp = _sup_bracket(_polynomial_coeffs(hyp_fun, a, complex(params.beta)), r_max, spec)
+    poly, [(lower, z)] = _conclusion_rows(conclusion, a, bound, r_max, spec)
+    concl = margin = None
+    if lower is not None:
+        margin = bound - lower
+        if poly is None:
+            concl = SupBracket(lower, math.inf, r_max, BracketKind.GRID_ONLY)
+        else:
+            concl = SupBracket(lower, float(_sup_upper(poly, r_max, [lower], spec)[0]), r_max, BracketKind.CERTIFIED)
+    state = _decide(hyp.upper < thr, lower, bound)
+    # a Fails shows its violating point, an unknown conclusion its singular point
+    witness = z if lower is None or state is VerdictState.FAILS else None
+    verdict = Verdict(state=state, hypothesis_margin=thr - hyp.upper, conclusion_margin=margin, witness=witness)
     return CheckReport(
         theorem=theorem,
         params=params,
@@ -334,75 +373,21 @@ def check(
     )
 
 
-#: Relative room a coefficient sum must leave below its bound to certify a
-#: block row. check's certified upper bound is that sum, or the grid value
-#: when rounding puts it above the sum, and Horner rounding moves a grid
-#: value by far less than this.
-_SUM_SLACK = 2.0**-20
-
-
-def _block_margins(theorem: Theorem, n: int, a: np.ndarray, params: Params, spec: GridSpec, r_max: float):
-    """check's conclusion margins for the functions with coefficient rows a
-    (shape (rows, M+1), class index n): bit for bit the margin check reports
-    for every row that certifiably holds, and None for each row it leaves to
-    check.
-
-    A row's hypothesis is certified by its coefficient sum at r_max lying
-    below the threshold, and a quotient's guard by its coefficient sum lying
-    below 1, each with room _SUM_SLACK; check's certified upper bounds then
-    lie below them too. The conclusion is evaluated on the (rows, m) grid with
-    check's arithmetic and each row's grid argmax refined by _refine_sample.
-    A row is left to check when a certificate fails, a denominator modulus
-    comes below twice DEFAULT_DENOM_FLOOR at a grid or refinement point, a
-    value is not finite, or the conclusion reaches its bound.
-    """
+def _check_rows(theorem: Theorem, n: int, a: np.ndarray, params: Params, spec: GridSpec, r_max: float):
+    """check's verdict state and conclusion margin for the functions with
+    series coefficient rows a (class index n): one pair a row, by check's
+    rules. The hypothesis is certified by _below, which decides as check's
+    bracket does without a grid when the coefficient sum leaves room. The
+    conclusion needs no upper bound: a row whose lower bound is not below
+    the bound, a non-finite one included, is a Fails, which check re-decides
+    and where an overflow raises."""
     thr = threshold(theorem, params, n)
     bound = _conclusion_bound(theorem, params)
     hyp_fun, _, conclusion = _RULES[theorem]
-    hyp_sums = _coeff_sums(_polynomial_coeffs(hyp_fun, a, complex(params.beta)), r_max)
-    ok = hyp_sums < thr * (1.0 - _SUM_SLACK)
-    z = r_max * _unit_circle(spec.m)
-    if isinstance(conclusion, Functional):
-        c = _polynomial_coeffs(conclusion, a, 0j)
-        grid = np.abs(_horner_rows(c, z))
-        rows_py = c.tolist()
-
-        def objective(row):
-            py = rows_py[row]
-            return lambda t: abs(_horner(py, _circle_point(r_max, t)))
-    else:
-        ok &= _coeff_sums(_polynomial_coeffs(_GUARD[conclusion], a, 0j), r_max) < 1.0 - _SUM_SLACK
-        den_c, top_c = _quotient_parts(conclusion, a)
-        den = _horner_rows(den_c, z)
-        top = _horner_rows(top_c, z) if top_c is not None else None
-        floor = 2.0 * DEFAULT_DENOM_FLOOR
-        ok &= np.all(np.abs(den) >= floor, axis=-1)
-        center = _center(conclusion, bound)
-        grid = np.abs(_quotient_value(conclusion, z, den, top) - center)
-        den_py = den_c.tolist()
-        top_py = top_c.tolist() if top_c is not None else None
-
-        def objective(row):
-            def hs(t):
-                zt = _circle_point(r_max, t)
-                d = _horner(den_py[row], zt)
-                if abs(d) < floor:
-                    raise SingularDenominatorError(zt)
-                num = _horner(top_py[row], zt) if top_py is not None else None
-                return abs(_quotient_value(conclusion, zt, d, num) - center)
-            return hs
-
-    ok &= np.all(np.isfinite(grid), axis=-1)
-    peaks = np.argmax(grid, axis=-1)
-    margins = [None] * len(a)
-    for row in np.flatnonzero(ok):
-        try:
-            lower, _ = _refine_sample(objective(row), grid[row], int(peaks[row]), spec.refine_depth, 0.0)
-        except SingularDenominatorError:
-            continue
-        if lower < bound:
-            margins[row] = bound - lower
-    return margins
+    hyp_ok = _below(_polynomial_coeffs(hyp_fun, a, complex(params.beta)), r_max, thr, spec).tolist()
+    _, pairs = _conclusion_rows(conclusion, a, bound, r_max, spec)
+    return [(_decide(ok, lower, bound), None if lower is None else bound - lower)
+            for ok, (lower, _) in zip(hyp_ok, pairs)]
 
 
 class FunctionClass(Enum):
@@ -436,19 +421,14 @@ def membership(
 
     if not isinstance(which, FunctionClass):
         raise InputError(f"unknown function class {which!r}")
-    quotient = _guarded_quotient(_Quotient[which.name], f, r_max, spec)
-    if quotient is None:
-        return Verdict(VerdictState.INCONCLUSIVE, None, None, None)
-
-    try:
-        min_re, t = _circle_argopt(lambda z: quotient(z).real, r_max, spec.m, spec.refine_depth, minimize=True)
-    except SingularDenominatorError as exc:
-        return Verdict(VerdictState.INCONCLUSIVE, None, None, exc.z)
-
+    [(value, z)] = _quotient_rows(_Quotient[which.name], f.body.coeffs[None], r_max, spec, lambda q: -q.real)
+    if value is None:
+        return Verdict(VerdictState.INCONCLUSIVE, None, None, z)
+    min_re = -value
     margin = min_re - alpha
     if min_re > alpha:
         return Verdict(VerdictState.HOLDS, None, margin, None)
-    return Verdict(VerdictState.FAILS, None, margin, _circle_point(r_max, t))
+    return Verdict(VerdictState.FAILS, None, margin, z)
 
 
 def duality_check(
@@ -537,7 +517,8 @@ def jack_probe(w: PolySeries, n: int, r: float, spec: GridSpec | None = None) ->
     if int(nonzero[0]) < n:
         raise InputError(f"leading index {int(nonzero[0])} is below the declared n = {n}")
 
-    _, theta = _circle_argopt(lambda z: abs(w.eval(z)), r, spec.m, 120, basins=3, tol=1e-10)
+    h = lambda z: abs(w.eval(z))  # noqa: E731
+    _, theta = _circle_argopt(h, r, h(r * _unit_circle(spec.m)), 120, basins=3, tol=1e-10)
     theta = _polish_peak(w, r, theta, step_cap=2.0 * math.pi / spec.m)
     z0 = _circle_point(r, theta)
     w0 = w.eval(z0)

@@ -61,3 +61,11 @@ def require_complex(x, ok, message: str, exc: type) -> complex:
     if ok is not None and not ok(v):
         raise exc(message)
     return v
+
+
+def require_finite(x, what: str):
+    """Return x when every entry of it is finite; else raise InputError naming
+    the overflow in what (inputs are finite, so a non-finite value overflowed)."""
+    if not np.isfinite(x).all():
+        raise InputError(f"float overflow in {what}")
+    return x

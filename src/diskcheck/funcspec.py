@@ -26,7 +26,10 @@ def function_to_dict(f: SeriesA) -> dict:
 def _real_number(value, where: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise InputError(f"{where} must be a real number, got {value!r}")
-    value = float(value)
+    try:
+        value = float(value)
+    except OverflowError:  # an integer literal beyond the float range
+        raise InputError(f"{where} overflows the float range") from None
     if not math.isfinite(value):
         raise InputError(f"{where} must be finite, got {value!r}")
     return value
@@ -65,4 +68,6 @@ def load_function(path) -> SeriesA:
         raise InputError(f"cannot read {path}: {exc}") from None
     except json.JSONDecodeError as exc:
         raise InputError(f"{path}: invalid JSON at line {exc.lineno} column {exc.colno}: {exc.msg}") from None
+    except ValueError as exc:  # not UTF-8, or an integer literal past Python's digit limit
+        raise InputError(f"{path}: unreadable function spec: {exc}") from None
     return function_from_dict(obj)

@@ -16,7 +16,7 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import InputError, NotPolynomialError, SingularDenominatorError, require_complex
+from .errors import InputError, NotPolynomialError, SingularDenominatorError, require_complex, require_finite
 from .series import PolySeries, SeriesA, _points
 
 __all__ = [
@@ -89,30 +89,32 @@ def as_polynomial(which: Functional, f: SeriesA, beta: complex = 0j) -> PolySeri
     return PolySeries(_polynomial_coeffs(which, f.body.coeffs, beta))
 
 
+@np.errstate(all="ignore")
 def _polynomial_coeffs(which: Functional, a: np.ndarray, beta: complex) -> np.ndarray:
     """as_polynomial's coefficient formulas for every row a[..., :] of series
-    coefficients; one degree less than a."""
+    coefficients; one degree less than a. InputError when one overflows."""
     k = np.arange(1, a.shape[-1])
     ak = a[..., 1:]
     if which is Functional.DERIV_DEFECT:
-        return (k - 1) * ak
-    if which is Functional.STAR_TEST:
-        return (k - 1) * (k - beta) * ak
-    if which is Functional.CONVEX_TEST:
-        return k * (k - 1) * (k - beta) * ak
-    # the other three carry no factor k - 1, so their z^0 slot is set to zero
-    if which is Functional.RATIO_DEFECT:
-        out = ak.copy()
-    elif which is Functional.TURN_TEST:
-        out = k * (k - 1 - beta) * ak
-    elif which is Functional.DERIV_MINUS_ONE:
-        out = k * ak
-    elif isinstance(which, Functional):
-        raise NotPolynomialError(f"{which.value} is rational; use eval_functional instead")
+        out = (k - 1) * ak
+    elif which is Functional.STAR_TEST:
+        out = (k - 1) * (k - beta) * ak
+    elif which is Functional.CONVEX_TEST:
+        out = k * (k - 1) * (k - beta) * ak
     else:
-        raise InputError(f"unknown functional {which!r}")
-    out[..., 0] = 0.0
-    return out
+        # the other three carry no factor k - 1, so their z^0 slot is set to zero
+        if which is Functional.RATIO_DEFECT:
+            out = ak.copy()
+        elif which is Functional.TURN_TEST:
+            out = k * (k - 1 - beta) * ak
+        elif which is Functional.DERIV_MINUS_ONE:
+            out = k * ak
+        elif isinstance(which, Functional):
+            raise NotPolynomialError(f"{which.value} is rational; use eval_functional instead")
+        else:
+            raise InputError(f"unknown functional {which!r}")
+        out[..., 0] = 0.0
+    return require_finite(out, f"the {which.value} coefficients")
 
 
 def eval_functional(which: Functional, f: SeriesA, beta: complex = 0j, z=0j):

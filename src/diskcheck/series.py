@@ -157,7 +157,11 @@ class SeriesA:
         """Build z + tail[0] z^{n+1} + tail[1] z^{n+2} + ..."""
         n = require_int(n, 1, "class index n must be a positive integer")
         try:
-            tail = np.atleast_1d(np.asarray(tail, dtype=np.complex128))
+            raw = np.asarray(tail)
+            # numpy turns None into NaN, which would pass for a non-finite coefficient
+            if raw.dtype == object and any(v is None for v in raw.flat):
+                raise TypeError
+            tail = np.atleast_1d(raw.astype(np.complex128))
         except (TypeError, ValueError):
             raise InputError("tail must be a sequence of complex numbers") from None
         if tail.ndim != 1:

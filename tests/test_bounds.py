@@ -14,10 +14,9 @@ from diskcheck import (
     circle_argmax,
     circle_max,
     coeff_bound,
-    disk_sup_profile,
     poly_sup,
 )
-from diskcheck.bounds import _circle_argopt
+from diskcheck.bounds import _circle_argopt, _unit_circle
 
 from conftest import random_series
 
@@ -138,10 +137,8 @@ def test_refinement_never_loses_to_coarse_grid(rng):
 def test_profile_nondecreasing_in_radius(rng):
     for _ in range(5):
         f = random_series(rng, 1, tail_len=4)
-        profile = disk_sup_profile(f.eval, GridSpec(m=256, refine_depth=1))
-        values = [v for _, v in profile]
-        radii = [r for r, _ in profile]
-        assert radii == sorted(radii)
+        # the radius ladder 1 - 2^-1, ..., 1 - 2^-10 approaching the boundary
+        values = [circle_max(f.eval, 1.0 - 2.0**-k, GridSpec(m=256, refine_depth=1)) for k in range(1, 11)]
         for lo, hi in zip(values, values[1:]):
             assert hi >= lo - 1e-12
 
@@ -163,7 +160,7 @@ def test_constant_poly_sup():
 
 
 def _deep_argmax(h, r, m):
-    return _circle_argopt(h, r, m, 120, basins=3, tol=1e-10)
+    return _circle_argopt(h, r, h(r * _unit_circle(m)), 120, basins=3, tol=1e-10)
 
 
 def test_deep_argmax_locates_peaks():
@@ -192,7 +189,7 @@ def test_multi_basin_argmax_prefers_off_grid_near_tie():
         near = np.angle(np.exp(1j * (t - peak)))
         return np.exp(-0.5 * (t / dt) ** 2) + 1.01 * np.exp(-0.5 * (near / dt) ** 2)
 
-    val, theta = _circle_argopt(bumps, 0.9, m, 120, basins=1, tol=1e-10)
+    val, theta = _circle_argopt(bumps, 0.9, bumps(0.9 * _unit_circle(m)), 120, basins=1, tol=1e-10)
     assert val == 1.0
     assert theta == 0.0
 

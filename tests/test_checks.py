@@ -1,5 +1,6 @@
 """Theorem checkers: thresholds, verdicts, membership, boundary probe."""
 
+import cmath
 import math
 
 import numpy as np
@@ -8,6 +9,7 @@ import pytest
 from diskcheck import (
     BracketKind,
     FalsifyConfig,
+    Functional,
     FunctionClass,
     GridSpec,
     InputError,
@@ -18,9 +20,12 @@ from diskcheck import (
     Theorem,
     VerdictState,
     Witness,
+    as_polynomial,
     check,
+    circle_max,
     coeff_bound,
     duality_check,
+    eval_functional,
     jack_probe,
     make_witness,
     membership,
@@ -29,7 +34,8 @@ from diskcheck import (
     validate_params,
     witness_closed_forms,
 )
-from diskcheck.checks import _decide
+from diskcheck.bounds import _INV_GOLDEN
+from diskcheck.checks import _check_rows, _decide
 
 from conftest import small_tail_series
 
@@ -191,13 +197,12 @@ def test_non_number_arguments_raise_the_site_error():
 
 class TestDecide:
     def test_singular_point_wins(self):
-        state, witness = _decide(True, -0.5 + 0j, 0.1, 1.0, None)
-        assert state is VerdictState.INCONCLUSIVE
-        assert witness == -0.5 + 0j
+        # an unknown conclusion (check passes the singular point as its witness)
+        # beats a certified hypothesis
+        assert _decide(True, None, 1.0) is VerdictState.INCONCLUSIVE
 
     def test_unproven_hypothesis_is_inconclusive(self):
-        state, witness = _decide(False, None, 0.1, 1.0, 0.9 + 0j)
-        assert state is VerdictState.INCONCLUSIVE and witness is None
+        assert _decide(False, 0.1, 1.0) is VerdictState.INCONCLUSIVE
 
     def test_failed_guard_is_inconclusive(self):
         # check leaves the conclusion bracket None when the nonvanishing guard fails
@@ -214,16 +219,20 @@ class TestDecide:
             assert rep.verdict.state is VerdictState.INCONCLUSIVE
 
     def test_missing_conclusion_is_inconclusive(self):
-        state, _ = _decide(True, None, None, 1.0, None)
-        assert state is VerdictState.INCONCLUSIVE
+        assert _decide(True, None, 1.0) is VerdictState.INCONCLUSIVE
 
     def test_holds(self):
-        state, witness = _decide(True, None, 0.4, 0.5, 0.9j)
-        assert state is VerdictState.HOLDS and witness is None
+        assert _decide(True, 0.4, 0.5) is VerdictState.HOLDS
 
-    def test_fails_carries_witness(self):
-        state, witness = _decide(True, None, 0.6, 0.5, 0.9j)
-        assert state is VerdictState.FAILS and witness == 0.9j
+    def test_fails_carries_witness(self, monkeypatch):
+        assert _decide(True, 0.6, 0.5) is VerdictState.FAILS
+        # check reports the point of the violating conclusion value: with the
+        # bound lowered, f' - 1 = 0.2 z of z + 0.1 z^2 fails at its circle maximum
+        monkeypatch.setattr("diskcheck.checks._conclusion_bound", lambda theorem, params: 1e-3)
+        rep = check(Theorem.THM2, SeriesA.from_tail(1, [0.1]), Params(alpha=0.5), GridSpec(m=256))
+        assert rep.verdict.state is VerdictState.FAILS
+        assert rep.witness == rep.verdict.witness
+        assert abs(0.2 * rep.witness) == pytest.approx(rep.concl.lower, rel=1e-12)
 
 
 class TestCheck:
@@ -248,6 +257,7 @@ class TestCheck:
         rep = check(Theorem.THM1, f, Params(alpha=0.0), SPEC)
         assert rep.verdict.state is VerdictState.INCONCLUSIVE
         assert rep.verdict.hypothesis_margin < 0
+        assert rep.concl is not None and rep.witness is None
 
     def test_lem11_holds_and_conclusion_bound_is_rho(self):
         f = SeriesA.from_tail(1, [0.1])
@@ -313,6 +323,38 @@ class TestCheck:
         for bad in (0.0, 1.0, 1.5, math.nan):
             with pytest.raises(InputError):
                 check(Theorem.THM1, f, Params(), r_max=bad)
+
+
+def test_conclusion_lower_is_the_refined_circle_maximum(rng):
+    # the row-wise scans refine the grid maximum exactly as circle_max does
+    spec = GridSpec(m=256, refine_depth=3)
+    for _ in range(5):
+        f = small_tail_series(rng, 1, 4)
+        lem11 = check(Theorem.LEM11, f, Params(rho=0.5), spec)
+        assert lem11.concl.lower == circle_max(as_polynomial(Functional.DERIV_DEFECT, f).eval, 0.999, spec)
+        thm1 = check(Theorem.THM1, f, Params(alpha=0.25), spec)
+        quotient = lambda z: eval_functional(Functional.STAR_QUOTIENT, f, 0j, z)  # noqa: E731
+        assert thm1.concl.lower == pytest.approx(circle_max(quotient, 0.999, spec), rel=1e-12)
+        assert thm1.concl.lower > np.max(np.abs(quotient(0.999 * np.exp(2j * np.pi * np.arange(256) / 256))))
+
+
+@pytest.mark.parametrize("offset", [0.0, 1.0 - 2.0 * _INV_GOLDEN])
+def test_denominator_floor_gives_the_singular_point(offset):
+    # f/z = 1 + a z with |a| r = 1 - 5e-13: the guard sup |f/z - 1| < 1 holds,
+    # and f/z falls below the floor 1e-12 at one angle only: the grid point pi,
+    # or the first golden point refining the grid point pi (offset in grid steps)
+    spec = GridSpec(m=64, refine_depth=2)
+    r = 0.999
+    pole = math.pi + offset * 2.0 * math.pi / spec.m
+    f = SeriesA.from_tail(1, [(1.0 - 5e-13) / r * cmath.exp(1j * (math.pi - pole))])
+    rep = check(Theorem.THM1, f, Params(alpha=0.25), spec, r)
+    assert rep.verdict.state is VerdictState.INCONCLUSIVE
+    assert rep.concl is None and rep.verdict.conclusion_margin is None
+    assert rep.witness == pytest.approx(r * cmath.exp(1j * pole), abs=1e-15)
+    star = membership(FunctionClass.STARLIKE, f, 0.25, spec, r)
+    assert star.state is VerdictState.INCONCLUSIVE and star.witness == rep.witness
+    assert _check_rows(Theorem.THM1, 1, f.body.coeffs[None], Params(alpha=0.25), spec, r) == [
+        (VerdictState.INCONCLUSIVE, None)]
 
 
 def test_thm3_conclusion_equivalence(rng):

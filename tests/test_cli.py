@@ -5,6 +5,7 @@ import pathlib
 import shutil
 import subprocess
 import sys
+import warnings
 
 import jsonschema
 import pytest
@@ -150,6 +151,39 @@ class TestExitCodes:
             code = main(argv)
             capsys.readouterr()
             assert code == 3, argv
+
+    @pytest.mark.parametrize("command", [
+        ["check", "--theorem", "thm1", "--alpha", "0.25"],
+        ["membership", "--class", "c"],
+        ["falsify", "--theorem", "thm1", "--n", "2", "--alpha", "0.25", "--beta=-1.7e308"],
+    ])
+    def test_overflow_is_named_and_exits_three(self, capsys, tmp_path, command):
+        # warnings raise here, so a numpy RuntimeWarning would show in the message
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps({"n": 1, "coeffs": [[1e308, 0], [1e308, 0]]}))
+        argv = command + (["--input", str(path)] if command[0] != "falsify" else [])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 3
+        assert captured.out == ""
+        [line] = captured.err.splitlines()
+        assert "overflow" in line and "Warning" not in line and "internal error" not in line
+
+    @pytest.mark.parametrize("content, named", [
+        (b'{"n": 1, "coeffs": [[1' + b"0" * 400 + b', 0]]}', "coeffs[0][0] overflows the float range"),
+        (b'{"n": 1, "coeffs": [[1' + b"0" * 5000 + b', 0]]}', "unreadable function spec"),
+        (b'{"n": 1, "coeffs": [[0.1, 0]], "note": "\xff"}', "unreadable function spec"),
+    ], ids=["int_past_float_range", "int_past_digit_limit", "not_utf8"])
+    def test_unreadable_spec_is_an_input_error(self, capsys, tmp_path, content, named):
+        path = tmp_path / "spec.json"
+        path.write_bytes(content)
+        code = main(["check", "--theorem", "thm2", "--alpha", "0.5", "--input", str(path)])
+        captured = capsys.readouterr()
+        assert code == 3
+        [line] = captured.err.splitlines()
+        assert named in line and "internal error" not in line
 
     def test_internal_error_is_three(self, capsys, monkeypatch):
         # a crash must never exit 1, which reads as "fails"

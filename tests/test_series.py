@@ -143,6 +143,8 @@ def test_non_number_arguments_raise_input_error():
         (lambda: SeriesA.from_tail(1, ["x"]), "tail must be a sequence of complex numbers"),
         (lambda: SeriesA.from_tail(1, {"a": 1}), "tail must be a sequence of complex numbers"),
         (lambda: SeriesA.from_tail(1, [[0.1, 0.2]]), "tail must be a sequence of complex numbers"),
+        (lambda: SeriesA.from_tail(1, None), "tail must be a sequence of complex numbers"),
+        (lambda: SeriesA.from_tail(1, [0.1, None]), "tail must be a sequence of complex numbers"),
         (lambda: p.eval("x"), "evaluation point not interpretable as complex numbers"),
         (lambda: p.eval([0.5, "x"]), "evaluation point not interpretable as complex numbers"),
         (lambda: f.eval("x"), "evaluation point not interpretable as complex numbers"),

@@ -5,6 +5,8 @@ import math
 import numpy as np
 import pytest
 
+import diskcheck.bounds
+
 from diskcheck import (
     FalsifyConfig,
     Functional,
@@ -12,6 +14,7 @@ from diskcheck import (
     InputError,
     ParameterError,
     Params,
+    PolySeries,
     SeriesA,
     Theorem,
     VerdictState,
@@ -27,9 +30,10 @@ from diskcheck import (
     threshold,
     witness_closed_forms,
 )
-from diskcheck.checks import HYPOTHESIS_FUNCTIONAL, _block_margins
+from diskcheck.bounds import _below
+from diskcheck.checks import HYPOTHESIS_FUNCTIONAL, _check_rows
 from diskcheck.funcspec import function_to_dict
-from diskcheck.functionals import as_polynomial
+from diskcheck.functionals import _polynomial_coeffs, as_polynomial
 from diskcheck.series import _tail_coeffs
 from diskcheck.witnesses import FalsifySummary
 
@@ -327,49 +331,73 @@ class TestFalsifyOracle:
             assert math.hypot(*record["witness"]) == pytest.approx(cfg.r_max, rel=1e-12)
 
     def test_uncertified_rows_are_left_to_check(self, monkeypatch):
+        # each block row gets check's own verdict, uncertified ones included
         params = Params(alpha=0.25)
         spec = GridSpec(m=512, refine_depth=2)
         r_max = 0.999
+
+        def verdicts(theorem, tails):
+            rows = _check_rows(theorem, 1, _tail_coeffs(1, np.array(tails, dtype=complex)), params, spec, r_max)
+            reports = [check(theorem, SeriesA.from_tail(1, t), params, spec, r_max) for t in tails]
+            assert rows == [(rep.verdict.state, rep.verdict.conclusion_margin) for rep in reports]
+            return reports
+
         thr = threshold(Theorem.THM2, params, 1)
         # the turn test of z + c z^2 is 2 c z, whose coefficient sum at r_max is 2 c r_max
         big = 1.01 * thr / (2.0 * r_max)
-        a = _tail_coeffs(1, np.array([[0.05], [big]], dtype=complex))
-        margins = _block_margins(Theorem.THM2, 1, a, params, spec, r_max)
-        small_report = check(Theorem.THM2, SeriesA.from_tail(1, [0.05]), params, spec, r_max)
-        big_report = check(Theorem.THM2, SeriesA.from_tail(1, [big]), params, spec, r_max)
-        assert margins[0] == small_report.verdict.conclusion_margin
-        assert margins[1] is None
+        small_report, big_report = verdicts(Theorem.THM2, [[0.05], [big]])
+        assert small_report.verdict.state is VerdictState.HOLDS
         assert big_report.verdict.state is VerdictState.INCONCLUSIVE
         assert big_report.verdict.hypothesis_margin < 0
 
         # with the hypothesis threshold out of the way, f = z + 0.3 z^2 + 0.2 z^3
         # meets the thm3 conclusion Re f' > alpha on |z| = r_max (min 0.33) but
-        # not the guard sup |f' - 1| < 1 (1.198), so check, not the block, decides it
+        # not the guard sup |f' - 1| < 1 (1.198)
         with monkeypatch.context() as patch:
             patch.setattr("diskcheck.checks.threshold", lambda theorem, params, n, **kw: 1e9)
-            tails = [[0.1, 0.0], [0.3, 0.2]]
-            margins = _block_margins(Theorem.THM3, 1, _tail_coeffs(1, np.array(tails, dtype=complex)), params,
-                                     spec, r_max)
-            reports = [check(Theorem.THM3, SeriesA.from_tail(1, t), params, spec, r_max) for t in tails]
-        assert margins[0] == reports[0].verdict.conclusion_margin
-        assert margins[1] is None
+            reports = verdicts(Theorem.THM3, [[0.1, 0.0], [0.3, 0.2]])
+        assert reports[0].verdict.state is VerdictState.HOLDS
         assert reports[1].verdict.state is VerdictState.INCONCLUSIVE
         assert reports[1].verdict.conclusion_margin is None
 
-        # a margin and r_max this close to 1 leave no room below the threshold,
-        # so falsify hands every trial to check
-        calls = []
-        real_check = check
+        # a margin and r_max this close to 1 leave the coefficient sums no room
+        # below the threshold, so the bracket decides every hypothesis
+        bracketed = []
+        real_sup_rows = diskcheck.bounds._sup_rows
 
-        def counting_check(*args, **kwargs):
-            calls.append(args)
-            return real_check(*args, **kwargs)
+        def counting_sup_rows(c, r, spec):
+            bracketed.append(len(c))
+            return real_sup_rows(c, r, spec)
 
-        monkeypatch.setattr("diskcheck.witnesses.check", counting_check)
+        monkeypatch.setattr("diskcheck.bounds._sup_rows", counting_sup_rows)
+        monkeypatch.setattr("diskcheck.witnesses.check", lambda *args: pytest.fail("only a Fails row goes to check"))
         cfg = FalsifyConfig(trials=5, seed=1, margin=1.0 - 1e-12, r_max=1.0 - 1e-12)
         got = falsify(Theorem.THM2, 2, params, cfg, spec)
-        assert len(calls) == 5
+        assert bracketed == [5]
+        monkeypatch.undo()
         assert got == per_trial_falsify(Theorem.THM2, 2, params, cfg, spec)
+
+    @pytest.mark.parametrize("theorem", [Theorem.THM1, Theorem.COR1, Theorem.THM2])
+    def test_sum_shortcut_decides_as_the_bracket(self, theorem, rng):
+        # hypothesis and guard rows whose coefficient sums at r_max sit 2^-21
+        # above and below their bound are left to the bracket, and rows 2^-19
+        # below it are accepted from the sum; either way the decision is
+        # poly_sup's
+        params = Params(alpha=0.25, beta=0.5)
+        spec = GridSpec(m=512, refine_depth=2)
+        r_max = 0.999
+        a = _tail_coeffs(1, rng.uniform(-1, 1, (6, 4)) + 1j * rng.uniform(-1, 1, (6, 4)))
+        a[0, 3:] = 0.0  # a monomial row, whose grid meets its coefficient sum
+        guard = Functional.RATIO_DEFECT if theorem is Theorem.THM1 else Functional.DERIV_MINUS_ONE
+        for fun, beta, bound in ((HYPOTHESIS_FUNCTIONAL[theorem], 0.5, threshold(theorem, params, 1)),
+                                 (guard, 0j, 1.0)):
+            c = _polynomial_coeffs(fun, a, beta)
+            sums = np.sum(np.abs(c) * r_max ** np.arange(c.shape[-1]), axis=-1)
+            for rel in (1.0 + 2.0**-21, 1.0 - 2.0**-21, 1.0 - 2.0**-19):
+                rows = c * (bound * rel / sums)[:, None]
+                want = [poly_sup(PolySeries(row), r_max, spec).upper < bound for row in rows]
+                assert _below(rows, r_max, bound, spec).tolist() == want
+                assert rel < 1.0 or not want[0]
 
 
 class TestRadiusOfValidity:
