@@ -3,9 +3,10 @@ Certified sup-modulus brackets on circles and disks
 ===================================================
 
 A sup over |z| <= r can be pinned between a grid sample (a true lower
-bound) and either a coefficient-sum bound or the sample padded by a
-Lipschitz term (a true upper bound). The bracket width shrinks with the
-grid; for monomials it collapses to zero.
+bound) and the smallest of a coefficient-sum bound, the sample padded by a
+Lipschitz term, and the sample times sec(pi K / (2 m)) for a degree-K
+polynomial on an m-point grid with K < m (each a true upper bound). The
+bracket width shrinks with the grid; for monomials it collapses to zero.
 """
 
 import numpy as np

@@ -2,10 +2,20 @@
 
 For analytic g the sup over the closed disk of radius r is attained on the
 circle |z| = r (maximum principle), so a dense angular grid already gives a
-true lower bound. For polynomials two certified upper bounds are available:
-the coefficient-modulus sum, and the best grid sample padded by a derivative
-Lipschitz bound over half the arc gap between samples. Rational functionals
-only get the grid lower bound.
+true lower bound. Every polynomial grid comes from one FFT (_circle_rows;
+Cooley & Tukey, Math. Comp. 19 (1965)). For a polynomial p with a
+coefficient row of length K + 1, so of degree at most K, three certified
+upper bounds are available: the coefficient-modulus sum, the best grid
+sample padded by a derivative Lipschitz bound over half the arc gap between
+samples, and, for K < m, the sampling inequality
+
+    max_{|z| = r} |p(z)| <= sec(pi K / (2 m)) * max_{0 <= j < m} |p(r e^{2 pi i j / m})|
+
+(Frappier, Rahman & Ruscheweyh, "New inequalities for polynomials", Trans.
+AMS 288 (1985); for trigonometric polynomials Ehlich & Zeller, Math. Z. 86
+(1964)), applied to p(r z), whose coefficients are c_k r^k. sec grows with
+K, so a row padded with zeros keeps a valid bound. Rational functionals only
+get the grid lower bound.
 """
 
 from __future__ import annotations
@@ -18,7 +28,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import InputError, require_finite, require_int, require_real
-from .series import PolySeries, _horner, _horner_rows
+from .series import PolySeries, _horner
 
 __all__ = [
     "GridSpec",
@@ -32,6 +42,8 @@ __all__ = [
 
 _INV_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 _TWO_PI = 2.0 * math.pi
+#: Most angular samples a grid may have: one grid row then takes 16 MB.
+_MAX_GRID_M = 2**20
 
 
 @dataclass(frozen=True)
@@ -43,6 +55,8 @@ class GridSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "m", require_int(self.m, 16, "grid needs at least 16 angular samples"))
+        if self.m > _MAX_GRID_M:
+            raise InputError(f"grid needs at most {_MAX_GRID_M} angular samples")
         depth = require_int(self.refine_depth, 0, "refine_depth must be a nonnegative integer")
         object.__setattr__(self, "refine_depth", depth)
 
@@ -182,23 +196,29 @@ def _coeff_sums(c: np.ndarray, r: float):
     return np.sum(np.abs(c) * np.float64(r) ** np.arange(c.shape[-1]), axis=-1)
 
 
-def _circle_rows(c: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """Values of every polynomial row of c at the points z, shape (rows,) +
-    z.shape. A single row takes the one-dimensional Horner loop, which is
-    faster than its two-dimensional form and gives the same values."""
-    if len(c) == 1:
-        return _horner_rows(c[0], z)[None]
-    return _horner_rows(c, z)
+def _circle_rows(c: np.ndarray, r: float, m: int) -> np.ndarray:
+    """Values of every polynomial row of c (shape (rows, K+1), lowest degree
+    first) at the m points r e^{2 pi i j / m}, j = 0 .. m-1: shape (rows, m).
+
+    The coefficients are scaled by r^k and, when K + 1 > m, folded mod m
+    (z^m = 1 on the grid); the values are then m * ifft along the last axis,
+    one unnormalized inverse FFT (Cooley & Tukey, Math. Comp. 19 (1965)).
+    """
+    c = c * np.float64(r) ** np.arange(c.shape[-1])
+    if c.shape[-1] > m:
+        c = np.pad(c, ((0, 0), (0, -c.shape[-1] % m)))
+        c = c.reshape(len(c), c.shape[-1] // m, m).sum(axis=1)
+    return np.fft.ifft(c, n=m, axis=-1, norm="forward")
 
 
 @np.errstate(all="ignore")
 def _sup_rows(c: np.ndarray, r: float, spec: GridSpec):
     """Lower bounds on sup |p| over |z| <= r for every polynomial row p of c
     (shape (rows, M+1)): one (value, theta) pair a row, the _circle_argopt
-    maximum from the row's m-point grid, refined on the scalar Horner
-    recursion.
+    maximum from the row's m-point _circle_rows grid, refined on the scalar
+    Horner recursion.
     """
-    svals = np.abs(_circle_rows(c, r * _unit_circle(spec.m)))
+    svals = np.abs(_circle_rows(c, r, spec.m))
     return [_circle_argopt(lambda z: abs(_horner(row, z)), r, svals[i], spec.refine_depth)
             for i, row in enumerate(c.tolist())]
 
@@ -206,17 +226,27 @@ def _sup_rows(c: np.ndarray, r: float, spec: GridSpec):
 @np.errstate(all="ignore")
 def _sup_upper(c: np.ndarray, r: float, lower, spec: GridSpec) -> np.ndarray:
     """Certified upper bounds on sup |p| over |z| <= r for the polynomial rows
-    p of c, given their _sup_rows values lower: the smaller of the coefficient
-    sum and lower padded by a derivative Lipschitz bound over half the arc gap
-    pi r / m, and at least lower (the sum can round below it). InputError when
-    one overflows.
+    p of c (shape (rows, K+1)), given their _sup_rows values lower, which are
+    at least the grid maxima: the smallest of the coefficient sum, lower
+    padded by a derivative Lipschitz bound over half the arc gap pi r / m,
+    and, when K < m, sec(pi K / (2 m)) * lower, from the sampling inequality
+
+        max_{|z| = r} |p| <= sec(pi K / (2 m)) * max_j |p(r e^{2 pi i j / m})|
+
+    for deg p <= K < m (Frappier, Rahman & Ruscheweyh, Trans. AMS 288
+    (1985); grid by FFT, Cooley & Tukey, Math. Comp. 19 (1965)). K, the row
+    length minus 1, is at least the degree. The bound is at least lower (the
+    sum can round below it). InputError when one overflows.
     """
     lower = np.asarray(lower, dtype=np.float64)
     moduli = np.abs(c)
     powers = np.float64(r) ** np.arange(c.shape[-1])
     lip = np.sum(np.arange(1, c.shape[-1]) * moduli[:, 1:] * powers[:-1], axis=-1)
-    upper = np.maximum(lower, np.minimum(np.sum(moduli * powers, axis=-1), lower + lip * math.pi * r / spec.m))
-    return require_finite(upper, f"the sup on |z| = {r}")
+    upper = np.minimum(np.sum(moduli * powers, axis=-1), lower + lip * math.pi * r / spec.m)
+    degree = c.shape[-1] - 1
+    if degree < spec.m:
+        upper = np.minimum(upper, lower / math.cos(math.pi * degree / (2 * spec.m)))
+    return require_finite(np.maximum(lower, upper), f"the sup on |z| = {r}")
 
 
 def _sup_bracket(c: np.ndarray, r: float, spec: GridSpec) -> SupBracket:
@@ -227,9 +257,9 @@ def _sup_bracket(c: np.ndarray, r: float, spec: GridSpec) -> SupBracket:
 
 
 #: Relative room a coefficient sum must leave below a bound for _below to
-#: accept it without a grid. The _sup_upper bound is that sum, or the grid
-#: value when rounding puts it above the sum, and Horner rounding moves a grid
-#: value by far less than this.
+#: accept it without a grid. The _sup_upper bound is at most that sum, or the
+#: grid value when rounding puts it above the sum, and FFT rounding moves a
+#: grid value by far less than this.
 _SUM_SLACK = 2.0**-20
 
 
@@ -249,8 +279,14 @@ def poly_sup(p: PolySeries, r: float, spec: GridSpec | None = None) -> SupBracke
     """Certified bracket on sup of |p| over the closed disk of radius r.
 
     The lower bound comes from the angular grid (plus refinement); the upper
-    bound is the smaller of the coefficient-sum bound and the grid value
-    padded by a derivative Lipschitz bound over half the arc gap pi r / m.
+    bound is the smallest of the coefficient-sum bound, the grid value padded
+    by a derivative Lipschitz bound over half the arc gap pi r / m, and, for
+    K = p.order < m, the sampling inequality
+
+        max_{|z| = r} |p| <= sec(pi K / (2 m)) * max_j |p(r e^{2 pi i j / m})|
+
+    (Frappier, Rahman & Ruscheweyh, Trans. AMS 288 (1985)), whose grid
+    values come from one FFT (Cooley & Tukey, Math. Comp. 19 (1965)).
     """
     spec = spec if spec is not None else GridSpec()
     r = require_real(r, lambda v: 0.0 < v <= 1.0, "circle radius must lie in (0, 1]", InputError)

@@ -275,7 +275,7 @@ def _quotient_rows(kind: _Quotient, a: np.ndarray, r: float, spec: GridSpec, h):
     if kind in _GUARD:
         rows = rows[_below(_polynomial_coeffs(_GUARD[kind], a, 0j), r, 1.0, spec)]
     z = r * _unit_circle(spec.m)
-    den, top = (None if p is None else _circle_rows(p[rows], z) for p in parts)
+    den, top = (None if p is None else _circle_rows(p[rows], r, spec.m) for p in parts)
     vals = h(_quotient_value(kind, z, den, top))
     bad = np.abs(den) < DEFAULT_DENOM_FLOOR if den is not None else np.zeros(vals.shape, dtype=bool)
     singular = bad.any(axis=-1)
@@ -518,7 +518,7 @@ def jack_probe(w: PolySeries, n: int, r: float, spec: GridSpec | None = None) ->
         raise InputError(f"leading index {int(nonzero[0])} is below the declared n = {n}")
 
     h = lambda z: abs(w.eval(z))  # noqa: E731
-    _, theta = _circle_argopt(h, r, h(r * _unit_circle(spec.m)), 120, basins=3, tol=1e-10)
+    _, theta = _circle_argopt(h, r, np.abs(_circle_rows(c[None], r, spec.m)[0]), 120, basins=3, tol=1e-10)
     theta = _polish_peak(w, r, theta, step_cap=2.0 * math.pi / spec.m)
     z0 = _circle_point(r, theta)
     w0 = w.eval(z0)

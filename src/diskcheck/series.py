@@ -17,6 +17,9 @@ from .errors import InputError, require_complex, require_int, require_real
 
 __all__ = ["PolySeries", "SeriesA"]
 
+#: Highest degree of a normalized series built from a class index and a tail.
+_MAX_DEGREE = 2**16
+
 
 def _points(z) -> np.ndarray:
     """z as an ndarray of complex points; InputError when it is not numeric."""
@@ -54,7 +57,11 @@ def _derivative_coeffs(c: np.ndarray) -> np.ndarray:
 
 
 def _tail_coeffs(n: int, tail: np.ndarray) -> np.ndarray:
-    """Coefficients of z + tail[..., 0] z^{n+1} + ... for every tail row."""
+    """Coefficients of z + tail[..., 0] z^{n+1} + ... for every tail row.
+    InputError, before anything is allocated, when the degree n + len(tail)
+    exceeds _MAX_DEGREE."""
+    if n + tail.shape[-1] > _MAX_DEGREE:
+        raise InputError(f"series degree must be at most {_MAX_DEGREE}, got {n + tail.shape[-1]}")
     coeffs = np.zeros(tail.shape[:-1] + (max(2, n + 1 + tail.shape[-1]),), dtype=np.complex128)
     coeffs[..., 1] = 1.0
     coeffs[..., n + 1 :] = tail

@@ -22,7 +22,7 @@ from enum import Enum
 
 import numpy as np
 
-from .bounds import GridSpec, _coeff_sums, coeff_bound
+from .bounds import _MAX_GRID_M, GridSpec, _coeff_sums, coeff_bound
 from .checks import (
     HYPOTHESIS_FUNCTIONAL,
     _check_rows,
@@ -36,7 +36,7 @@ from .checks import (
 from .errors import InputError, ParameterError, require_complex, require_int, require_real
 from .funcspec import function_to_dict
 from .functionals import _polynomial_coeffs, as_polynomial
-from .series import PolySeries, SeriesA, _tail_coeffs
+from .series import _MAX_DEGREE, PolySeries, SeriesA, _tail_coeffs
 
 __all__ = [
     "Witness",
@@ -54,6 +54,8 @@ __all__ = [
 
 #: Grid points one falsify block evaluates: a block holds max(1, 8192 // m) trials.
 _BLOCK_POINTS = 8192
+#: Most trials one falsify call may run.
+_MAX_TRIALS = 10**6
 
 
 class Witness(Enum):
@@ -131,6 +133,10 @@ class FalsifyConfig:
         margin = require_real(self.margin, lambda v: 0.0 < v < 1.0, "margin must lie in (0, 1)", InputError)
         tail_len = require_int(self.tail_len, 0, "tail_len must be a nonnegative integer")
         r_max = require_real(self.r_max, lambda v: 0.0 < v < 1.0, "r_max must lie in (0, 1)", InputError)
+        if trials > _MAX_TRIALS:
+            raise InputError(f"trials must be at most {_MAX_TRIALS}")
+        if tail_len > _MAX_DEGREE:
+            raise InputError(f"tail_len must be at most {_MAX_DEGREE}")
         object.__setattr__(self, "trials", trials)
         object.__setattr__(self, "seed", seed)
         object.__setattr__(self, "margin", margin)
@@ -211,11 +217,12 @@ def falsify(
     verdict, so the summary is the one a sample_satisfying + check loop
     gives. Memory therefore stays bounded by the block, whatever the trial
     count. Only a Fails row goes through check itself: it is re-verified at
-    16x grid density before being reported, to exclude grid artifacts. Zero
-    fails is the expected outcome for a sound checker.
+    16x grid density (at most the grid cap) before being reported, to
+    exclude grid artifacts. Zero fails is the expected outcome for a sound
+    checker.
     """
     spec = spec if spec is not None else GridSpec(m=512, refine_depth=2)
-    dense = GridSpec(m=16 * spec.m, refine_depth=spec.refine_depth)
+    dense = GridSpec(m=min(16 * spec.m, _MAX_GRID_M), refine_depth=spec.refine_depth)
     rows = max(1, _BLOCK_POINTS // spec.m)
     counts = {VerdictState.HOLDS: 0, VerdictState.FAILS: 0, VerdictState.INCONCLUSIVE: 0}
     min_margin: float | None = None

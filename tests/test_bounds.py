@@ -16,7 +16,8 @@ from diskcheck import (
     coeff_bound,
     poly_sup,
 )
-from diskcheck.bounds import _circle_argopt, _unit_circle
+from diskcheck.bounds import _circle_argopt, _circle_rows, _sup_rows, _sup_upper, _unit_circle
+from diskcheck.series import _horner_rows
 
 from conftest import random_series
 
@@ -196,3 +197,63 @@ def test_multi_basin_argmax_prefers_off_grid_near_tie():
     val, theta = _deep_argmax(bumps, 0.9, m)
     assert val == pytest.approx(1.01, abs=1e-12)
     assert theta % (2 * math.pi) == pytest.approx(peak, abs=1e-8)
+
+
+def _random_rows(rng, rows, size):
+    return rng.uniform(-1, 1, size=(rows, size)) + 1j * rng.uniform(-1, 1, size=(rows, size))
+
+
+@pytest.mark.parametrize("rows, K, m", [(1, 8, 16), (1, 2048, 4096), (16, 8, 512), (16, 63, 64), (1, 40, 16), (4, 5000, 4096)])
+def test_circle_rows_equal_horner_on_the_grid(rng, rows, K, m):
+    # A-priori bound: the FFT of the folded row errs by at most about
+    # eta log2(m) sum_k |c_k| r^k a value, eta ~ 6.7 eps (Higham, Accuracy and
+    # Stability of Numerical Algorithms, ch. 24), and folding K + 1 > m
+    # coefficients adds ceil((K + 1) / m) terms a slot; 8 eps covers eta.
+    c = _random_rows(rng, rows, K + 1)
+    r = 0.95
+    fft = _circle_rows(c, r, m)
+    horner = _horner_rows(c, r * _unit_circle(m))
+    assert fft.shape == (rows, m)
+    weight = np.sum(np.abs(c) * r ** np.arange(K + 1), axis=-1)
+    tol = 8 * np.finfo(float).eps * (math.log2(m) + math.ceil((K + 1) / m)) * weight
+    assert np.all(np.abs(fft - horner).max(axis=-1) <= tol)
+
+
+@pytest.mark.parametrize("K, m", [(15, 16), (8, 16), (64, 4096)])
+def test_sup_upper_dominates_the_dense_grid(rng, K, m):
+    # the sampling inequality holds for every row of degree <= K < m; the
+    # reference is a Horner grid 64 times denser than the sampled one
+    spec = GridSpec(m=m, refine_depth=2)
+    peak = np.zeros((1, K + 1), dtype=complex)
+    peak[0, [0, K]] = 1.0
+    c = np.concatenate([_random_rows(rng, 20, K + 1), peak])
+    for r in (0.5, 0.999):
+        lower = [value for value, _ in _sup_rows(c, r, spec)]
+        upper = _sup_upper(c, r, lower, spec)
+        dense = np.abs(_horner_rows(c, r * _unit_circle(64 * m))).max(axis=-1)
+        assert np.all(upper * (1 + 1e-12) >= dense)
+        assert np.all(upper >= lower)
+
+
+def test_sampling_bound_tightens_the_bracket(rng):
+    # at K = 64 and m = 4096 the sec term is below both older bounds
+    c = _random_rows(rng, 4, 65) / np.arange(1, 66) ** 2
+    spec = GridSpec(m=4096, refine_depth=3)
+    lower = np.array([value for value, _ in _sup_rows(c, 0.999, spec)])
+    upper = _sup_upper(c, 0.999, lower, spec)
+    assert np.array_equal(upper, np.maximum(lower, lower / math.cos(math.pi * 64 / (2 * 4096))))
+
+
+def test_sup_upper_without_the_sampling_bound_when_K_reaches_m(rng):
+    # K >= m: the bound is min(coefficient sum, lower + Lipschitz pad), as
+    # before the sampling inequality was added
+    spec = GridSpec(m=16, refine_depth=2)
+    for K in (16, 40):
+        c = _random_rows(rng, 8, K + 1)
+        r = 0.9
+        lower = np.array([value for value, _ in _sup_rows(c, r, spec)])
+        powers = r ** np.arange(K + 1)
+        lip = np.sum(np.arange(1, K + 1) * np.abs(c[:, 1:]) * powers[:-1], axis=-1)
+        pad = lower + lip * math.pi * r / spec.m
+        expect = np.maximum(lower, np.minimum(np.sum(np.abs(c) * powers, axis=-1), pad))
+        assert np.array_equal(_sup_upper(c, r, lower, spec), expect)

@@ -5,6 +5,7 @@ import pathlib
 import shutil
 import subprocess
 import sys
+import tracemalloc
 import warnings
 
 import jsonschema
@@ -184,6 +185,40 @@ class TestExitCodes:
         assert code == 3
         [line] = captured.err.splitlines()
         assert named in line and "internal error" not in line
+
+    @pytest.mark.parametrize("argv, named", [
+        (["check", "--theorem", "thm2", "--grid-m", "1048577"], "grid needs at most 1048576 angular samples"),
+        (["membership", "--class", "star", "--grid-m", "1048577"], "grid needs at most 1048576 angular samples"),
+        (["falsify", "--theorem", "thm2", "--grid-m", "1048577"], "grid needs at most 1048576 angular samples"),
+        (["example", "--id", "ex1", "--n", "65536"], "series degree must be at most 65536, got 65537"),
+        (["falsify", "--theorem", "thm2", "--n", "65536"], "series degree must be at most 65536, got 65542"),
+        (["falsify", "--theorem", "thm2", "--tail-len", "65537"], "tail_len must be at most 65536"),
+        (["falsify", "--theorem", "thm2", "--trials", "1000001"], "trials must be at most 1000000"),
+    ], ids=["check_grid", "membership_grid", "falsify_grid", "example_degree", "falsify_degree",
+            "falsify_tail_len", "falsify_trials"])
+    def test_resource_caps_exit_three_before_allocating(self, capsys, argv, named):
+        # each value is one past its cap; the parent allocated (or ran) it
+        if argv[0] in ("check", "membership"):
+            argv = argv + ["--input", str(CORPUS / "halfdisk.json")]
+        tracemalloc.start()
+        try:
+            code = main(argv)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        captured = capsys.readouterr()
+        assert code == 3
+        assert captured.out == ""
+        [line] = captured.err.splitlines()
+        assert named in line and "internal error" not in line
+        assert peak < 2**20  # one 2^16-point complex row takes 1 MB
+
+    def test_caps_admit_their_bound(self, capsys):
+        code, out = run_cli(capsys, "example", "--id", "ex1", "--n", "65535")
+        assert code == 0
+        assert json.loads(out)["n"] == 65535
+        assert diskcheck.GridSpec(m=2**20).m == 2**20
+        assert diskcheck.FalsifyConfig(trials=10**6, tail_len=2**16).trials == 10**6
 
     def test_internal_error_is_three(self, capsys, monkeypatch):
         # a crash must never exit 1, which reads as "fails"

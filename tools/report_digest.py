@@ -13,11 +13,26 @@ can print is covered. Each line is the argv, the exit code and the sha256
 of stdout + stderr. Inputs are named relative to the repo root, so the
 output does not depend on where the checkout lives. Compare two trees with
 `python3 tools/report_digest.py > a.txt` in each and `diff`.
+
+To see why a line changed, dump the runs in each tree and compare the dumps:
+
+    python3 tools/report_digest.py --dump a.jsonl > a.txt   # prints the same lines
+    python3 tools/report_digest.py --compare a.jsonl b.jsonl
+
+A dump holds one JSON object a line: argv, exit code, stdout and stderr.
+--compare parses each stdout as JSON and walks both reports together. For
+every float field (list indices folded to []) it prints how many values
+changed, the largest relative rise and fall, and the largest absolute
+change. It exits 1, naming the run and field, when an exit code, a stderr,
+or any non-float field or report shape differs.
 """
 
+import argparse
 import contextlib
 import hashlib
 import io
+import json
+import math
 import os
 import sys
 from pathlib import Path
@@ -98,11 +113,98 @@ def bad_argument_runs(name):
         yield ["example", "--id", "ex1", "--n", n]
 
 
-if __name__ == "__main__":
-    os.chdir(ROOT)
+class _Tee(io.StringIO):
+    """One stream's capture that also writes into the shared buffer."""
+
+    def __init__(self, shared):
+        super().__init__()
+        self.shared = shared
+
+    def write(self, text):
+        self.shared.write(text)
+        return super().write(text)
+
+
+def digest_lines(dump):
+    """Run every argv, print its digest line and, when dump is a file, write
+    the run to it."""
     for argv in runs():
-        out = io.StringIO()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(out):
+        both = io.StringIO()
+        out, err = _Tee(both), _Tee(both)
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = main(argv)
-        digest = hashlib.sha256(out.getvalue().encode()).hexdigest()
+        digest = hashlib.sha256(both.getvalue().encode()).hexdigest()
         print(" ".join(argv), code, digest)
+        if dump is not None:
+            run = {"argv": argv, "code": code, "stdout": out.getvalue(), "stderr": err.getvalue()}
+            dump.write(json.dumps(run) + "\n")
+
+
+def _report(text):
+    try:
+        return json.loads(text)
+    except ValueError:
+        return text
+
+
+def _walk(a, b, path, fields, problems):
+    """Compare two parsed reports: float leaves go to fields, every other
+    difference to problems."""
+    if type(a) is float and type(b) is float:
+        rec = fields.setdefault(path, {"values": 0, "changed": 0, "rise": 0.0, "fall": 0.0, "abs": 0.0})
+        rec["values"] += 1
+        if a == b or (math.isnan(a) and math.isnan(b)):
+            return
+        rec["changed"] += 1
+        rel = (b - a) / abs(a) if a else math.copysign(math.inf, b - a)
+        rec["rise"], rec["fall"] = max(rec["rise"], rel), min(rec["fall"], rel)
+        rec["abs"] = max(rec["abs"], abs(b - a))
+    elif type(a) is dict and type(b) is dict and a.keys() == b.keys():
+        for key in a:
+            _walk(a[key], b[key], f"{path}.{key}" if path else key, fields, problems)
+    elif type(a) is list and type(b) is list and len(a) == len(b):
+        for x, y in zip(a, b):
+            _walk(x, y, path + "[]", fields, problems)
+    elif type(a) is not type(b) or a != b:
+        problems.append(f"{path or 'stdout'}: {json.dumps(a)[:80]} -> {json.dumps(b)[:80]}")
+
+
+def compare(old_path, new_path):
+    """Print the float changes between two dumps; 1 when anything else changed."""
+    with open(old_path) as fa, open(new_path) as fb:
+        old, new = [json.loads(line) for line in fa], [json.loads(line) for line in fb]
+    fields, problems, changed = {}, [], 0
+    if [r["argv"] for r in old] != [r["argv"] for r in new]:
+        problems.append("the two dumps hold different runs")
+    for a, b in zip(old, new):
+        found = []
+        if a["code"] != b["code"]:
+            found.append(f"exit code {a['code']} -> {b['code']}")
+        if a["stderr"] != b["stderr"]:
+            found.append(f"stderr {a['stderr']!r} -> {b['stderr']!r}")
+        _walk(_report(a["stdout"]), _report(b["stdout"]), "", fields, found)
+        changed += a != b
+        problems += [" ".join(a["argv"]) + ": " + line for line in found]
+    print(f"{len(old)} runs, {changed} with a changed output")
+    print(f"{'field':48} {'values':>7} {'changed':>7} {'max rise':>10} {'max fall':>10} {'max |change|':>12}")
+    for path, rec in sorted(fields.items()):
+        if rec["changed"]:
+            print(f"{path:48} {rec['values']:7} {rec['changed']:7} {rec['rise']:10.3g} {rec['fall']:10.3g} "
+                  f"{rec['abs']:12.3g}")
+    print(f"{len(problems)} exit code, stderr or non-float changes")
+    for line in problems:
+        print(line)
+    return 1 if problems else 0
+
+
+if __name__ == "__main__":
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--dump", metavar="FILE", help="also write every run to FILE, one JSON line each")
+    parser.add_argument("--compare", nargs=2, metavar=("OLD", "NEW"), help="compare two dumps and exit")
+    args = parser.parse_args()
+    if args.compare:
+        sys.exit(compare(*args.compare))
+    dump_path = None if args.dump is None else os.path.abspath(args.dump)
+    os.chdir(ROOT)
+    with contextlib.ExitStack() as stack:
+        digest_lines(None if dump_path is None else stack.enter_context(open(dump_path, "w")))
