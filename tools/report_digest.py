@@ -204,7 +204,6 @@ if __name__ == "__main__":
     args = parser.parse_args()
     if args.compare:
         sys.exit(compare(*args.compare))
-    dump_path = None if args.dump is None else os.path.abspath(args.dump)
-    os.chdir(ROOT)
-    with contextlib.ExitStack() as stack:
-        digest_lines(None if dump_path is None else stack.enter_context(open(dump_path, "w")))
+    with open(args.dump, "w") if args.dump else contextlib.nullcontext() as dump:
+        os.chdir(ROOT)
+        digest_lines(dump)
