@@ -18,12 +18,12 @@ p = PolySeries(np.array([0, 1, -0.4, 0.25j, 0.1], dtype=complex))
 print("coefficient bound at r=0.9:", coeff_bound(p, 0.9))
 
 for m in (64, 512, 4096):
-    b = poly_sup(p, 0.9, GridSpec(m=m, refine_depth=3))
+    b = poly_sup(p, 0.9, GridSpec(m=m))
     print(f"m={m:5d}  lower={b.lower:.12f}  upper={b.upper:.12f}  width={b.width:.3e}")
 
 # monomials have constant modulus on each circle, so the bracket is exact
 mono = PolySeries(np.array([0, 0, 0, 2j], dtype=complex))
-b = poly_sup(mono, 0.5, GridSpec(m=16, refine_depth=0))
+b = poly_sup(mono, 0.5, GridSpec(m=16))
 print("\nmonomial 2i z^3 at r=0.5:", b.lower, b.upper, "(truth 0.25)")
 
 # circle maxima grow with the radius for analytic functions

@@ -3,11 +3,14 @@
 For analytic g the sup over the closed disk of radius r is attained on the
 circle |z| = r (maximum principle), so a dense angular grid already gives a
 true lower bound. Every polynomial grid comes from one FFT (_circle_rows;
-Cooley & Tukey, Math. Comp. 19 (1965)). For a polynomial p with a
+Cooley & Tukey, Math. Comp. 19 (1965)), and every bracket takes its lower
+bound from the grid maximum alone (_circle_argopt); golden-section
+refinement (_golden_argmax) serves only circle_argmax, circle_max and
+checks.jack_probe, which locate a point. For a polynomial p with a
 coefficient row of length K + 1, so of degree at most K, three certified
-upper bounds are available: the coefficient-modulus sum, the best grid
-sample padded by a derivative Lipschitz bound over half the arc gap between
-samples, and, for K < m, the sampling inequality
+upper bounds follow from that grid maximum: the coefficient-modulus sum,
+the grid maximum padded by a derivative Lipschitz bound over half the arc
+gap between samples, and, for K < m, the sampling inequality
 
     max_{|z| = r} |p(z)| <= sec(pi K / (2 m)) * max_{0 <= j < m} |p(r e^{2 pi i j / m})|
 
@@ -28,7 +31,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import InputError, require_finite, require_int, require_real
-from .series import PolySeries, _horner
+from .series import PolySeries
 
 __all__ = [
     "GridSpec",
@@ -48,7 +51,8 @@ _MAX_GRID_M = 2**20
 
 @dataclass(frozen=True)
 class GridSpec:
-    """Angular sample count and refinement budget for circle scans."""
+    """Angular sample count of circle scans, and the golden-section steps of
+    circle_argmax, circle_max and jack_probe, which locate a peak."""
 
     m: int = 4096
     refine_depth: int = 3
@@ -101,68 +105,57 @@ def _circle_point(r: float, t: float) -> complex:
     return r * complex(math.cos(t), math.sin(t))
 
 
-def _golden_max(h, r: float, a: float, b: float, iters: int, best_val: float, best_x: float, tol: float):
-    """Golden-section shrink of the angle interval [a, b], maximizing the
-    objective h of the point at that angle on |z| = r.
+def _golden_argmax(h, r: float, svals: np.ndarray, iters: int, *, basins: int = 1):
+    """Maximum of a real objective h of the point on |z| = r, located from
+    its values svals on the m-point grid (m = svals.size, from angle 0).
 
-    Runs interval contractions (one new evaluation each after the initial
-    pair) until `iters` are done or b - a <= tol; tol = 0 means exactly
-    `iters`. Returns the best value/point seen, so the result is always at
-    least the incoming best.
-    """
-    if iters <= 0:
-        return best_val, best_x
-    x1 = b - _INV_GOLDEN * (b - a)
-    x2 = a + _INV_GOLDEN * (b - a)
-    f1 = h(_circle_point(r, x1))
-    f2 = h(_circle_point(r, x2))
-    if f1 > best_val:
-        best_val, best_x = f1, x1
-    if f2 > best_val:
-        best_val, best_x = f2, x2
-    it = 0
-    while (b - a) > tol and it < iters:
-        if f1 < f2:
-            a = x1
-            x1, f1 = x2, f2
-            x2 = a + _INV_GOLDEN * (b - a)
-            f2 = h(_circle_point(r, x2))
-            if f2 > best_val:
-                best_val, best_x = f2, x2
-        else:
-            b = x2
-            x2, f2 = x1, f1
-            x1 = b - _INV_GOLDEN * (b - a)
-            f1 = h(_circle_point(r, x1))
-            if f1 > best_val:
-                best_val, best_x = f1, x1
-        it += 1
-    return best_val, best_x
-
-
-def _circle_argopt(h, r: float, svals: np.ndarray, iters: int, *, basins: int = 1, tol: float = 0.0):
-    """Maximum of a real objective over |z| = r from its values svals on the
-    m-point grid (m = svals.size, starting at angle 0), refined by golden
-    section over one grid step either side of the best sample.
-
-    h maps a circle point to a real value. The best `basins` grid samples,
-    each at least 3 samples from those picked before, are refined by
-    _golden_max(iters, tol); refining several separated basins protects
-    against near-tied peaks picking the wrong one. Returns (value, theta).
+    The best `basins` grid samples, each at least 3 samples from those
+    picked before, are refined by `iters` golden-section contractions of the
+    angle interval one grid step either side; several separated basins
+    protect against near-tied peaks picking the wrong one. Returns the best
+    (value, theta) seen, so the value is at least the grid maximum.
     """
     m = svals.size
     dt = _TWO_PI / m
     best_val, best_t = -math.inf, 0.0
     for k in range(basins):
         i = int(svals.argmax())
-        t0 = _TWO_PI * i / m
-        val, t = _golden_max(h, r, t0 - dt, t0 + dt, iters, float(svals[i]), t0, tol)
+        val, t = float(svals[i]), _TWO_PI * i / m
+
+        def probe(x):
+            nonlocal val, t
+            f = h(_circle_point(r, x))
+            if f > val:
+                val, t = f, x
+            return f
+
+        if iters > 0:
+            a, b = t - dt, t + dt
+            x1, x2 = b - _INV_GOLDEN * (b - a), a + _INV_GOLDEN * (b - a)
+            f1, f2 = probe(x1), probe(x2)
+            for _ in range(iters):
+                if f1 < f2:
+                    a, x1, f1 = x1, x2, f2
+                    x2 = a + _INV_GOLDEN * (b - a)
+                    f2 = probe(x2)
+                else:
+                    b, x2, f2 = x2, x1, f1
+                    x1 = b - _INV_GOLDEN * (b - a)
+                    f1 = probe(x1)
         if val > best_val:
             best_val, best_t = val, t
         if k + 1 < basins:  # mask this basin in a copy
             svals = svals.copy()
             np.put(svals, range(i - 2, i + 3), -np.inf, mode="wrap")
     return best_val, best_t
+
+
+def _circle_argopt(vals: np.ndarray):
+    """Largest value of every row of vals (shape (rows, m), a real objective
+    on the m-point grid r e^{2 pi i j / m}) and its grid index j, as two
+    arrays of shape (rows,)."""
+    j = vals.argmax(axis=-1)
+    return np.take_along_axis(vals, j[:, None], axis=-1)[:, 0], j
 
 
 def circle_argmax(g, r: float, spec: GridSpec | None = None):
@@ -174,13 +167,14 @@ def circle_argmax(g, r: float, spec: GridSpec | None = None):
     spec = spec if spec is not None else GridSpec()
     r = require_real(r, lambda v: 0.0 < v <= 1.0, "circle radius must lie in (0, 1]", InputError)
     h = lambda z: abs(g(z))  # noqa: E731
-    val, t = _circle_argopt(h, r, np.asarray(h(r * _unit_circle(spec.m)), dtype=np.float64), spec.refine_depth)
+    val, t = _golden_argmax(h, r, np.asarray(h(r * _unit_circle(spec.m)), dtype=np.float64), spec.refine_depth)
     return val, _circle_point(r, t)
 
 
 def circle_max(g, r: float, spec: GridSpec | None = None) -> float:
     """Lower bound for the true circle max of |g|: best of m grid samples
-    plus refine_depth rounds of golden-section refinement around it."""
+    plus refine_depth rounds of golden-section refinement around it. The
+    brackets of poly_sup, check and membership take the grid maximum alone."""
     return circle_argmax(g, r, spec)[0]
 
 
@@ -214,22 +208,19 @@ def _circle_rows(c: np.ndarray, r: float, m: int) -> np.ndarray:
 @np.errstate(all="ignore")
 def _sup_rows(c: np.ndarray, r: float, spec: GridSpec):
     """Lower bounds on sup |p| over |z| <= r for every polynomial row p of c
-    (shape (rows, M+1)): one (value, theta) pair a row, the _circle_argopt
-    maximum from the row's m-point _circle_rows grid, refined on the scalar
-    Horner recursion.
+    (shape (rows, M+1)): the _circle_argopt maxima of |p| on the rows'
+    m-point _circle_rows grids and their grid indices, two arrays.
     """
-    svals = np.abs(_circle_rows(c, r, spec.m))
-    return [_circle_argopt(lambda z: abs(_horner(row, z)), r, svals[i], spec.refine_depth)
-            for i, row in enumerate(c.tolist())]
+    return _circle_argopt(np.abs(_circle_rows(c, r, spec.m)))
 
 
 @np.errstate(all="ignore")
 def _sup_upper(c: np.ndarray, r: float, lower, spec: GridSpec) -> np.ndarray:
     """Certified upper bounds on sup |p| over |z| <= r for the polynomial rows
-    p of c (shape (rows, K+1)), given their _sup_rows values lower, which are
-    at least the grid maxima: the smallest of the coefficient sum, lower
-    padded by a derivative Lipschitz bound over half the arc gap pi r / m,
-    and, when K < m, sec(pi K / (2 m)) * lower, from the sampling inequality
+    p of c (shape (rows, K+1)), given their _sup_rows grid maxima lower: the
+    smallest of the coefficient sum, lower padded by a derivative Lipschitz
+    bound over half the arc gap pi r / m, and, when K < m,
+    sec(pi K / (2 m)) * lower, from the sampling inequality
 
         max_{|z| = r} |p| <= sec(pi K / (2 m)) * max_j |p(r e^{2 pi i j / m})|
 
@@ -252,8 +243,8 @@ def _sup_upper(c: np.ndarray, r: float, lower, spec: GridSpec) -> np.ndarray:
 def _sup_bracket(c: np.ndarray, r: float, spec: GridSpec) -> SupBracket:
     """Certified bracket on sup |p| over |z| <= r for the one polynomial row
     p of c (shape (1, M+1))."""
-    [(lower, _)] = _sup_rows(c, r, spec)
-    return SupBracket(lower, float(_sup_upper(c, r, [lower], spec)[0]), r, BracketKind.CERTIFIED)
+    lower, _ = _sup_rows(c, r, spec)
+    return SupBracket(float(lower[0]), float(_sup_upper(c, r, lower, spec)[0]), r, BracketKind.CERTIFIED)
 
 
 #: Relative room a coefficient sum must leave below a bound for _below to
@@ -270,16 +261,15 @@ def _below(c: np.ndarray, r: float, bound: float, spec: GridSpec) -> np.ndarray:
     ok = _coeff_sums(c, r) < bound * (1.0 - _SUM_SLACK)
     rest = np.flatnonzero(~ok)
     if rest.size:
-        lower = [value for value, _ in _sup_rows(c[rest], r, spec)]
-        ok[rest] = _sup_upper(c[rest], r, lower, spec) < bound
+        ok[rest] = _sup_upper(c[rest], r, _sup_rows(c[rest], r, spec)[0], spec) < bound
     return ok
 
 
 def poly_sup(p: PolySeries, r: float, spec: GridSpec | None = None) -> SupBracket:
     """Certified bracket on sup of |p| over the closed disk of radius r.
 
-    The lower bound comes from the angular grid (plus refinement); the upper
-    bound is the smallest of the coefficient-sum bound, the grid value padded
+    The lower bound is the largest grid value; the upper bound is the
+    smallest of the coefficient-sum bound, the grid maximum padded
     by a derivative Lipschitz bound over half the arc gap pi r / m, and, for
     K = p.order < m, the sampling inequality
 

@@ -36,11 +36,10 @@ import numpy as np
 # poly_sup is not called here, but diskcheck.checks.poly_sup stays importable:
 # bench/tracer.py wraps that name and bench/test_bench.py deletes it.
 from .bounds import GridSpec, SupBracket, BracketKind, _below, _circle_argopt, _circle_point, _circle_rows, \
-    _sup_bracket, _sup_rows, _sup_upper, _unit_circle, poly_sup  # noqa: F401
-from .errors import InputError, ParameterError, SingularDenominatorError, require_complex, require_finite, \
-    require_int, require_real
+    _golden_argmax, _sup_bracket, _sup_rows, _sup_upper, _unit_circle, poly_sup  # noqa: F401
+from .errors import InputError, ParameterError, require_complex, require_finite, require_int, require_real
 from .functionals import DEFAULT_DENOM_FLOOR, Functional, _polynomial_coeffs, _require_nonsingular
-from .series import PolySeries, SeriesA, _derivative_coeffs, _horner
+from .series import PolySeries, SeriesA, _derivative_coeffs
 
 __all__ = [
     "Theorem",
@@ -258,18 +257,18 @@ def _quotient_value(kind: _Quotient, z, den, top):
 
 @np.errstate(all="ignore")
 def _quotient_rows(kind: _Quotient, a: np.ndarray, r: float, spec: GridSpec, h):
-    """Maximum over |z| = r of the real objective h(q), for the quotient q of
-    every row a[i] of series coefficients: one (value, z) pair a row.
+    """Maximum over the m-point grid on |z| = r of the real objective h(q),
+    for the quotient q of every row a[i] of series coefficients: two arrays,
+    the maxima and their grid points.
 
     A guarded quotient is scanned only when its guard is certified below 1 by
-    _below; otherwise the pair is (None, None). The scan evaluates h(q) on the
-    m-point grid and refines the best sample by _circle_argopt. When a
-    denominator modulus falls below DEFAULT_DENOM_FLOOR at a grid point, or
-    else at a refinement point, the pair is (None, z) with z the first such
-    point; otherwise value is the refined maximum and z its point. h takes an
-    ndarray or a complex. InputError when a value overflows.
+    _below; otherwise value and point are nan. When a denominator modulus
+    falls below DEFAULT_DENOM_FLOOR at a grid point, the value is nan and the
+    point is the first such grid point. h takes an ndarray. InputError when
+    a value overflows.
     """
-    out = [(None, None)] * len(a)
+    values = np.full(len(a), np.nan)
+    points = np.full(len(a), complex(np.nan, np.nan))
     parts = _quotient_parts(kind, a)
     rows = np.arange(len(a))
     if kind in _GUARD:
@@ -281,42 +280,31 @@ def _quotient_rows(kind: _Quotient, a: np.ndarray, r: float, spec: GridSpec, h):
     singular = bad.any(axis=-1)
     if not (singular | np.isfinite(vals).all(axis=-1)).all():
         raise InputError(f"float overflow in {kind.value} on |z| = {r}")
-    den_rows, top_rows = ([None] * len(a) if p is None else p.tolist() for p in parts)
-    for i, row in enumerate(rows.tolist()):
-        if singular[i]:
-            out[row] = (None, complex(z[np.argmax(bad[i])]))
-            continue
-        den_py, top_py = den_rows[row], top_rows[row]
+    best, j = _circle_argopt(vals)
+    values[rows] = np.where(singular, np.nan, best)
+    points[rows] = z[np.where(singular, bad.argmax(axis=-1), j)]
+    return values, points
 
-        def hz(zt):
-            d = None if den_py is None else _horner(den_py, zt)
-            if d is not None and abs(d) < DEFAULT_DENOM_FLOOR:
-                raise SingularDenominatorError(zt)
-            return h(_quotient_value(kind, zt, d, None if top_py is None else _horner(top_py, zt)))
 
-        try:
-            value, t = _circle_argopt(hz, r, vals[i], spec.refine_depth)
-        except SingularDenominatorError as exc:
-            out[row] = (None, exc.z)
-        else:
-            out[row] = (value, _circle_point(r, t))
-    return out
+def _pairs(values, points):
+    """(value, z) pairs of two row arrays, with None for nan."""
+    return [(None if v != v else v, None if z != z else z) for v, z in zip(values.tolist(), points.tolist())]
 
 
 def _conclusion_rows(conclusion, a: np.ndarray, bound: float, r_max: float, spec: GridSpec):
     """check's conclusion scan of every row a[i] of series coefficients: the
     coefficient rows of a polynomial conclusion, which check certifies from
-    above, or None for a quotient, and one (lower, z) pair a row. A
-    polynomial conclusion gets the _sup_rows lower bound and its point. A
-    quotient q, bounded as |q - center| < bound, gets the _quotient_rows
-    value of that modulus and its point, None for a failed guard or a
-    singular point.
+    above, or None for a quotient, and one (lower, z) pair a row, the grid
+    maximum and its point. A polynomial conclusion gets the _sup_rows value.
+    A quotient q, bounded as |q - center| < bound, gets the _quotient_rows
+    value of that modulus, None for a failed guard or a singular point.
     """
     if isinstance(conclusion, Functional):
         c = _polynomial_coeffs(conclusion, a, 0j)
-        return c, [(value, _circle_point(r_max, t)) for value, t in _sup_rows(c, r_max, spec)]
+        lower, j = _sup_rows(c, r_max, spec)
+        return c, list(zip(lower.tolist(), (r_max * _unit_circle(spec.m)[j]).tolist()))
     center = bound if conclusion is _Quotient.RECIPROCAL else 1.0
-    return None, _quotient_rows(conclusion, a, r_max, spec, lambda q: abs(q - center))
+    return None, _pairs(*_quotient_rows(conclusion, a, r_max, spec, lambda q: abs(q - center)))
 
 
 def check(
@@ -421,7 +409,7 @@ def membership(
 
     if not isinstance(which, FunctionClass):
         raise InputError(f"unknown function class {which!r}")
-    [(value, z)] = _quotient_rows(_Quotient[which.name], f.body.coeffs[None], r_max, spec, lambda q: -q.real)
+    [(value, z)] = _pairs(*_quotient_rows(_Quotient[which.name], f.body.coeffs[None], r_max, spec, lambda q: -q.real))
     if value is None:
         return Verdict(VerdictState.INCONCLUSIVE, None, None, z)
     min_re = -value
@@ -471,13 +459,17 @@ class JackReport:
     curvature_check: float
 
 
-def _polish_peak(w: PolySeries, r: float, theta: float, step_cap: float, iters: int = 12) -> float:
+#: Newton steps _polish_peak takes at most.
+_POLISH_STEPS = 12
+
+
+def _polish_peak(w: PolySeries, r: float, theta: float, step_cap: float) -> float:
     """Newton steps on Im(z w'/w) = 0, the stationarity condition of
     log |w| along the circle; leaves theta unchanged when the slope is flat."""
     w1 = w.derivative()
     w2 = w1.derivative()
     tol_scale = 1e-15
-    for _ in range(iters):
+    for _ in range(_POLISH_STEPS):
         z = _circle_point(r, theta)
         w0 = w.eval(z)
         if abs(w0) < 1e-280:
@@ -501,9 +493,10 @@ def jack_probe(w: PolySeries, n: int, r: float, spec: GridSpec | None = None) ->
     """Locate the argmax of |w| on |z| = r and report the boundary ratios.
 
     Requires w(0) = 0 with leading index (first nonzero coefficient) at
-    least n, and w not identically zero. The argmax search refines the best
-    grid basins to convergence and then polishes the angle by Newton on the
-    stationarity condition, so the reported ratio is real to roundoff.
+    least n, and w not identically zero. The argmax search refines the three
+    best grid basins by spec.refine_depth golden-section steps and then
+    polishes the angle by Newton on the stationarity condition, so the
+    reported ratio is real to roundoff.
     """
     spec = spec if spec is not None else GridSpec()
     r = require_real(r, lambda v: 0.0 < v < 1.0, "probe radius must lie in (0, 1)", InputError)
@@ -518,7 +511,7 @@ def jack_probe(w: PolySeries, n: int, r: float, spec: GridSpec | None = None) ->
         raise InputError(f"leading index {int(nonzero[0])} is below the declared n = {n}")
 
     h = lambda z: abs(w.eval(z))  # noqa: E731
-    _, theta = _circle_argopt(h, r, np.abs(_circle_rows(c[None], r, spec.m)[0]), 120, basins=3, tol=1e-10)
+    _, theta = _golden_argmax(h, r, np.abs(_circle_rows(c[None], r, spec.m)[0]), spec.refine_depth, basins=3)
     theta = _polish_peak(w, r, theta, step_cap=2.0 * math.pi / spec.m)
     z0 = _circle_point(r, theta)
     w0 = w.eval(z0)

@@ -166,7 +166,6 @@ def _cmd_check(args) -> int:
         "input": str(args.input),
         "rmax": args.rmax,
         "grid_m": spec.m,
-        "refine_depth": spec.refine_depth,
     }
     _emit(_envelope("check", parameters, _check_report_dict(rep)))
     return _STATE_EXIT[rep.verdict.state.value]
@@ -182,7 +181,6 @@ def _cmd_membership(args) -> int:
         "input": str(args.input),
         "rmax": args.rmax,
         "grid_m": spec.m,
-        "refine_depth": spec.refine_depth,
     }
     result = {
         "class": args.cls,
@@ -210,7 +208,7 @@ def _cmd_falsify(args) -> int:
         tail_len=args.tail_len,
         r_max=args.rmax,
     )
-    spec = GridSpec(m=args.grid_m, refine_depth=2)
+    spec = GridSpec(m=args.grid_m)
     summary = falsify(Theorem(args.theorem), args.n, params, cfg, spec)
     parameters = {
         "theorem": args.theorem,

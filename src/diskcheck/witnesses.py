@@ -52,7 +52,9 @@ __all__ = [
 ]
 
 
-#: Grid points one falsify block evaluates: a block holds max(1, 8192 // m) trials.
+#: Values one falsify block row array may hold: a block holds
+#: max(1, 8192 // max(m, n + 1 + tail_len)) trials, so its grids and its
+#: coefficient rows both stay within 8192 values.
 _BLOCK_POINTS = 8192
 #: Most trials one falsify call may run.
 _MAX_TRIALS = 10**6
@@ -211,19 +213,21 @@ def falsify(
 
     Every trial draws from its own seed substream (seed, trial index), so
     summaries are reproducible and trials could run in any order. Trials are
-    decided in blocks of max(1, 8192 // m) rows: the block's tails are drawn
-    trial by trial and rescaled together as sample_satisfying rescales one,
-    and every row is decided by check's own row-wise rules, whatever its
-    verdict, so the summary is the one a sample_satisfying + check loop
-    gives. Memory therefore stays bounded by the block, whatever the trial
+    decided in blocks of max(1, 8192 // max(m, n + 1 + tail_len)) rows: the
+    block's tails are drawn trial by trial and rescaled together as
+    sample_satisfying rescales one, and every row is decided by check's own
+    row-wise rules, whatever its verdict, so the summary is the one a
+    sample_satisfying + check loop gives. A block's grids and coefficient
+    rows then hold at most 8192 values an array (one row when a single row
+    is larger), so memory stays bounded whatever m, tail_len and the trial
     count. Only a Fails row goes through check itself: it is re-verified at
     16x grid density (at most the grid cap) before being reported, to
     exclude grid artifacts. Zero fails is the expected outcome for a sound
     checker.
     """
-    spec = spec if spec is not None else GridSpec(m=512, refine_depth=2)
-    dense = GridSpec(m=min(16 * spec.m, _MAX_GRID_M), refine_depth=spec.refine_depth)
-    rows = max(1, _BLOCK_POINTS // spec.m)
+    spec = spec if spec is not None else GridSpec(m=512)
+    dense = GridSpec(m=min(16 * spec.m, _MAX_GRID_M))
+    rows = max(1, _BLOCK_POINTS // max(spec.m, n + 1 + cfg.tail_len))
     counts = {VerdictState.HOLDS: 0, VerdictState.FAILS: 0, VerdictState.INCONCLUSIVE: 0}
     min_margin: float | None = None
     counterexamples: list[dict] = []

@@ -16,7 +16,7 @@ from diskcheck import (
     coeff_bound,
     poly_sup,
 )
-from diskcheck.bounds import _circle_argopt, _circle_rows, _sup_rows, _sup_upper, _unit_circle
+from diskcheck.bounds import _circle_rows, _golden_argmax, _sup_rows, _sup_upper, _unit_circle
 from diskcheck.series import _horner_rows
 
 from conftest import random_series
@@ -161,7 +161,7 @@ def test_constant_poly_sup():
 
 
 def _deep_argmax(h, r, m):
-    return _circle_argopt(h, r, h(r * _unit_circle(m)), 120, basins=3, tol=1e-10)
+    return _golden_argmax(h, r, h(r * _unit_circle(m)), 120, basins=3)
 
 
 def test_deep_argmax_locates_peaks():
@@ -190,7 +190,7 @@ def test_multi_basin_argmax_prefers_off_grid_near_tie():
         near = np.angle(np.exp(1j * (t - peak)))
         return np.exp(-0.5 * (t / dt) ** 2) + 1.01 * np.exp(-0.5 * (near / dt) ** 2)
 
-    val, theta = _circle_argopt(bumps, 0.9, bumps(0.9 * _unit_circle(m)), 120, basins=1, tol=1e-10)
+    val, theta = _golden_argmax(bumps, 0.9, bumps(0.9 * _unit_circle(m)), 120, basins=1)
     assert val == 1.0
     assert theta == 0.0
 
@@ -228,7 +228,7 @@ def test_sup_upper_dominates_the_dense_grid(rng, K, m):
     peak[0, [0, K]] = 1.0
     c = np.concatenate([_random_rows(rng, 20, K + 1), peak])
     for r in (0.5, 0.999):
-        lower = [value for value, _ in _sup_rows(c, r, spec)]
+        lower = _sup_rows(c, r, spec)[0]
         upper = _sup_upper(c, r, lower, spec)
         dense = np.abs(_horner_rows(c, r * _unit_circle(64 * m))).max(axis=-1)
         assert np.all(upper * (1 + 1e-12) >= dense)
@@ -239,7 +239,7 @@ def test_sampling_bound_tightens_the_bracket(rng):
     # at K = 64 and m = 4096 the sec term is below both older bounds
     c = _random_rows(rng, 4, 65) / np.arange(1, 66) ** 2
     spec = GridSpec(m=4096, refine_depth=3)
-    lower = np.array([value for value, _ in _sup_rows(c, 0.999, spec)])
+    lower = _sup_rows(c, 0.999, spec)[0]
     upper = _sup_upper(c, 0.999, lower, spec)
     assert np.array_equal(upper, np.maximum(lower, lower / math.cos(math.pi * 64 / (2 * 4096))))
 
@@ -251,7 +251,7 @@ def test_sup_upper_without_the_sampling_bound_when_K_reaches_m(rng):
     for K in (16, 40):
         c = _random_rows(rng, 8, K + 1)
         r = 0.9
-        lower = np.array([value for value, _ in _sup_rows(c, r, spec)])
+        lower = _sup_rows(c, r, spec)[0]
         powers = r ** np.arange(K + 1)
         lip = np.sum(np.arange(1, K + 1) * np.abs(c[:, 1:]) * powers[:-1], axis=-1)
         pad = lower + lip * math.pi * r / spec.m

@@ -26,6 +26,7 @@ from diskcheck import (
     coeff_bound,
     duality_check,
     eval_functional,
+    falsify,
     jack_probe,
     make_witness,
     membership,
@@ -34,7 +35,7 @@ from diskcheck import (
     validate_params,
     witness_closed_forms,
 )
-from diskcheck.bounds import _INV_GOLDEN
+from diskcheck.bounds import _circle_rows
 from diskcheck.checks import _check_rows, _decide
 
 from conftest import small_tail_series
@@ -325,26 +326,39 @@ class TestCheck:
                 check(Theorem.THM1, f, Params(), r_max=bad)
 
 
-def test_conclusion_lower_is_the_refined_circle_maximum(rng):
-    # the row-wise scans refine the grid maximum as circle_max does; their FFT
-    # grid agrees with circle_max's Horner grid to rounding
+def test_conclusion_lower_is_the_grid_maximum(rng):
+    # check and _check_rows take the conclusion's largest value on the FFT
+    # grid, which circle_max's Horner grid matches to rounding and its golden
+    # refinement can only raise
     spec = GridSpec(m=256, refine_depth=3)
+    grid = GridSpec(m=256, refine_depth=0)
+    r = 0.999
     for _ in range(5):
         f = small_tail_series(rng, 1, 4)
+        a = f.body.coeffs[None]
+        p = as_polynomial(Functional.DERIV_DEFECT, f)
+        top = np.abs(_circle_rows(p.coeffs[None], r, spec.m)).max()
         lem11 = check(Theorem.LEM11, f, Params(rho=0.5), spec)
-        assert lem11.concl.lower == pytest.approx(
-            circle_max(as_polynomial(Functional.DERIV_DEFECT, f).eval, 0.999, spec), rel=1e-12)
-        thm1 = check(Theorem.THM1, f, Params(alpha=0.25), spec)
+        assert lem11.concl.lower == top
+        assert _check_rows(Theorem.LEM11, 1, a, Params(rho=0.5), spec, r)[0][1] == 0.5 - top
+        assert top == pytest.approx(circle_max(p.eval, r, grid), rel=1e-12)
+        assert top <= circle_max(p.eval, r, spec)
+
         quotient = lambda z: eval_functional(Functional.STAR_QUOTIENT, f, 0j, z)  # noqa: E731
-        assert thm1.concl.lower == pytest.approx(circle_max(quotient, 0.999, spec), rel=1e-12)
-        assert thm1.concl.lower > np.max(np.abs(quotient(0.999 * np.exp(2j * np.pi * np.arange(256) / 256))))
+        values = _circle_rows(f.derivative().coeffs[None], r, spec.m) / _circle_rows(a[:, 1:], r, spec.m)
+        top = np.abs(values - 1.0).max()
+        thm1 = check(Theorem.THM1, f, Params(alpha=0.25), spec)
+        assert thm1.concl.lower == top
+        assert _check_rows(Theorem.THM1, 1, a, Params(alpha=0.25), spec, r)[0][1] == 0.75 - top
+        assert top == pytest.approx(circle_max(quotient, r, grid), rel=1e-12)
+        assert top < circle_max(quotient, r, spec)
 
 
-@pytest.mark.parametrize("offset", [0.0, 1.0 - 2.0 * _INV_GOLDEN])
+@pytest.mark.parametrize("offset", [0.0])
 def test_denominator_floor_gives_the_singular_point(offset):
     # f/z = 1 + a z with |a| r = 1 - 5e-13: the guard sup |f/z - 1| < 1 holds,
-    # and f/z falls below the floor 1e-12 at one angle only: the grid point pi,
-    # or the first golden point refining the grid point pi (offset in grid steps)
+    # and f/z falls below the floor 1e-12 at one angle only: the grid point pi
+    # (offset in grid steps)
     spec = GridSpec(m=64, refine_depth=2)
     r = 0.999
     pole = math.pi + offset * 2.0 * math.pi / spec.m
@@ -357,6 +371,23 @@ def test_denominator_floor_gives_the_singular_point(offset):
     assert star.state is VerdictState.INCONCLUSIVE and star.witness == rep.witness
     assert _check_rows(Theorem.THM1, 1, f.body.coeffs[None], Params(alpha=0.25), spec, r) == [
         (VerdictState.INCONCLUSIVE, None)]
+
+
+def test_refine_depth_only_moves_circle_max(rng):
+    # check, membership and falsify read grid maxima only; circle_max refines
+    shallow, deep = GridSpec(m=64, refine_depth=0), GridSpec(m=64, refine_depth=5)
+    for _ in range(3):
+        f = small_tail_series(rng, 2, 4)
+        for theorem in Theorem:
+            params = Params(alpha=0.25, rho=0.5 if theorem in (Theorem.LEM11, Theorem.LEM12, Theorem.LEM3) else None)
+            assert check(theorem, f, params, shallow) == check(theorem, f, params, deep)
+        for which in FunctionClass:
+            assert membership(which, f, 0.25, shallow) == membership(which, f, 0.25, deep)
+    cfg, params = FalsifyConfig(trials=40, seed=9), Params(alpha=0.25)
+    for theorem in (Theorem.THM1, Theorem.THM2, Theorem.COR1):
+        assert falsify(theorem, 1, params, cfg, shallow) == falsify(theorem, 1, params, cfg, deep)
+    p = PolySeries(np.array([0, 1, 0.5j, 0.25], dtype=complex))
+    assert circle_max(p.eval, 0.9, deep) > circle_max(p.eval, 0.9, shallow)
 
 
 def test_thm3_conclusion_equivalence(rng):
@@ -453,6 +484,19 @@ class TestJackProbe:
         w = PolySeries(np.array([0, 0, 0, 1], dtype=complex))
         rep = jack_probe(w, 2, 0.5)
         assert rep.ratio.real >= 2
+
+    def test_high_degree_peak_is_polished(self, rng):
+        # K = 2048 with a 1/k^3 tail: the golden steps of refine_depth and the
+        # Newton polish leave the ratio real to roundoff at a point no lower
+        # than the best FFT grid sample
+        K = 2048
+        spec = GridSpec(m=4096)
+        for r in (0.9, 0.95, 0.999):
+            tail = (rng.uniform(-1, 1, K) + 1j * rng.uniform(-1, 1, K)) / np.arange(2, K + 2) ** 3
+            w = PolySeries(np.concatenate([[0, 1], tail]))
+            rep = jack_probe(w, 1, r, spec)
+            assert abs(rep.ratio.imag) <= 1e-12 * (1 + abs(rep.ratio))
+            assert abs(w.eval(rep.z0)) >= np.abs(_circle_rows(w.coeffs[None], r, spec.m)).max()
 
     @pytest.mark.parametrize("trial", range(12))
     def test_lemma_inequalities_on_random_functions(self, rng, trial):

@@ -1,6 +1,7 @@
 """Sharp witnesses, the falsifier, and the validity-radius bisection."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -237,6 +238,24 @@ class TestFalsify:
         a = falsify(Theorem.THM1, 1, p, FalsifyConfig(trials=10, seed=0))
         b = falsify(Theorem.THM1, 1, p, FalsifyConfig(trials=10, seed=1))
         assert a.min_conclusion_margin != b.min_conclusion_margin
+
+    @pytest.mark.parametrize("theorem", [Theorem.THM1, Theorem.THM2])
+    def test_long_tails_keep_memory_bounded(self, theorem):
+        # a block's coefficient rows count against its 8192 values, as its
+        # grids do: at m = 16 a 4096-term tail gives two rows a block, not 512
+        cfg = FalsifyConfig(trials=128, seed=4, tail_len=4096)
+        spec = GridSpec(m=16)
+        tracemalloc.start()
+        try:
+            out = falsify(theorem, 1, Params(alpha=0.25), cfg, spec)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
+        assert out.holds + out.inconclusive + out.fails == 128
+        small = FalsifyConfig(trials=5, seed=4, tail_len=4096)
+        assert falsify(theorem, 1, Params(alpha=0.25), small, spec) == per_trial_falsify(
+            theorem, 1, Params(alpha=0.25), small, spec)
 
     def test_rho_lemma_smoke(self):
         cfg = FalsifyConfig(trials=10, seed=3)
