@@ -361,15 +361,15 @@ def check(
     )
 
 
-def _check_rows(theorem: Theorem, n: int, a: np.ndarray, params: Params, spec: GridSpec, r_max: float):
+def _check_rows(theorem: Theorem, a: np.ndarray, params: Params, thr: float, spec: GridSpec, r_max: float):
     """check's verdict state and conclusion margin for the functions with
-    series coefficient rows a (class index n): one pair a row, by check's
-    rules. The hypothesis is certified by _below, which decides as check's
-    bracket does without a grid when the coefficient sum leaves room. The
-    conclusion needs no upper bound: a row whose lower bound is not below
-    the bound, a non-finite one included, is a Fails, which check re-decides
-    and where an overflow raises."""
-    thr = threshold(theorem, params, n)
+    series coefficient rows a: one pair a row, by check's rules, against the
+    hypothesis threshold thr (threshold's value for the rows' class index,
+    which validates the parameters). The hypothesis is certified by _below,
+    which decides as check's bracket does without a grid when the coefficient
+    sum leaves room. The conclusion needs no upper bound: a row whose lower
+    bound is not below the bound, a non-finite one included, is a Fails,
+    which check re-decides and where an overflow raises."""
     bound = _conclusion_bound(theorem, params)
     hyp_fun, _, conclusion = _RULES[theorem]
     hyp_ok = _below(_polynomial_coeffs(hyp_fun, a, complex(params.beta)), r_max, thr, spec).tolist()

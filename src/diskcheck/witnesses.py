@@ -59,6 +59,12 @@ _BLOCK_POINTS = 8192
 #: Most trials one falsify call may run.
 _MAX_TRIALS = 10**6
 
+#: numpy's SeedSequence hash constants (random/bit_generator.pyx) and the
+#: PCG64 multiplier (random/src/pcg64/pcg64.h), which _stream_states replays.
+_INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_PCG_MULT_HI, _PCG_MULT_LO = 0x2360ED051FC65DA4, 0x4385DF649FCCF645
+
 
 class Witness(Enum):
     EX1 = "ex1"
@@ -155,27 +161,123 @@ def sample_satisfying(
 ) -> SeriesA:
     """Draw a random tail and rescale it until the hypothesis provably holds.
 
-    Tail coefficients are uniform in the complex box [-1, 1]^2. When the
-    hypothesis polynomial's coefficient bound at radius 1 exceeds
-    margin * threshold the whole tail is scaled down by that ratio, which is
-    exact because the hypothesis coefficients are linear in the tail. The
-    returned function therefore satisfies the hypothesis on the whole open
-    disk with a certified margin. tail_len = 0 yields the identity.
+    Tail coefficients are uniform in the complex box [-1, 1]^2, drawn as
+    rng.uniform(-1.0, 1.0, size=(tail_len, 2)). When the hypothesis
+    polynomial's coefficient bound at radius 1 exceeds margin * threshold the
+    whole tail is scaled down by that ratio, which is exact because the
+    hypothesis coefficients are linear in the tail. The returned function
+    therefore satisfies the hypothesis on the whole open disk with a
+    certified margin. tail_len = 0 yields the identity.
     """
-    return SeriesA(n, PolySeries(_sample_rows(theorem, n, params, cfg, [rng])[0]))
-
-
-def _sample_rows(theorem: Theorem, n: int, params: Params, cfg: FalsifyConfig, rngs):
-    """Series coefficient rows of the functions sample_satisfying draws, one
-    tail from each generator of rngs, all rescaled at once."""
     target = cfg.margin * threshold(theorem, params, n)
-    box = np.array([rng.uniform(-1.0, 1.0, size=(cfg.tail_len, 2)) for rng in rngs])
+    box = rng.uniform(-1.0, 1.0, size=(cfg.tail_len, 2))
+    return SeriesA(n, PolySeries(_sample_rows(theorem, n, params, target, box[None])[0]))
+
+
+def _sample_rows(theorem: Theorem, n: int, params: Params, target: float, box: np.ndarray) -> np.ndarray:
+    """Series coefficient rows of the functions sample_satisfying draws, one
+    from each tail box[i] of a (rows, tail_len, 2) array of uniform(-1, 1)
+    draws (real and imaginary parts), all rescaled at once to a hypothesis
+    coefficient sum at radius 1 of at most target."""
     tails = box[..., 0] + 1j * box[..., 1]
     a = _tail_coeffs(n, tails)
     bound = _coeff_sums(_polynomial_coeffs(HYPOTHESIS_FUNCTIONAL[theorem], a, complex(params.beta)), 1.0)
     big = bound > target
     a[big, n + 1 :] = tails[big] * (target / bound[big])[:, None]
     return a
+
+
+def _hash_constants(init: int, mult: int, count: int) -> np.ndarray:
+    """SeedSequence's hash constant before and after each of its first count
+    multiplications by mult, as a (2, count, 1) uint32 array."""
+    chain = [init]
+    for _ in range(count):
+        chain.append(chain[-1] * mult & 0xFFFFFFFF)
+    return np.array([chain[:-1], chain[1:]], dtype=np.uint32)[..., None]
+
+
+def _hashmix(values: np.ndarray, consts: np.ndarray) -> np.ndarray:
+    """SeedSequence's hashmix of each row of values with its own pair of
+    _hash_constants columns; a single row is hashed with every pair."""
+    values = (values ^ consts[0]) * consts[1]
+    return values ^ values >> 16
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """SeedSequence's mix of pool words x with hashed words y."""
+    values = _MIX_L * x - _MIX_R * y
+    return values ^ values >> 16
+
+
+def _stream_states(seed: int, trials: range) -> np.ndarray:
+    """The PCG64 states that default_rng([seed, t]) starts from, for every t
+    of trials, as a (len(trials), 4) uint64 array of the 128-bit state and
+    increment, high word first: numpy's SeedSequence and pcg64_set_seed
+    replayed on uint32 and uint64 arrays, one trial a column.
+
+    The entropy is the seed's little-endian 32-bit words (at least one) and
+    then the trial, one word since trials stay below _MAX_TRIALS < 2^32. It is
+    hashed into a pool of 4 words; each pool word is then mixed into the
+    other three, and every entropy word past the fourth into all four.
+    generate_state(4, uint64) expands the pool to (initstate, initseq), and
+    pcg64_set_seed sets inc = 2 initseq + 1 and
+    state = (inc + initstate) * MULT + inc mod 2^128.
+    """
+    words = [seed & 0xFFFFFFFF]
+    while seed >> 32 * len(words):
+        words.append(seed >> 32 * len(words) & 0xFFFFFFFF)
+    entropy = np.zeros((max(4, len(words) + 1), len(trials)), dtype=np.uint32)
+    entropy[: len(words)] = np.array(words, dtype=np.uint32)[:, None]
+    entropy[len(words)] = np.arange(trials.start, trials.stop)
+    consts = _hash_constants(_INIT_A, _MULT_A, 4 * len(entropy))
+    pool = _hashmix(entropy[:4], consts[:, :4])
+    for src in range(4):
+        dst = [i for i in range(4) if i != src]
+        pool[dst] = _mix(pool[dst], _hashmix(pool[src], consts[:, 4 + 3 * src : 7 + 3 * src]))
+    for i in range(4, len(entropy)):
+        pool = _mix(pool, _hashmix(entropy[i], consts[:, 4 * i : 4 * i + 4]))
+    out = _hashmix(np.concatenate([pool, pool]), _hash_constants(_INIT_B, _MULT_B, 8)).astype(np.uint64)
+    seed_hi, seed_lo, seq_hi, seq_lo = out[0::2] | out[1::2] << 32
+    inc_hi = seq_hi << 1 | seq_lo >> 63
+    inc_lo = seq_lo << 1 | 1
+    s_lo = inc_lo + seed_lo
+    s_hi = inc_hi + seed_hi + (s_lo < inc_lo)
+    # s * MULT mod 2^128, with the high word of s_lo * MULT_LO from 32-bit limbs
+    low, high = s_lo & 0xFFFFFFFF, s_lo >> 32
+    m_low, m_high = _PCG_MULT_LO & 0xFFFFFFFF, _PCG_MULT_LO >> 32
+    cross = high * m_low
+    mid = (low * m_low >> 32) + (cross & 0xFFFFFFFF) + (low * m_high & 0xFFFFFFFF)
+    mul_hi = high * m_high + (cross >> 32) + (low * m_high >> 32) + (mid >> 32)
+    state_lo = s_lo * _PCG_MULT_LO + inc_lo
+    state_hi = mul_hi + s_lo * _PCG_MULT_HI + s_hi * _PCG_MULT_LO + inc_hi + (state_lo < inc_lo)
+    return np.stack([state_hi, state_lo, inc_hi, inc_lo], axis=-1)
+
+
+def _tail_boxes(seed: int, trials: range, tail_len: int, rows: int):
+    """Yield, for every rows consecutive trials t of trials (fewer in the
+    last block), the (rows, tail_len, 2) array of the first draws
+    default_rng([seed, t]).uniform(-1.0, 1.0, size=(tail_len, 2)).
+
+    The streams' start states come from _stream_states, for at most
+    _BLOCK_POINTS trials at a time; the draws are numpy's own, by one
+    Generator whose PCG64 is set to each trial's state in turn.
+    """
+    gen = np.random.default_rng(0)
+    chunk = rows * max(1, _BLOCK_POINTS // rows)
+    for begin in range(0, len(trials), chunk):
+        states = _stream_states(seed, trials[begin : begin + chunk])
+        for first in range(0, len(states), rows):
+            block = states[first : first + rows].tolist()
+            box = np.empty((len(block), tail_len, 2))
+            for i, (state_hi, state_lo, inc_hi, inc_lo) in enumerate(block):
+                gen.bit_generator.state = {
+                    "bit_generator": "PCG64",
+                    "state": {"state": state_hi << 64 | state_lo, "inc": inc_hi << 64 | inc_lo},
+                    "has_uint32": 0,
+                    "uinteger": 0,
+                }
+                box[i] = gen.uniform(-1.0, 1.0, size=(tail_len, 2))
+            yield box
 
 
 @dataclass(frozen=True)
@@ -211,36 +313,38 @@ def falsify(
 ) -> FalsifySummary:
     """Seeded search for hypothesis-satisfying functions that break a conclusion.
 
-    Every trial draws from its own seed substream (seed, trial index), so
-    summaries are reproducible and trials could run in any order. Trials are
+    Trial t draws from default_rng([seed, t]), so summaries are reproducible,
+    trials could run in any order, and sample_satisfying with that generator
+    rebuilds any one trial. The streams' start states are computed together,
+    at most 8192 trials at a time, and the draws are numpy's own. Trials are
     decided in blocks of max(1, 8192 // max(m, n + 1 + tail_len)) rows: the
-    block's tails are drawn trial by trial and rescaled together as
-    sample_satisfying rescales one, and every row is decided by check's own
-    row-wise rules, whatever its verdict, so the summary is the one a
-    sample_satisfying + check loop gives. A block's grids and coefficient
-    rows then hold at most 8192 values an array (one row when a single row
-    is larger), so memory stays bounded whatever m, tail_len and the trial
-    count. Only a Fails row goes through check itself: it is re-verified at
-    16x grid density (at most the grid cap) before being reported, to
-    exclude grid artifacts. Zero fails is the expected outcome for a sound
-    checker.
+    block's tails are rescaled together as sample_satisfying rescales one,
+    and every row is decided by check's own row-wise rules, whatever its
+    verdict, so the summary is the one a sample_satisfying + check loop
+    gives. A block's grids and coefficient rows then hold at most 8192 values
+    an array (one row when a single row is larger), so memory stays bounded
+    whatever m, tail_len and the trial count. Only a Fails row goes through
+    check itself: it is re-verified at 16x grid density (at most the grid
+    cap) before being reported, to exclude grid artifacts. Zero fails is the
+    expected outcome for a sound checker.
     """
     spec = spec if spec is not None else GridSpec(m=512)
     dense = GridSpec(m=min(16 * spec.m, _MAX_GRID_M))
     rows = max(1, _BLOCK_POINTS // max(spec.m, n + 1 + cfg.tail_len))
+    thr = threshold(theorem, params, n)
     counts = {VerdictState.HOLDS: 0, VerdictState.FAILS: 0, VerdictState.INCONCLUSIVE: 0}
     min_margin: float | None = None
     counterexamples: list[dict] = []
-    for start in range(0, cfg.trials, rows):
-        trials = range(start, min(start + rows, cfg.trials))
-        a = _sample_rows(theorem, n, params, cfg, [np.random.default_rng([cfg.seed, t]) for t in trials])
-        for i, (state, margin) in enumerate(_check_rows(theorem, n, a, params, spec, cfg.r_max)):
+    boxes = _tail_boxes(cfg.seed, range(cfg.trials), cfg.tail_len, rows)
+    for start, box in zip(range(0, cfg.trials, rows), boxes):
+        a = _sample_rows(theorem, n, params, cfg.margin * thr, box)
+        for i, (state, margin) in enumerate(_check_rows(theorem, a, params, thr, spec, cfg.r_max)):
             if state is VerdictState.FAILS:
                 f = SeriesA(n, PolySeries(a[i]))
                 report = check(theorem, f, params, dense, cfg.r_max)
                 state, margin = report.verdict.state, report.verdict.conclusion_margin
                 if state is VerdictState.FAILS:
-                    counterexamples.append(_counterexample_record(trials[i], f, report))
+                    counterexamples.append(_counterexample_record(start + i, f, report))
             counts[state] += 1
             if margin is not None and (min_margin is None or margin < min_margin):
                 min_margin = margin

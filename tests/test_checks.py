@@ -340,7 +340,7 @@ def test_conclusion_lower_is_the_grid_maximum(rng):
         top = np.abs(_circle_rows(p.coeffs[None], r, spec.m)).max()
         lem11 = check(Theorem.LEM11, f, Params(rho=0.5), spec)
         assert lem11.concl.lower == top
-        assert _check_rows(Theorem.LEM11, 1, a, Params(rho=0.5), spec, r)[0][1] == 0.5 - top
+        assert _check_rows(Theorem.LEM11, a, Params(rho=0.5), lem11.hyp_threshold, spec, r)[0][1] == 0.5 - top
         assert top == pytest.approx(circle_max(p.eval, r, grid), rel=1e-12)
         assert top <= circle_max(p.eval, r, spec)
 
@@ -349,7 +349,7 @@ def test_conclusion_lower_is_the_grid_maximum(rng):
         top = np.abs(values - 1.0).max()
         thm1 = check(Theorem.THM1, f, Params(alpha=0.25), spec)
         assert thm1.concl.lower == top
-        assert _check_rows(Theorem.THM1, 1, a, Params(alpha=0.25), spec, r)[0][1] == 0.75 - top
+        assert _check_rows(Theorem.THM1, a, Params(alpha=0.25), thm1.hyp_threshold, spec, r)[0][1] == 0.75 - top
         assert top == pytest.approx(circle_max(quotient, r, grid), rel=1e-12)
         assert top < circle_max(quotient, r, spec)
 
@@ -369,7 +369,7 @@ def test_denominator_floor_gives_the_singular_point(offset):
     assert rep.witness == pytest.approx(r * cmath.exp(1j * pole), abs=1e-15)
     star = membership(FunctionClass.STARLIKE, f, 0.25, spec, r)
     assert star.state is VerdictState.INCONCLUSIVE and star.witness == rep.witness
-    assert _check_rows(Theorem.THM1, 1, f.body.coeffs[None], Params(alpha=0.25), spec, r) == [
+    assert _check_rows(Theorem.THM1, f.body.coeffs[None], Params(alpha=0.25), rep.hyp_threshold, spec, r) == [
         (VerdictState.INCONCLUSIVE, None)]
 
 

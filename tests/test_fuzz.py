@@ -1,10 +1,12 @@
 """Fuzzed inputs for the command-line contract: exit codes 0-3 only, and
 stdout either empty or a strict JSON document valid against the report schema.
+Also fuzzed: the falsifier's per-trial streams, whose first draws must be
+those of default_rng([seed, trial]) for any seed and trial index.
 
-Not fuzzed: --grid-m and --trials stay at their defaults, because their
-caps are still open (ROADMAP item 7) and a generated value could allocate
-without bound. For the same reason the class index n and the tail length
-stay small: the degree of a function has no cap yet either.
+The command-line runs keep --grid-m and --trials at their defaults and the
+class index n and the tail length small, so that each example stays cheap;
+the caps on them are tested in test_cli. The stream property reaches seeds
+up to 2^200 and every trial index below the 10^6 cap without running trials.
 """
 
 import contextlib
@@ -13,12 +15,14 @@ import json
 import math
 
 import jsonschema
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from diskcheck import InputError, SeriesA, function_from_dict
 from diskcheck.cli import main, parse_beta
+from diskcheck.witnesses import _tail_boxes
 
 FUZZ = settings(max_examples=40, deadline=None, derandomize=True, database=None)
 
@@ -120,3 +124,18 @@ def test_membership_keeps_the_exit_contract(spec_file, report_schema, obj, cls, 
        alpha=numbers)
 def test_example_keeps_the_exit_contract(report_schema, wid, n, alpha):
     assert_contract(*run(["example", f"--id={wid}", f"--n={n}", f"--alpha={alpha}"]), report_schema)
+
+
+# seeds below 2^200 of one to seven 32-bit words, so that each length of
+# SeedSequence's entropy shows up, the ones past its pool of four included
+seeds = st.lists(st.integers(0, 2**32 - 1), min_size=1, max_size=7).map(
+    lambda words: sum(w << 32 * i for i, w in enumerate(words)) % 2**200)
+
+
+@FUZZ
+@given(seed=seeds, trial=st.integers(0, 10**6 - 1), tail_len=st.integers(0, 16))
+def test_tail_boxes_are_the_per_trial_draws(seed, trial, tail_len):
+    trials = range(trial, min(trial + 3, 10**6))
+    got = np.concatenate(list(_tail_boxes(seed, trials, tail_len, 2)))
+    want = [np.random.default_rng([seed, t]).uniform(-1.0, 1.0, size=(tail_len, 2)) for t in trials]
+    assert np.array_equal(got, np.array(want))

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import diskcheck.bounds
+import diskcheck.checks
 
 from diskcheck import (
     FalsifyConfig,
@@ -36,7 +37,7 @@ from diskcheck.checks import HYPOTHESIS_FUNCTIONAL, _check_rows
 from diskcheck.funcspec import function_to_dict
 from diskcheck.functionals import _polynomial_coeffs, as_polynomial
 from diskcheck.series import _tail_coeffs
-from diskcheck.witnesses import FalsifySummary
+from diskcheck.witnesses import FalsifySummary, _tail_boxes
 
 LADDER = (0.9, 0.99, 0.999, 0.9999)
 DENSE = GridSpec(m=8192, refine_depth=5)
@@ -263,6 +264,30 @@ class TestFalsify:
         assert out.fails == 0
 
 
+def default_rng_boxes(seed, trials, tail_len):
+    """The first uniform draws of each trial's own generator, as sample_satisfying
+    makes them."""
+    return np.array([np.random.default_rng([seed, t]).uniform(-1.0, 1.0, size=(tail_len, 2)) for t in trials])
+
+
+class TestTailStreams:
+    @pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**64 + 3, 2**130 + 7])
+    @pytest.mark.parametrize("tail_len", [0, 1, 6, 33])
+    def test_boxes_are_the_per_trial_draws(self, seed, tail_len):
+        # 2^130 + 7 has five 32-bit words, so SeedSequence mixes its fifth
+        # word and the trial word in after the pool of four
+        for trials, rows in ((range(64), 5), (range(999_999, 10**6), 16)):
+            boxes = list(_tail_boxes(seed, trials, tail_len, rows))
+            assert [len(box) for box in boxes] == [min(rows, len(trials) - i) for i in range(0, len(trials), rows)]
+            assert np.array_equal(np.concatenate(boxes), default_rng_boxes(seed, trials, tail_len))
+
+    def test_boxes_cross_the_state_chunk_edge(self):
+        # with 3 rows a block, stream states are computed 8190 trials at a time
+        trials = range(1_000_000 - 8200, 1_000_000)
+        boxes = list(_tail_boxes(2**64 + 3, trials, 1, 3))
+        assert np.array_equal(np.concatenate(boxes), default_rng_boxes(2**64 + 3, trials, 1))
+
+
 def per_trial_falsify(theorem, n, params, cfg, spec):
     """The falsifier as one sample_satisfying + check per trial, with the 16x
     dense re-check and counterexample record of a Fails: the oracle for the
@@ -329,6 +354,15 @@ class TestFalsifyOracle:
                     got = falsify(theorem, n, params, cfg, spec)
                     assert got == per_trial_falsify(theorem, n, params, cfg, spec), (n, alpha, spec, tail_len)
 
+    @pytest.mark.parametrize("tail_len", [0, 1])
+    def test_multiword_seed_and_short_tails(self, tail_len):
+        # a seed of three 32-bit words, and 37 trials at 16 rows a block
+        spec = GridSpec(m=512, refine_depth=2)
+        cfg = FalsifyConfig(trials=37, seed=2**70 + 1, tail_len=tail_len)
+        for theorem in (Theorem.THM1, Theorem.THM2, Theorem.LEM12):
+            params = _params(theorem, 0.25, 0.5j)
+            assert falsify(theorem, 2, params, cfg, spec) == per_trial_falsify(theorem, 2, params, cfg, spec)
+
     @pytest.mark.parametrize("theorem", [Theorem.THM2, Theorem.THM1])
     def test_every_trial_past_its_bound_is_rechecked_and_recorded(self, theorem, monkeypatch):
         # a conclusion bound of 1e-3 turns every trial whose guard holds into
@@ -356,7 +390,8 @@ class TestFalsifyOracle:
         r_max = 0.999
 
         def verdicts(theorem, tails):
-            rows = _check_rows(theorem, 1, _tail_coeffs(1, np.array(tails, dtype=complex)), params, spec, r_max)
+            thr = diskcheck.checks.threshold(theorem, params, 1)
+            rows = _check_rows(theorem, _tail_coeffs(1, np.array(tails, dtype=complex)), params, thr, spec, r_max)
             reports = [check(theorem, SeriesA.from_tail(1, t), params, spec, r_max) for t in tails]
             assert rows == [(rep.verdict.state, rep.verdict.conclusion_margin) for rep in reports]
             return reports

@@ -6,12 +6,15 @@ x 2 orders), plus example for each witness and falsify (50 trials) for each
 theorem and n in {1, 2, 3}. A second set runs at `--grid-m 64`: check for
 every corpus file and theorem, membership for every class at `--rmax` 0.6,
 0.9 and 0.999 (membership scans the circle |z| = rmax, and some runs exit
-1), and falsify (50 trials, n = 2) for each theorem. A third set
-passes out-of-range and non-finite arguments (--rmax, --alpha, --beta,
---rho, --margin, --n) to every command, so that each argument error the CLI
-can print is covered. Each line is the argv, the exit code and the sha256
-of stdout + stderr. Inputs are named relative to the repo root, so the
-output does not depend on where the checkout lives. Compare two trees with
+1), and falsify (50 trials, n = 2) for each theorem. A third set runs
+falsify (50 trials, n = 2, the second parameter set) for each theorem at
+--seed 1, 2^32 and 2^70 + 1, seeds of one, two and three 32-bit words, and
+at --tail-len 0, 1 and 40. A fourth set passes out-of-range and non-finite
+arguments (--rmax, --alpha, --beta, --rho, --margin, --n) to every command,
+so that each argument error the CLI can print is covered. Each line is the
+argv, the exit code and the sha256 of stdout + stderr. Inputs are named
+relative to the repo root, so the output does not depend on where the
+checkout lives. Compare two trees with
 `python3 tools/report_digest.py > a.txt` in each and `diff`.
 
 To see why a line changed, dump the runs in each tree and compare the dumps:
@@ -76,6 +79,10 @@ def runs():
                 yield ["membership", "--class", cls, "--alpha", "0.5", "--rmax", rmax, "--input", name] + coarse
     for thm in THEOREMS:
         yield ["falsify", "--n", "2", "--trials", "50"] + theorem_args(thm, *PARAMS[0]) + coarse
+    for stream in (["--seed", "1"], ["--seed", str(2**32)], ["--seed", str(2**70 + 1)],
+                   ["--tail-len", "0"], ["--tail-len", "1"], ["--tail-len", "40"]):
+        for thm in THEOREMS:
+            yield ["falsify", "--n", "2", "--trials", "50"] + theorem_args(thm, *PARAMS[1]) + stream
     yield from bad_argument_runs("tests/corpus/halfdisk.json")
 
 
