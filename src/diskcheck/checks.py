@@ -213,13 +213,18 @@ class CheckReport:
     witness: complex | None
 
 
-def _decide(hyp_ok: bool, concl_lower, bound: float) -> VerdictState:
-    """check's verdict state; concl_lower None leaves the conclusion unknown."""
-    if concl_lower is None or not hyp_ok:
-        return VerdictState.INCONCLUSIVE
-    if concl_lower < bound:
-        return VerdictState.HOLDS
-    return VerdictState.FAILS
+#: Verdict states by their code in _decide's arrays: a decided row's code is
+#: its Fails flag.
+_STATES = (VerdictState.HOLDS, VerdictState.FAILS, VerdictState.INCONCLUSIVE)
+_FAILS, _INCONCLUSIVE = 1, 2
+
+
+def _decide(hyp_ok, lower, bound: float) -> np.ndarray:
+    """check's verdict state codes (indices into _STATES) for rows with a
+    certified hypothesis where hyp_ok and conclusion grid maximum lower, nan
+    where the conclusion is unknown: Inconclusive for either failure, else
+    Holds when lower < bound and Fails when not."""
+    return np.where(hyp_ok & ~np.isnan(lower), lower >= bound, _INCONCLUSIVE)
 
 
 #: Guard polynomial g of each guarded quotient: its nonvanishing needs sup |g| < 1.
@@ -294,17 +299,18 @@ def _pairs(values, points):
 def _conclusion_rows(conclusion, a: np.ndarray, bound: float, r_max: float, spec: GridSpec):
     """check's conclusion scan of every row a[i] of series coefficients: the
     coefficient rows of a polynomial conclusion, which check certifies from
-    above, or None for a quotient, and one (lower, z) pair a row, the grid
-    maximum and its point. A polynomial conclusion gets the _sup_rows value.
-    A quotient q, bounded as |q - center| < bound, gets the _quotient_rows
-    value of that modulus, None for a failed guard or a singular point.
+    above, or None for a quotient, then two row arrays, the grid maximum and
+    its point. A polynomial conclusion gets the _sup_rows value, inf where
+    that is nan (a non-finite grid, which check rejects). A quotient q,
+    bounded as |q - center| < bound, gets the _quotient_rows value of that
+    modulus, nan for a failed guard or a singular point.
     """
     if isinstance(conclusion, Functional):
         c = _polynomial_coeffs(conclusion, a, 0j)
         lower, j = _sup_rows(c, r_max, spec)
-        return c, list(zip(lower.tolist(), (r_max * _unit_circle(spec.m)[j]).tolist()))
+        return c, np.where(np.isnan(lower), np.inf, lower), r_max * _unit_circle(spec.m)[j]
     center = bound if conclusion is _Quotient.RECIPROCAL else 1.0
-    return None, _pairs(*_quotient_rows(conclusion, a, r_max, spec, lambda q: abs(q - center)))
+    return None, *_quotient_rows(conclusion, a, r_max, spec, lambda q: abs(q - center))
 
 
 def check(
@@ -335,7 +341,9 @@ def check(
     hyp_fun, _, conclusion = _RULES[theorem]
     a = f.body.coeffs[None]
     hyp = _sup_bracket(_polynomial_coeffs(hyp_fun, a, complex(params.beta)), r_max, spec)
-    poly, [(lower, z)] = _conclusion_rows(conclusion, a, bound, r_max, spec)
+    poly, lowers, points = _conclusion_rows(conclusion, a, bound, r_max, spec)
+    state = _STATES[_decide(hyp.upper < thr, lowers, bound)[0]]
+    [(lower, z)] = _pairs(lowers, points)
     concl = margin = None
     if lower is not None:
         margin = bound - lower
@@ -343,7 +351,6 @@ def check(
             concl = SupBracket(lower, math.inf, r_max, BracketKind.GRID_ONLY)
         else:
             concl = SupBracket(lower, float(_sup_upper(poly, r_max, [lower], spec)[0]), r_max, BracketKind.CERTIFIED)
-    state = _decide(hyp.upper < thr, lower, bound)
     # a Fails shows its violating point, an unknown conclusion its singular point
     witness = z if lower is None or state is VerdictState.FAILS else None
     verdict = Verdict(state=state, hypothesis_margin=thr - hyp.upper, conclusion_margin=margin, witness=witness)
@@ -362,20 +369,20 @@ def check(
 
 
 def _check_rows(theorem: Theorem, a: np.ndarray, params: Params, thr: float, spec: GridSpec, r_max: float):
-    """check's verdict state and conclusion margin for the functions with
-    series coefficient rows a: one pair a row, by check's rules, against the
-    hypothesis threshold thr (threshold's value for the rows' class index,
-    which validates the parameters). The hypothesis is certified by _below,
-    which decides as check's bracket does without a grid when the coefficient
-    sum leaves room. The conclusion needs no upper bound: a row whose lower
-    bound is not below the bound, a non-finite one included, is a Fails,
-    which check re-decides and where an overflow raises."""
+    """check's verdict state codes (indices into _STATES) and conclusion
+    margins for the functions with series coefficient rows a, as two row
+    arrays by check's rules, with margin nan where check's is None, against
+    the hypothesis threshold thr (threshold's value for the rows' class
+    index, which validates the parameters). The hypothesis is certified by
+    _below, which decides as check's bracket does without a grid when the
+    coefficient sum leaves room. The conclusion needs no upper bound: a row
+    whose lower bound is not below the bound, a non-finite one included, is
+    a Fails, which check re-decides and where an overflow raises."""
     bound = _conclusion_bound(theorem, params)
     hyp_fun, _, conclusion = _RULES[theorem]
-    hyp_ok = _below(_polynomial_coeffs(hyp_fun, a, complex(params.beta)), r_max, thr, spec).tolist()
-    _, pairs = _conclusion_rows(conclusion, a, bound, r_max, spec)
-    return [(_decide(ok, lower, bound), None if lower is None else bound - lower)
-            for ok, (lower, _) in zip(hyp_ok, pairs)]
+    hyp_ok = _below(_polynomial_coeffs(hyp_fun, a, complex(params.beta)), r_max, thr, spec)
+    _, lower, _ = _conclusion_rows(conclusion, a, bound, r_max, spec)
+    return _decide(hyp_ok, lower, bound), bound - lower
 
 
 class FunctionClass(Enum):

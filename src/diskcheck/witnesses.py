@@ -16,6 +16,7 @@ their sups have closed forms, which anchors the bracket machinery.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -24,7 +25,9 @@ import numpy as np
 
 from .bounds import _MAX_GRID_M, GridSpec, _coeff_sums, coeff_bound
 from .checks import (
+    _FAILS,
     HYPOTHESIS_FUNCTIONAL,
+    _STATES,
     _check_rows,
     CheckReport,
     Params,
@@ -53,9 +56,12 @@ __all__ = [
 
 
 #: Values one falsify block row array may hold: a block holds
-#: max(1, 8192 // max(m, n + 1 + tail_len)) trials, so its grids and its
-#: coefficient rows both stay within 8192 values.
-_BLOCK_POINTS = 8192
+#: max(1, 16384 // max(m, n + 1 + tail_len)) trials, so its grids and its
+#: coefficient rows both stay within 16384 values, and _tail_boxes's
+#: 128-bit draw arithmetic works on at most 16384 values an array. Once
+#: no step is per trial, a block's fixed cost is its numpy calls, so fewer,
+#: larger blocks are faster; 32768 would break the memory bound of long tails.
+_BLOCK_POINTS = 16384
 #: Most trials one falsify call may run.
 _MAX_TRIALS = 10**6
 
@@ -211,9 +217,10 @@ def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 def _stream_states(seed: int, trials: range) -> np.ndarray:
     """The PCG64 states that default_rng([seed, t]) starts from, for every t
-    of trials, as a (len(trials), 4) uint64 array of the 128-bit state and
-    increment, high word first: numpy's SeedSequence and pcg64_set_seed
-    replayed on uint32 and uint64 arrays, one trial a column.
+    of trials, as a (2, 2, len(trials)) uint64 array: the high words of the
+    128-bit state and increment, then their low words. numpy's SeedSequence
+    and pcg64_set_seed are replayed on uint32 and uint64 arrays, one trial a
+    column.
 
     The entropy is the seed's little-endian 32-bit words (at least one) and
     then the trial, one word since trials stay below _MAX_TRIALS < 2^32. It is
@@ -240,17 +247,79 @@ def _stream_states(seed: int, trials: range) -> np.ndarray:
     seed_hi, seed_lo, seq_hi, seq_lo = out[0::2] | out[1::2] << 32
     inc_hi = seq_hi << 1 | seq_lo >> 63
     inc_lo = seq_lo << 1 | 1
-    s_lo = inc_lo + seed_lo
-    s_hi = inc_hi + seed_hi + (s_lo < inc_lo)
-    # s * MULT mod 2^128, with the high word of s_lo * MULT_LO from 32-bit limbs
-    low, high = s_lo & 0xFFFFFFFF, s_lo >> 32
-    m_low, m_high = _PCG_MULT_LO & 0xFFFFFFFF, _PCG_MULT_LO >> 32
-    cross = high * m_low
-    mid = (low * m_low >> 32) + (cross & 0xFFFFFFFF) + (low * m_high & 0xFFFFFFFF)
-    mul_hi = high * m_high + (cross >> 32) + (low * m_high >> 32) + (mid >> 32)
-    state_lo = s_lo * _PCG_MULT_LO + inc_lo
-    state_hi = mul_hi + s_lo * _PCG_MULT_HI + s_hi * _PCG_MULT_LO + inc_hi + (state_lo < inc_lo)
-    return np.stack([state_hi, state_lo, inc_hi, inc_lo], axis=-1)
+    s_hi, s_lo = _add128(inc_hi, inc_lo, seed_hi, seed_lo)
+    state_hi, state_lo = _add128(*_mul128(s_hi, s_lo, _PCG_MULT_HI, _PCG_MULT_LO), inc_hi, inc_lo)
+    return np.array([[state_hi, inc_hi], [state_lo, inc_lo]])
+
+
+def _mul128(x_hi, x_lo, y_hi, y_lo):
+    """x * y mod 2^128, elementwise, for 128-bit numbers held as uint64 high
+    and low words (arrays, or Python ints below 2^64 beside an array): the
+    high word of x_lo * y_lo comes from 32-bit limb products, whose partial
+    sums stay below 2^64."""
+    x0, x1 = x_lo & 0xFFFFFFFF, x_lo >> 32
+    y0, y1 = y_lo & 0xFFFFFFFF, y_lo >> 32
+    low = x0 * y0
+    mid = x1 * y0 + (low >> 32)
+    cross = x0 * y1 + (mid & 0xFFFFFFFF)
+    hi = x1 * y1 + (mid >> 32) + (cross >> 32) + x_lo * y_hi + x_hi * y_lo
+    return hi, x_lo * y_lo
+
+
+def _add128(x_hi, x_lo, y_hi, y_lo):
+    """x + y mod 2^128, elementwise, in the words of _mul128."""
+    lo = x_lo + y_lo
+    return x_hi + y_hi + (lo < y_lo), lo
+
+
+@functools.cache
+def _jump_table() -> np.ndarray:
+    """PCG64's k-step jumps for k = 1 .. _BLOCK_POINTS // 2, the widest draw
+    window of _uniforms, as a (2, 2, k) uint64 array of high then low words
+    (so _BLOCK_POINTS values a word): [:, 0, k - 1] holds
+    A_k = MULT^k and [:, 1, k - 1] holds S_k = sum_{j<k} MULT^j mod 2^128, so
+    that k steps take a state s with increment inc to A_k s + S_k inc
+    (O'Neill, "PCG: a family of simple fast space-efficient statistically
+    good algorithms for random number generation", HMC-CS-2014-0905). Built
+    by doubling, with A_{h+k} = A_h A_k and S_{h+k} = A_h S_k + S_h; one
+    read-only table, built once, serves every draw count."""
+    hi, lo = np.array([[[_PCG_MULT_HI], [0]], [[_PCG_MULT_LO], [1]]], dtype=np.uint64)
+    while hi.shape[1] < _BLOCK_POINTS // 2:
+        jump_hi, jump_lo = _mul128(hi[:1, -1:], lo[:1, -1:], hi, lo)
+        jump_hi[1], jump_lo[1] = _add128(jump_hi[1], jump_lo[1], hi[1, -1:], lo[1, -1:])
+        hi, lo = np.concatenate([hi, jump_hi], axis=1), np.concatenate([lo, jump_lo], axis=1)
+    table = np.array([hi, lo])
+    table.setflags(write=False)
+    return table
+
+
+def _uniforms(states: np.ndarray, draws: int) -> np.ndarray:
+    """The first draws values of uniform(-1.0, 1.0) from each PCG64 stream of
+    a _stream_states array, as a (trials, draws) array.
+
+    Draw k (from 1) of a stream with start state s and increment inc outputs
+    XSL-RR of its state after k steps, A_k s + S_k inc mod 2^128 from
+    _jump_table (the high word xor the low word, rotated right by the top 6
+    bits of the high word), and numpy's uniform maps an output u to
+    -1 + 2 (u >> 11) 2^-53. Both products of a draw come from one _mul128
+    call. The draws are taken in windows of at most
+    max(1, _BLOCK_POINTS // (2 trials)) columns, each jumping on from the last
+    state of the one before, so each array of that arithmetic holds at most
+    _BLOCK_POINTS values once a window has a column per trial.
+    """
+    table = _jump_table()
+    trials = states.shape[-1]
+    width = max(1, min(draws, _BLOCK_POINTS // (2 * trials)))
+    start_hi, start_lo = states[..., None]
+    out = np.empty((trials, draws))
+    for first in range(0, draws, width):
+        jump_hi, jump_lo = table[:, :, None, : min(width, draws - first)]
+        hi, lo = _mul128(jump_hi, jump_lo, start_hi, start_lo)
+        hi, lo = _add128(hi[0], lo[0], hi[1], lo[1])
+        value, rot = hi ^ lo, hi >> 58
+        out[:, first : first + width] = ((value >> rot | value << (64 - rot & 63)) >> 11) * 2.0**-52 - 1.0
+        start_hi, start_lo = np.array([hi[:, -1:], start_hi[1]]), np.array([lo[:, -1:], start_lo[1]])
+    return out
 
 
 def _tail_boxes(seed: int, trials: range, tail_len: int, rows: int):
@@ -258,26 +327,18 @@ def _tail_boxes(seed: int, trials: range, tail_len: int, rows: int):
     last block), the (rows, tail_len, 2) array of the first draws
     default_rng([seed, t]).uniform(-1.0, 1.0, size=(tail_len, 2)).
 
-    The streams' start states come from _stream_states, for at most
-    _BLOCK_POINTS trials at a time; the draws are numpy's own, by one
-    Generator whose PCG64 is set to each trial's state in turn.
+    No generator is built: trials are taken in groups of whole blocks whose
+    2 tail_len draws a trial fit _BLOCK_POINTS values (one block when they
+    do not). A group's stream start states come from _stream_states, and
+    its draws from _uniforms, which jumps each stream ahead on arrays, so
+    the draws are numpy's own values bit for bit.
     """
-    gen = np.random.default_rng(0)
-    chunk = rows * max(1, _BLOCK_POINTS // rows)
-    for begin in range(0, len(trials), chunk):
-        states = _stream_states(seed, trials[begin : begin + chunk])
-        for first in range(0, len(states), rows):
-            block = states[first : first + rows].tolist()
-            box = np.empty((len(block), tail_len, 2))
-            for i, (state_hi, state_lo, inc_hi, inc_lo) in enumerate(block):
-                gen.bit_generator.state = {
-                    "bit_generator": "PCG64",
-                    "state": {"state": state_hi << 64 | state_lo, "inc": inc_hi << 64 | inc_lo},
-                    "has_uint32": 0,
-                    "uinteger": 0,
-                }
-                box[i] = gen.uniform(-1.0, 1.0, size=(tail_len, 2))
-            yield box
+    group = rows * max(1, _BLOCK_POINTS // (rows * max(1, 2 * tail_len)))
+    for begin in range(0, len(trials), group):
+        draws = _uniforms(_stream_states(seed, trials[begin : begin + group]), 2 * tail_len)
+        for first in range(0, len(draws), rows):
+            block = draws[first : first + rows]
+            yield block.reshape(len(block), tail_len, 2)
 
 
 @dataclass(frozen=True)
@@ -315,48 +376,53 @@ def falsify(
 
     Trial t draws from default_rng([seed, t]), so summaries are reproducible,
     trials could run in any order, and sample_satisfying with that generator
-    rebuilds any one trial. The streams' start states are computed together,
-    at most 8192 trials at a time, and the draws are numpy's own. Trials are
-    decided in blocks of max(1, 8192 // max(m, n + 1 + tail_len)) rows: the
-    block's tails are rescaled together as sample_satisfying rescales one,
-    and every row is decided by check's own row-wise rules, whatever its
-    verdict, so the summary is the one a sample_satisfying + check loop
-    gives. A block's grids and coefficient rows then hold at most 8192 values
-    an array (one row when a single row is larger), so memory stays bounded
-    whatever m, tail_len and the trial count. Only a Fails row goes through
-    check itself: it is re-verified at 16x grid density (at most the grid
-    cap) before being reported, to exclude grid artifacts. Zero fails is the
-    expected outcome for a sound checker.
+    rebuilds any one trial. The draws are numpy's own values, computed on
+    arrays: the streams' start states by replaying numpy's seeding, and draw
+    k of each stream by PCG64's k-step jump (_tail_boxes). Trials are decided
+    in blocks of max(1, 16384 // max(m, n + 1 + tail_len)) rows, 32 at the
+    defaults: the block's tails are rescaled together as sample_satisfying
+    rescales one, and every row gets check's verdict state and conclusion
+    margin from check's own row-wise rules, whatever its verdict, so the
+    summary is the one a sample_satisfying + check loop gives. The counts
+    and the smallest margin are taken from those arrays. A block's grids and
+    coefficient rows hold at most 16384 values an array (one row when a
+    single row is larger), so memory stays bounded whatever m, tail_len and
+    the trial count. Only a Fails row goes through check itself: it is
+    re-verified at 16x grid density (at most the grid cap) before being
+    reported, to exclude grid artifacts. Zero fails is the expected outcome
+    for a sound checker.
     """
+    thr = threshold(theorem, params, n)
     spec = spec if spec is not None else GridSpec(m=512)
     dense = GridSpec(m=min(16 * spec.m, _MAX_GRID_M))
     rows = max(1, _BLOCK_POINTS // max(spec.m, n + 1 + cfg.tail_len))
-    thr = threshold(theorem, params, n)
-    counts = {VerdictState.HOLDS: 0, VerdictState.FAILS: 0, VerdictState.INCONCLUSIVE: 0}
-    min_margin: float | None = None
+    counts = np.zeros(len(_STATES), dtype=np.int64)
+    min_margin = math.nan
     counterexamples: list[dict] = []
     boxes = _tail_boxes(cfg.seed, range(cfg.trials), cfg.tail_len, rows)
     for start, box in zip(range(0, cfg.trials, rows), boxes):
         a = _sample_rows(theorem, n, params, cfg.margin * thr, box)
-        for i, (state, margin) in enumerate(_check_rows(theorem, a, params, thr, spec, cfg.r_max)):
-            if state is VerdictState.FAILS:
-                f = SeriesA(n, PolySeries(a[i]))
-                report = check(theorem, f, params, dense, cfg.r_max)
-                state, margin = report.verdict.state, report.verdict.conclusion_margin
-                if state is VerdictState.FAILS:
-                    counterexamples.append(_counterexample_record(start + i, f, report))
-            counts[state] += 1
-            if margin is not None and (min_margin is None or margin < min_margin):
-                min_margin = margin
+        states, margins = _check_rows(theorem, a, params, thr, spec, cfg.r_max)
+        for i in np.flatnonzero(states == _FAILS).tolist():
+            f = SeriesA(n, PolySeries(a[i]))
+            report = check(theorem, f, params, dense, cfg.r_max)
+            states[i] = _STATES.index(report.verdict.state)
+            margin = report.verdict.conclusion_margin
+            margins[i] = math.nan if margin is None else margin
+            if report.verdict.state is VerdictState.FAILS:
+                counterexamples.append(_counterexample_record(start + i, f, report))
+        counts += np.bincount(states, minlength=len(_STATES))
+        min_margin = np.fmin(min_margin, np.fmin.reduce(margins))
+    holds, fails, inconclusive = counts.tolist()
     return FalsifySummary(
         theorem=theorem,
         n=n,
         params=params,
         config=cfg,
-        holds=counts[VerdictState.HOLDS],
-        inconclusive=counts[VerdictState.INCONCLUSIVE],
-        fails=counts[VerdictState.FAILS],
-        min_conclusion_margin=min_margin,
+        holds=holds,
+        inconclusive=inconclusive,
+        fails=fails,
+        min_conclusion_margin=None if math.isnan(min_margin) else float(min_margin),
         counterexamples=tuple(counterexamples),
     )
 

@@ -36,7 +36,7 @@ from diskcheck import (
     witness_closed_forms,
 )
 from diskcheck.bounds import _circle_rows
-from diskcheck.checks import _check_rows, _decide
+from diskcheck.checks import _STATES, _check_rows, _decide
 
 from conftest import small_tail_series
 
@@ -196,14 +196,26 @@ def test_non_number_arguments_raise_the_site_error():
         assert str(info.value) == message
 
 
+def decide(hyp_ok, lower, bound):
+    """_decide's state for one row; lower None leaves the conclusion unknown."""
+    [code] = _decide(np.array([hyp_ok]), np.array([np.nan if lower is None else lower]), bound)
+    return _STATES[code]
+
+
 class TestDecide:
+    def test_rows_are_decided_together(self):
+        # one call decides every row by the rules the one-row cases below pin
+        codes = _decide(np.array([True, False, True, True]), np.array([np.nan, 0.1, 0.4, 0.6]), 0.5)
+        assert [_STATES[c] for c in codes] == [
+            VerdictState.INCONCLUSIVE, VerdictState.INCONCLUSIVE, VerdictState.HOLDS, VerdictState.FAILS]
+
     def test_singular_point_wins(self):
         # an unknown conclusion (check passes the singular point as its witness)
         # beats a certified hypothesis
-        assert _decide(True, None, 1.0) is VerdictState.INCONCLUSIVE
+        assert decide(True, None, 1.0) is VerdictState.INCONCLUSIVE
 
     def test_unproven_hypothesis_is_inconclusive(self):
-        assert _decide(False, 0.1, 1.0) is VerdictState.INCONCLUSIVE
+        assert decide(False, 0.1, 1.0) is VerdictState.INCONCLUSIVE
 
     def test_failed_guard_is_inconclusive(self):
         # check leaves the conclusion bracket None when the nonvanishing guard fails
@@ -220,13 +232,13 @@ class TestDecide:
             assert rep.verdict.state is VerdictState.INCONCLUSIVE
 
     def test_missing_conclusion_is_inconclusive(self):
-        assert _decide(True, None, 1.0) is VerdictState.INCONCLUSIVE
+        assert decide(True, None, 1.0) is VerdictState.INCONCLUSIVE
 
     def test_holds(self):
-        assert _decide(True, 0.4, 0.5) is VerdictState.HOLDS
+        assert decide(True, 0.4, 0.5) is VerdictState.HOLDS
 
     def test_fails_carries_witness(self, monkeypatch):
-        assert _decide(True, 0.6, 0.5) is VerdictState.FAILS
+        assert decide(True, 0.6, 0.5) is VerdictState.FAILS
         # check reports the point of the violating conclusion value: with the
         # bound lowered, f' - 1 = 0.2 z of z + 0.1 z^2 fails at its circle maximum
         monkeypatch.setattr("diskcheck.checks._conclusion_bound", lambda theorem, params: 1e-3)
@@ -340,7 +352,7 @@ def test_conclusion_lower_is_the_grid_maximum(rng):
         top = np.abs(_circle_rows(p.coeffs[None], r, spec.m)).max()
         lem11 = check(Theorem.LEM11, f, Params(rho=0.5), spec)
         assert lem11.concl.lower == top
-        assert _check_rows(Theorem.LEM11, a, Params(rho=0.5), lem11.hyp_threshold, spec, r)[0][1] == 0.5 - top
+        assert _check_rows(Theorem.LEM11, a, Params(rho=0.5), lem11.hyp_threshold, spec, r)[1][0] == 0.5 - top
         assert top == pytest.approx(circle_max(p.eval, r, grid), rel=1e-12)
         assert top <= circle_max(p.eval, r, spec)
 
@@ -349,7 +361,7 @@ def test_conclusion_lower_is_the_grid_maximum(rng):
         top = np.abs(values - 1.0).max()
         thm1 = check(Theorem.THM1, f, Params(alpha=0.25), spec)
         assert thm1.concl.lower == top
-        assert _check_rows(Theorem.THM1, a, Params(alpha=0.25), thm1.hyp_threshold, spec, r)[0][1] == 0.75 - top
+        assert _check_rows(Theorem.THM1, a, Params(alpha=0.25), thm1.hyp_threshold, spec, r)[1][0] == 0.75 - top
         assert top == pytest.approx(circle_max(quotient, r, grid), rel=1e-12)
         assert top < circle_max(quotient, r, spec)
 
@@ -369,8 +381,9 @@ def test_denominator_floor_gives_the_singular_point(offset):
     assert rep.witness == pytest.approx(r * cmath.exp(1j * pole), abs=1e-15)
     star = membership(FunctionClass.STARLIKE, f, 0.25, spec, r)
     assert star.state is VerdictState.INCONCLUSIVE and star.witness == rep.witness
-    assert _check_rows(Theorem.THM1, f.body.coeffs[None], Params(alpha=0.25), rep.hyp_threshold, spec, r) == [
-        (VerdictState.INCONCLUSIVE, None)]
+    states, margins = _check_rows(Theorem.THM1, f.body.coeffs[None], Params(alpha=0.25), rep.hyp_threshold, spec, r)
+    assert [_STATES[c] for c in states] == [VerdictState.INCONCLUSIVE]
+    assert np.isnan(margins).all() and len(margins) == 1
 
 
 def test_refine_depth_only_moves_circle_max(rng):

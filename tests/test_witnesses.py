@@ -33,7 +33,7 @@ from diskcheck import (
     witness_closed_forms,
 )
 from diskcheck.bounds import _below
-from diskcheck.checks import HYPOTHESIS_FUNCTIONAL, _check_rows
+from diskcheck.checks import _STATES, HYPOTHESIS_FUNCTIONAL, _check_rows
 from diskcheck.funcspec import function_to_dict
 from diskcheck.functionals import _polynomial_coeffs, as_polynomial
 from diskcheck.series import _tail_coeffs
@@ -258,6 +258,13 @@ class TestFalsify:
         assert falsify(theorem, 1, Params(alpha=0.25), small, spec) == per_trial_falsify(
             theorem, 1, Params(alpha=0.25), small, spec)
 
+    @pytest.mark.parametrize("n", ["x", None, 0, 1.5])
+    def test_bad_class_index_names_itself(self, n):
+        # n is validated before the block size is computed from it
+        with pytest.raises(ParameterError) as info:
+            falsify(Theorem.THM1, n, Params(), FalsifyConfig(trials=2))
+        assert str(info.value) == "class index n must be a positive integer"
+
     def test_rho_lemma_smoke(self):
         cfg = FalsifyConfig(trials=10, seed=3)
         out = falsify(Theorem.LEM12, 1, Params(rho=0.5), cfg)
@@ -286,6 +293,29 @@ class TestTailStreams:
         trials = range(1_000_000 - 8200, 1_000_000)
         boxes = list(_tail_boxes(2**64 + 3, trials, 1, 3))
         assert np.array_equal(np.concatenate(boxes), default_rng_boxes(2**64 + 3, trials, 1))
+
+    def test_draw_windows_and_groups_join_up(self):
+        # at tail_len 6 and 32 rows a block, a group of 1344 trials gets its
+        # start states together and its 12 draws a trial in two windows of 6
+        # columns; the next group starts at trial 1344 of the range
+        trials = range(10**6 - 1400, 10**6)
+        boxes = list(_tail_boxes(5, trials, 6, 32))
+        assert [len(box) for box in boxes] == [32] * 43 + [24]
+        assert np.array_equal(np.concatenate(boxes), default_rng_boxes(5, trials, 6))
+
+    def test_longest_tails_keep_draw_memory_bounded(self):
+        # at the tail_len cap a trial's 2^17 draws are taken window by window
+        trials, tail_len = range(7, 9), 2**16
+        want = default_rng_boxes(2**64 + 3, trials, tail_len)
+        tracemalloc.start()
+        try:
+            boxes = _tail_boxes(2**64 + 3, trials, tail_len, 1)
+            same = [np.array_equal(box, want[i : i + 1]) for i, box in enumerate(boxes)]
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert same == [True, True]
+        assert peak < 4 * 2**20
 
 
 def per_trial_falsify(theorem, n, params, cfg, spec):
@@ -331,7 +361,7 @@ def _params(theorem, alpha, beta):
     return Params(alpha=alpha, beta=beta)
 
 
-#: (grid, trials): 16 rows a block for m = 512, one row for m = 8192, and a
+#: (grid, trials): 32 rows a block for m = 512, two rows for m = 8192, and a
 #: single partial block for m = 16; no trial count is a multiple of its rows.
 ORACLE_GRIDS = (
     (GridSpec(m=16, refine_depth=0), 40),
@@ -391,9 +421,11 @@ class TestFalsifyOracle:
 
         def verdicts(theorem, tails):
             thr = diskcheck.checks.threshold(theorem, params, 1)
-            rows = _check_rows(theorem, _tail_coeffs(1, np.array(tails, dtype=complex)), params, thr, spec, r_max)
+            states, margins = _check_rows(
+                theorem, _tail_coeffs(1, np.array(tails, dtype=complex)), params, thr, spec, r_max)
             reports = [check(theorem, SeriesA.from_tail(1, t), params, spec, r_max) for t in tails]
-            assert rows == [(rep.verdict.state, rep.verdict.conclusion_margin) for rep in reports]
+            assert [(_STATES[s], None if m != m else m) for s, m in zip(states, margins.tolist())] == [
+                (rep.verdict.state, rep.verdict.conclusion_margin) for rep in reports]
             return reports
 
         thr = threshold(Theorem.THM2, params, 1)
