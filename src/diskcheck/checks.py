@@ -213,10 +213,11 @@ class CheckReport:
     witness: complex | None
 
 
-#: Verdict states by their code in _decide's arrays: a decided row's code is
-#: its Fails flag.
+#: Verdict states by their code in _decide's arrays, and the codes by state:
+#: a decided row's code is its Fails flag, so Holds and Fails come first.
 _STATES = (VerdictState.HOLDS, VerdictState.FAILS, VerdictState.INCONCLUSIVE)
-_FAILS, _INCONCLUSIVE = 1, 2
+_STATE_CODES = {state: code for code, state in enumerate(_STATES)}
+_FAILS, _INCONCLUSIVE = _STATE_CODES[VerdictState.FAILS], _STATE_CODES[VerdictState.INCONCLUSIVE]
 
 
 def _decide(hyp_ok, lower, bound: float) -> np.ndarray:

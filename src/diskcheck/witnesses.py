@@ -27,6 +27,7 @@ from .bounds import _MAX_GRID_M, GridSpec, _coeff_sums, coeff_bound
 from .checks import (
     _FAILS,
     HYPOTHESIS_FUNCTIONAL,
+    _STATE_CODES,
     _STATES,
     _check_rows,
     CheckReport,
@@ -57,13 +58,19 @@ __all__ = [
 
 #: Values one falsify block row array may hold: a block holds
 #: max(1, 16384 // max(m, n + 1 + tail_len)) trials, so its grids and its
-#: coefficient rows both stay within 16384 values, and _tail_boxes's
-#: 128-bit draw arithmetic works on at most 16384 values an array. Once
-#: no step is per trial, a block's fixed cost is its numpy calls, so fewer,
-#: larger blocks are faster; 32768 would break the memory bound of long tails.
+#: coefficient rows both stay within 16384 values, and _uniforms's 128-bit
+#: draw arithmetic works on at most 16384 values an array. Once no step is
+#: per trial, a block's fixed cost is its numpy calls, so fewer, larger
+#: blocks are faster; 32768 would break the memory bound of long tails.
 _BLOCK_POINTS = 16384
 #: Most trials one falsify call may run.
 _MAX_TRIALS = 10**6
+#: Longest streams, and fewest, that _uniforms draws by jump-ahead arrays.
+#: An array draw costs about 25 numpy passes over 128-bit words, where
+#: numpy's own uniform takes a few ns, and one call about 45 us, where
+#: setting a Generator to a stream takes about 6 us. At 96 draws a stream
+#: (tail_len 48), or at 8 streams, the two ways take about the same time.
+_JUMP_DRAWS, _JUMP_STREAMS = 96, 8
 
 #: numpy's SeedSequence hash constants (random/bit_generator.pyx) and the
 #: PCG64 multiplier (random/src/pcg64/pcg64.h), which _stream_states replays.
@@ -274,17 +281,17 @@ def _add128(x_hi, x_lo, y_hi, y_lo):
 
 @functools.cache
 def _jump_table() -> np.ndarray:
-    """PCG64's k-step jumps for k = 1 .. _BLOCK_POINTS // 2, the widest draw
-    window of _uniforms, as a (2, 2, k) uint64 array of high then low words
-    (so _BLOCK_POINTS values a word): [:, 0, k - 1] holds
-    A_k = MULT^k and [:, 1, k - 1] holds S_k = sum_{j<k} MULT^j mod 2^128, so
-    that k steps take a state s with increment inc to A_k s + S_k inc
-    (O'Neill, "PCG: a family of simple fast space-efficient statistically
-    good algorithms for random number generation", HMC-CS-2014-0905). Built
-    by doubling, with A_{h+k} = A_h A_k and S_{h+k} = A_h S_k + S_h; one
+    """PCG64's k-step jumps for k = 1 up to the first power of two of at
+    least _JUMP_DRAWS, the widest draw window of _uniforms, as a (2, 2, k)
+    uint64 array of high then low words: [:, 0, k - 1] holds A_k = MULT^k
+    and [:, 1, k - 1] holds S_k = sum_{j<k} MULT^j mod 2^128, so that k
+    steps take a state s with increment inc to A_k s + S_k inc (O'Neill,
+    "PCG: a family of simple fast space-efficient statistically good
+    algorithms for random number generation", HMC-CS-2014-0905). Built by
+    doubling, with A_{h+k} = A_h A_k and S_{h+k} = A_h S_k + S_h; one
     read-only table, built once, serves every draw count."""
     hi, lo = np.array([[[_PCG_MULT_HI], [0]], [[_PCG_MULT_LO], [1]]], dtype=np.uint64)
-    while hi.shape[1] < _BLOCK_POINTS // 2:
+    while hi.shape[1] < _JUMP_DRAWS:
         jump_hi, jump_lo = _mul128(hi[:1, -1:], lo[:1, -1:], hi, lo)
         jump_hi[1], jump_lo[1] = _add128(jump_hi[1], jump_lo[1], hi[1, -1:], lo[1, -1:])
         hi, lo = np.concatenate([hi, jump_hi], axis=1), np.concatenate([lo, jump_lo], axis=1)
@@ -297,21 +304,38 @@ def _uniforms(states: np.ndarray, draws: int) -> np.ndarray:
     """The first draws values of uniform(-1.0, 1.0) from each PCG64 stream of
     a _stream_states array, as a (trials, draws) array.
 
-    Draw k (from 1) of a stream with start state s and increment inc outputs
-    XSL-RR of its state after k steps, A_k s + S_k inc mod 2^128 from
-    _jump_table (the high word xor the low word, rotated right by the top 6
-    bits of the high word), and numpy's uniform maps an output u to
+    At least _JUMP_STREAMS streams of at most _JUMP_DRAWS draws are drawn on
+    arrays. Draw k (from 1) of a stream with start state s and increment inc
+    outputs XSL-RR of its state after k steps, A_k s + S_k inc mod 2^128
+    from _jump_table (the high word xor the low word, rotated right by the
+    top 6 bits of the high word), and numpy's uniform maps an output u to
     -1 + 2 (u >> 11) 2^-53. Both products of a draw come from one _mul128
-    call. The draws are taken in windows of at most
-    max(1, _BLOCK_POINTS // (2 trials)) columns, each jumping on from the last
-    state of the one before, so each array of that arithmetic holds at most
-    _BLOCK_POINTS values once a window has a column per trial.
+    call. The draws are taken in windows of
+    max(1, min(draws, _BLOCK_POINTS // (2 trials))) columns, each jumping on
+    from the last state of the one before, so each array of that arithmetic
+    holds at most _BLOCK_POINTS values once a window has a column per trial.
+    Other streams are drawn by numpy's own doubles (u >> 11) 2^-53, written
+    in place by one Generator set to each start state in turn, and then
+    mapped as uniform maps them.
     """
-    table = _jump_table()
     trials = states.shape[-1]
+    out = np.empty((trials, draws))
+    if draws > _JUMP_DRAWS or trials < _JUMP_STREAMS:
+        gen = np.random.default_rng(0)
+        for i, (state_hi, inc_hi, state_lo, inc_lo) in enumerate(states.reshape(4, trials).T.tolist()):
+            gen.bit_generator.state = {
+                "bit_generator": "PCG64",
+                "state": {"state": state_hi << 64 | state_lo, "inc": inc_hi << 64 | inc_lo},
+                "has_uint32": 0,
+                "uinteger": 0,
+            }
+            gen.random(out=out[i])
+        out *= 2.0
+        out -= 1.0
+        return out
+    table = _jump_table()
     width = max(1, min(draws, _BLOCK_POINTS // (2 * trials)))
     start_hi, start_lo = states[..., None]
-    out = np.empty((trials, draws))
     for first in range(0, draws, width):
         jump_hi, jump_lo = table[:, :, None, : min(width, draws - first)]
         hi, lo = _mul128(jump_hi, jump_lo, start_hi, start_lo)
@@ -327,18 +351,22 @@ def _tail_boxes(seed: int, trials: range, tail_len: int, rows: int):
     last block), the (rows, tail_len, 2) array of the first draws
     default_rng([seed, t]).uniform(-1.0, 1.0, size=(tail_len, 2)).
 
-    No generator is built: trials are taken in groups of whole blocks whose
-    2 tail_len draws a trial fit _BLOCK_POINTS values (one block when they
-    do not). A group's stream start states come from _stream_states, and
-    its draws from _uniforms, which jumps each stream ahead on arrays, so
+    No generator is seeded per trial: the streams' start states come from
+    _stream_states, for at most _BLOCK_POINTS trials a call, and their draws
+    from _uniforms, for groups of whole blocks whose 2 tail_len draws a
+    trial fit _BLOCK_POINTS values (one block when they do not, whose draws
+    come to less than twice its rows' n + 1 + tail_len coefficients). So
     the draws are numpy's own values bit for bit.
     """
     group = rows * max(1, _BLOCK_POINTS // (rows * max(1, 2 * tail_len)))
-    for begin in range(0, len(trials), group):
-        draws = _uniforms(_stream_states(seed, trials[begin : begin + group]), 2 * tail_len)
-        for first in range(0, len(draws), rows):
-            block = draws[first : first + rows]
-            yield block.reshape(len(block), tail_len, 2)
+    chunk = group * max(1, _BLOCK_POINTS // group)
+    for begin in range(0, len(trials), chunk):
+        states = _stream_states(seed, trials[begin : begin + chunk])
+        for first in range(0, states.shape[-1], group):
+            draws = _uniforms(states[..., first : first + group], 2 * tail_len)
+            for row in range(0, len(draws), rows):
+                block = draws[row : row + rows]
+                yield block.reshape(len(block), tail_len, 2)
 
 
 @dataclass(frozen=True)
@@ -377,20 +405,21 @@ def falsify(
     Trial t draws from default_rng([seed, t]), so summaries are reproducible,
     trials could run in any order, and sample_satisfying with that generator
     rebuilds any one trial. The draws are numpy's own values, computed on
-    arrays: the streams' start states by replaying numpy's seeding, and draw
-    k of each stream by PCG64's k-step jump (_tail_boxes). Trials are decided
-    in blocks of max(1, 16384 // max(m, n + 1 + tail_len)) rows, 32 at the
-    defaults: the block's tails are rescaled together as sample_satisfying
-    rescales one, and every row gets check's verdict state and conclusion
-    margin from check's own row-wise rules, whatever its verdict, so the
-    summary is the one a sample_satisfying + check loop gives. The counts
-    and the smallest margin are taken from those arrays. A block's grids and
-    coefficient rows hold at most 16384 values an array (one row when a
-    single row is larger), so memory stays bounded whatever m, tail_len and
-    the trial count. Only a Fails row goes through check itself: it is
-    re-verified at 16x grid density (at most the grid cap) before being
-    reported, to exclude grid artifacts. Zero fails is the expected outcome
-    for a sound checker.
+    arrays: the streams' start states by replaying numpy's seeding, and for
+    tails of at most 48 terms and at least 8 trials, draw k of each stream by
+    PCG64's k-step jump (_tail_boxes). Trials are decided in blocks of
+    max(1, 16384 // max(m, n + 1 + tail_len)) rows, 32 at the defaults: the
+    block's tails are rescaled together as sample_satisfying rescales one,
+    and every row gets check's verdict state and conclusion margin from
+    check's own row-wise rules, whatever its verdict, so the summary is the
+    one a sample_satisfying + check loop gives. The counts and the smallest
+    margin are taken from those arrays. A block's grids and coefficient rows
+    hold at most 16384 values an array (one row when a single row is
+    larger), and its draws 2 tail_len values a row, so memory stays bounded
+    whatever m, tail_len and the trial count. Only a Fails row goes through
+    check itself: it is re-verified at 16x grid density (at most the grid
+    cap) before being reported, to exclude grid artifacts. Zero fails is the
+    expected outcome for a sound checker.
     """
     thr = threshold(theorem, params, n)
     spec = spec if spec is not None else GridSpec(m=512)
@@ -406,22 +435,22 @@ def falsify(
         for i in np.flatnonzero(states == _FAILS).tolist():
             f = SeriesA(n, PolySeries(a[i]))
             report = check(theorem, f, params, dense, cfg.r_max)
-            states[i] = _STATES.index(report.verdict.state)
+            states[i] = _STATE_CODES[report.verdict.state]
             margin = report.verdict.conclusion_margin
             margins[i] = math.nan if margin is None else margin
             if report.verdict.state is VerdictState.FAILS:
                 counterexamples.append(_counterexample_record(start + i, f, report))
         counts += np.bincount(states, minlength=len(_STATES))
         min_margin = np.fmin(min_margin, np.fmin.reduce(margins))
-    holds, fails, inconclusive = counts.tolist()
+    tally = dict(zip(_STATES, counts.tolist()))
     return FalsifySummary(
         theorem=theorem,
         n=n,
         params=params,
         config=cfg,
-        holds=holds,
-        inconclusive=inconclusive,
-        fails=fails,
+        holds=tally[VerdictState.HOLDS],
+        inconclusive=tally[VerdictState.INCONCLUSIVE],
+        fails=tally[VerdictState.FAILS],
         min_conclusion_margin=None if math.isnan(min_margin) else float(min_margin),
         counterexamples=tuple(counterexamples),
     )

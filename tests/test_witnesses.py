@@ -242,8 +242,8 @@ class TestFalsify:
 
     @pytest.mark.parametrize("theorem", [Theorem.THM1, Theorem.THM2])
     def test_long_tails_keep_memory_bounded(self, theorem):
-        # a block's coefficient rows count against its 8192 values, as its
-        # grids do: at m = 16 a 4096-term tail gives two rows a block, not 512
+        # a block's coefficient rows count against its 16384 values, as its
+        # grids do: at m = 16 a 4096-term tail gives 3 rows a block, not 1024
         cfg = FalsifyConfig(trials=128, seed=4, tail_len=4096)
         spec = GridSpec(m=16)
         tracemalloc.start()
@@ -289,22 +289,31 @@ class TestTailStreams:
             assert np.array_equal(np.concatenate(boxes), default_rng_boxes(seed, trials, tail_len))
 
     def test_boxes_cross_the_state_chunk_edge(self):
-        # with 3 rows a block, stream states are computed 8190 trials at a time
+        # with 3 rows a block, the draws are taken 8190 trials at a time
         trials = range(1_000_000 - 8200, 1_000_000)
         boxes = list(_tail_boxes(2**64 + 3, trials, 1, 3))
         assert np.array_equal(np.concatenate(boxes), default_rng_boxes(2**64 + 3, trials, 1))
 
-    def test_draw_windows_and_groups_join_up(self):
+    def test_draw_windows_groups_and_state_chunks_join_up(self):
         # at tail_len 6 and 32 rows a block, a group of 1344 trials gets its
-        # start states together and its 12 draws a trial in two windows of 6
-        # columns; the next group starts at trial 1344 of the range
-        trials = range(10**6 - 1400, 10**6)
+        # 12 draws a trial in two windows of 6 columns, and 12 groups, 16128
+        # trials, get their start states together; the next group and the
+        # next chunk start at trials 1344 and 16128 of the range
+        trials = range(10**6 - 16200, 10**6)
         boxes = list(_tail_boxes(5, trials, 6, 32))
-        assert [len(box) for box in boxes] == [32] * 43 + [24]
+        assert [len(box) for box in boxes] == [32] * 506 + [8]
         assert np.array_equal(np.concatenate(boxes), default_rng_boxes(5, trials, 6))
 
+    @pytest.mark.parametrize("tail_len, count", [(48, 40), (49, 40), (6, 8), (6, 7)])
+    def test_jump_and_generator_draws_meet(self, tail_len, count):
+        # at least 8 streams of at most 96 draws are drawn by jump-ahead;
+        # 98 draws a stream, or 7 streams, by a Generator set to each stream
+        trials = range(10**6 - count, 10**6)
+        boxes = list(_tail_boxes(2**64 + 3, trials, tail_len, 7))
+        assert np.array_equal(np.concatenate(boxes), default_rng_boxes(2**64 + 3, trials, tail_len))
+
     def test_longest_tails_keep_draw_memory_bounded(self):
-        # at the tail_len cap a trial's 2^17 draws are taken window by window
+        # at the tail_len cap a block's draws are one trial's 2^17 values
         trials, tail_len = range(7, 9), 2**16
         want = default_rng_boxes(2**64 + 3, trials, tail_len)
         tracemalloc.start()
@@ -386,7 +395,7 @@ class TestFalsifyOracle:
 
     @pytest.mark.parametrize("tail_len", [0, 1])
     def test_multiword_seed_and_short_tails(self, tail_len):
-        # a seed of three 32-bit words, and 37 trials at 16 rows a block
+        # a seed of three 32-bit words, and 37 trials at 32 rows a block
         spec = GridSpec(m=512, refine_depth=2)
         cfg = FalsifyConfig(trials=37, seed=2**70 + 1, tail_len=tail_len)
         for theorem in (Theorem.THM1, Theorem.THM2, Theorem.LEM12):
