@@ -195,13 +195,17 @@ def _circle_rows(c: np.ndarray, r: float, m: int) -> np.ndarray:
     first) at the m points r e^{2 pi i j / m}, j = 0 .. m-1: shape (rows, m).
 
     The coefficients are scaled by r^k and, when K + 1 > m, folded mod m
-    (z^m = 1 on the grid); the values are then m * ifft along the last axis,
-    one unnormalized inverse FFT (Cooley & Tukey, Math. Comp. 19 (1965)).
+    (z^m = 1 on the grid): the q = (K + 1) // m whole slices of m columns
+    are summed, and the remaining columns added into the first ones. The
+    values are then m * ifft along the last axis, one unnormalized inverse
+    FFT (Cooley & Tukey, Math. Comp. 19 (1965)).
     """
     c = c * np.float64(r) ** np.arange(c.shape[-1])
     if c.shape[-1] > m:
-        c = np.pad(c, ((0, 0), (0, -c.shape[-1] % m)))
-        c = c.reshape(len(c), c.shape[-1] // m, m).sum(axis=1)
+        q = c.shape[-1] // m
+        folded = c[:, : q * m].reshape(len(c), q, m).sum(axis=1)
+        folded[:, : c.shape[-1] - q * m] += c[:, q * m :]
+        c = folded
     return np.fft.ifft(c, n=m, axis=-1, norm="forward")
 
 

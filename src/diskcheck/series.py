@@ -56,12 +56,18 @@ def _derivative_coeffs(c: np.ndarray) -> np.ndarray:
     return c[..., 1:] * np.arange(1, c.shape[-1])
 
 
+def _require_degree(n: int, tail_len: int) -> None:
+    """InputError when the degree n + tail_len of a normalized series exceeds
+    _MAX_DEGREE."""
+    if n + tail_len > _MAX_DEGREE:
+        raise InputError(f"series degree must be at most {_MAX_DEGREE}, got {n + tail_len}")
+
+
 def _tail_coeffs(n: int, tail: np.ndarray) -> np.ndarray:
     """Coefficients of z + tail[..., 0] z^{n+1} + ... for every tail row.
     InputError, before anything is allocated, when the degree n + len(tail)
     exceeds _MAX_DEGREE."""
-    if n + tail.shape[-1] > _MAX_DEGREE:
-        raise InputError(f"series degree must be at most {_MAX_DEGREE}, got {n + tail.shape[-1]}")
+    _require_degree(n, tail.shape[-1])
     coeffs = np.zeros(tail.shape[:-1] + (max(2, n + 1 + tail.shape[-1]),), dtype=np.complex128)
     coeffs[..., 1] = 1.0
     coeffs[..., n + 1 :] = tail

@@ -203,7 +203,8 @@ def _random_rows(rng, rows, size):
     return rng.uniform(-1, 1, size=(rows, size)) + 1j * rng.uniform(-1, 1, size=(rows, size))
 
 
-@pytest.mark.parametrize("rows, K, m", [(1, 8, 16), (1, 2048, 4096), (16, 8, 512), (16, 63, 64), (1, 40, 16), (4, 5000, 4096)])
+@pytest.mark.parametrize("rows, K, m", [(1, 8, 16), (1, 2048, 4096), (16, 8, 512), (16, 63, 64), (1, 40, 16), (4, 5000, 4096),
+                                     (2, 8191, 4096)])
 def test_circle_rows_equal_horner_on_the_grid(rng, rows, K, m):
     # A-priori bound: the FFT of the folded row errs by at most about
     # eta log2(m) sum_k |c_k| r^k a value, eta ~ 6.7 eps (Higham, Accuracy and

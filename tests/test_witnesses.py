@@ -1,6 +1,7 @@
 """Sharp witnesses, the falsifier, and the validity-radius bisection."""
 
 import math
+import threading
 import tracemalloc
 
 import numpy as np
@@ -8,6 +9,7 @@ import pytest
 
 import diskcheck.bounds
 import diskcheck.checks
+import diskcheck.witnesses
 
 from diskcheck import (
     FalsifyConfig,
@@ -493,6 +495,176 @@ class TestFalsifyOracle:
                 want = [poly_sup(PolySeries(row), r_max, spec).upper < bound for row in rows]
                 assert _below(rows, r_max, bound, spec).tolist() == want
                 assert rel < 1.0 or not want[0]
+
+
+def on_workers(patch, workers):
+    """Let falsify split its trials over up to workers threads, whatever the
+    CPUs of the machine the tests run on."""
+    patch.setattr("diskcheck.witnesses._WORKERS", workers)
+    patch.setattr("diskcheck.witnesses._usable_cpus", lambda: 2)
+
+
+def raising(error):
+    """An action that raises error."""
+
+    def action():
+        raise error
+
+    return action
+
+
+def recording_chunks(patch):
+    """Record the trial range, thread and stop event of every falsify chunk."""
+    chunks = []
+    real = diskcheck.witnesses._decide_chunk
+
+    def decide_chunk(*args):
+        chunks.append((args[-2], threading.current_thread(), args[-1]))
+        chunks.sort(key=lambda chunk: chunk[0].start)
+        return real(*args)
+
+    patch.setattr("diskcheck.witnesses._decide_chunk", decide_chunk)
+    return chunks
+
+
+def failing_boxes(fail_at, action):
+    """_tail_boxes that runs action before it yields the block starting at
+    trial fail_at, and the list of the block starts it has yielded."""
+    real = diskcheck.witnesses._tail_boxes
+    yielded = []
+
+    def boxes(seed, trials, tail_len, rows):
+        for start, box in zip(range(trials.start, trials.stop, rows), real(seed, trials, tail_len, rows)):
+            if start == fail_at:
+                action()
+            yielded.append(start)
+            yield box
+
+    return boxes, yielded
+
+
+class TestFalsifyThreads:
+    @pytest.mark.parametrize("theorem", list(Theorem))
+    def test_summary_does_not_depend_on_the_worker_count(self, theorem, monkeypatch):
+        # the m = 512 and m = 8192 grids have two blocks, one a chunk
+        params = _params(theorem, 0.6, -0.5 + 0.5j)
+        for spec, trials in ORACLE_GRIDS:
+            cfg = FalsifyConfig(trials=trials, seed=5, tail_len=6)
+            got = {}
+            for workers in (1, 2):
+                with monkeypatch.context() as patch:
+                    on_workers(patch, workers)
+                    chunks = recording_chunks(patch)
+                    got[workers] = falsify(theorem, 2, params, cfg, spec)
+                rows = 16384 // spec.m
+                want = [range(trials)] if workers == 1 or rows >= trials else [range(rows), range(rows, trials)]
+                assert [chunk[0] for chunk in chunks] == want
+                assert [chunk[1] is threading.current_thread() for chunk in chunks] == [True, False][: len(want)]
+            assert got[1] == got[2]
+
+    @pytest.mark.parametrize("theorem", [Theorem.THM2, Theorem.THM1])
+    def test_counterexamples_of_both_chunks_keep_trial_order(self, theorem, monkeypatch):
+        # with a conclusion bound of 1e-3, Fails rows fall in both chunks of
+        # 70 trials, blocks 0-31 and 32-69
+        monkeypatch.setattr("diskcheck.checks._conclusion_bound", lambda theorem, params: 1e-3)
+        params = Params(alpha=0.25)
+        cfg = FalsifyConfig(trials=70, seed=4)
+        spec = GridSpec(m=512, refine_depth=2)
+        got = {}
+        for workers in (1, 2):
+            with monkeypatch.context() as patch:
+                on_workers(patch, workers)
+                got[workers] = falsify(theorem, 2, params, cfg, spec)
+        assert got[1] == got[2]
+        trials = [c["trial"] for c in got[2].counterexamples]
+        assert trials == sorted(trials) and trials[0] < 32 <= trials[-1]
+        if theorem is Theorem.THM2:
+            assert trials == list(range(70))
+
+    @pytest.mark.parametrize("error", [InputError("injected at trial 96"), FloatingPointError("injected")])
+    def test_error_in_the_second_chunk_is_raised_as_serially(self, error, monkeypatch):
+        # 130 trials are chunks 0-63 and 64-129; the block of trials 96-127
+        # raises after every earlier trial was recorded Fails and re-checked
+        monkeypatch.setattr("diskcheck.checks._conclusion_bound", lambda theorem, params: 1e-3)
+        params = Params(alpha=0.25)
+        cfg = FalsifyConfig(trials=130, seed=4)
+        spec = GridSpec(m=512, refine_depth=2)
+        before = threading.active_count()
+        rechecked = {}
+        for workers in (1, 2):
+            with monkeypatch.context() as patch:
+                on_workers(patch, workers)
+                rechecked[workers] = []
+
+                def recording_check(theorem, f, *args, seen=rechecked[workers]):
+                    seen.append(function_to_dict(f))
+                    return check(theorem, f, *args)
+
+                patch.setattr("diskcheck.witnesses.check", recording_check)
+                patch.setattr("diskcheck.witnesses._tail_boxes", failing_boxes(96, raising(error))[0])
+                with pytest.raises(type(error)) as info:
+                    falsify(Theorem.THM2, 2, params, cfg, spec)
+            assert info.value is error
+            assert threading.active_count() == before
+        assert len(rechecked[1]) == 96
+        assert rechecked[1] == rechecked[2]
+
+    @pytest.mark.parametrize("error", [InputError("injected at trial 0"), KeyboardInterrupt()])
+    def test_error_in_the_first_chunk_stops_the_second(self, error, monkeypatch):
+        # the second chunk, blocks 160-319, waits before its second block
+        # until the first chunk has raised, and so decides at most two blocks
+        cfg = FalsifyConfig(trials=320, seed=4)
+        spec = GridSpec(m=512, refine_depth=2)
+        before = threading.active_count()
+        on_workers(monkeypatch, 2)
+        chunks = recording_chunks(monkeypatch)
+        fail_boxes, _ = failing_boxes(0, raising(error))
+        wait_boxes, yielded = failing_boxes(192, lambda: chunks[0][2].wait(10.0))
+        monkeypatch.setattr("diskcheck.witnesses._tail_boxes", lambda seed, trials, tail_len, rows: (
+            fail_boxes if trials.start == 0 else wait_boxes)(seed, trials, tail_len, rows))
+        with pytest.raises(type(error)) as info:
+            falsify(Theorem.THM2, 2, Params(alpha=0.25), cfg, spec)
+        assert info.value is error
+        assert threading.active_count() == before
+        assert [trials for trials, _, _ in chunks] == [range(160), range(160, 320)]
+        assert chunks[0][2] is chunks[1][2] and chunks[1][2].is_set()
+        assert yielded == [160, 192][: len(yielded)]
+
+    def test_worker_keeps_the_callers_floating_point_state(self, monkeypatch):
+        # numpy's error state is context-local, and a worker runs in a copy of
+        # the caller's context: an overflow in the second chunk raises under
+        # the caller's over="raise", and warns under numpy's default
+        params = Params(alpha=0.25)
+        cfg = FalsifyConfig(trials=64, seed=4)
+        spec = GridSpec(m=512, refine_depth=2)
+        states = []
+        real_check_rows = diskcheck.witnesses._check_rows
+
+        def recording_check_rows(*args):
+            states.append((np.geterr(), threading.current_thread() is threading.main_thread()))
+            return real_check_rows(*args)
+
+        def overflow():
+            np.float64(1e308) * np.float64(10.0)
+
+        monkeypatch.setattr("diskcheck.witnesses._check_rows", recording_check_rows)
+        outcomes = {}
+        for workers in (1, 2):
+            with monkeypatch.context() as patch:
+                on_workers(patch, workers)
+                patch.setattr("diskcheck.witnesses._tail_boxes", failing_boxes(32, overflow)[0])
+                with np.errstate(over="raise", under="warn"):
+                    caller = np.geterr()
+                    with pytest.raises(FloatingPointError) as info:
+                        falsify(Theorem.THM1, 2, params, cfg, spec)
+                assert [state for state, _ in states] == [caller]
+                with pytest.warns(RuntimeWarning, match="overflow"):
+                    outcomes[workers] = falsify(Theorem.THM1, 2, params, cfg, spec)
+                assert [state for state, _ in states[1:]] == [np.geterr()] * 2
+            assert sorted(main for _, main in states) == [workers == 1, True, True]
+            outcomes[workers] = (str(info.value), outcomes[workers])
+            states.clear()
+        assert outcomes[1] == outcomes[2]
 
 
 class TestRadiusOfValidity:
