@@ -3,9 +3,9 @@
 Subcommands: check, membership, example, falsify, radius. Exit codes are
 0 = Holds, 1 = Fails, 2 = Inconclusive, 3 = input or parameter error or
 an internal error, so that a crash never reads as a verdict.
-Every report envelope carries the tool version, a schema version, and a
-full echo of the effective parameters; `example` instead prints a bare
-function spec file so it can be piped straight back into `check`.
+Every report envelope carries the tool version, a schema version and every
+option of the subcommand in parser order, `beta` parsed; `example` instead
+prints a bare function spec file so it can be piped straight back into `check`.
 """
 
 from __future__ import annotations
@@ -136,6 +136,14 @@ def _radius_dict(rep: RadiusReport) -> dict:
     }
 
 
+def _parameters(args) -> dict:
+    """Every option of the subcommand in parser order, with beta parsed."""
+    parameters = {k: v for k, v in vars(args).items() if k not in ("command", "func")}
+    if "beta" in parameters:
+        parameters["beta"] = _pair(parse_beta(args.beta))
+    return parameters
+
+
 def _envelope(command: str, parameters: dict, result) -> dict:
     return {
         "tool": TOOL_NAME,
@@ -158,32 +166,17 @@ def _cmd_check(args) -> int:
     params = Params(alpha=args.alpha, beta=beta, rho=args.rho)
     spec = GridSpec(m=args.grid_m)
     rep = check(Theorem(args.theorem), f, params, spec, args.rmax)
-    parameters = {
-        "theorem": args.theorem,
-        "alpha": args.alpha,
-        "beta": _pair(beta),
-        "rho": args.rho,
-        "input": str(args.input),
-        "rmax": args.rmax,
-        "grid_m": spec.m,
-    }
-    _emit(_envelope("check", parameters, _check_report_dict(rep)))
+    _emit(_envelope("check", _parameters(args), _check_report_dict(rep)))
     return _STATE_EXIT[rep.verdict.state.value]
 
 
 def _cmd_membership(args) -> int:
     f = load_function(args.input)
     spec = GridSpec(m=args.grid_m)
-    verdict = membership(FunctionClass(args.cls), f, args.alpha, spec, args.rmax)
-    parameters = {
-        "class": args.cls,
-        "alpha": args.alpha,
-        "input": str(args.input),
-        "rmax": args.rmax,
-        "grid_m": spec.m,
-    }
+    parameters = _parameters(args)
+    verdict = membership(FunctionClass(parameters["class"]), f, args.alpha, spec, args.rmax)
     result = {
-        "class": args.cls,
+        "class": parameters["class"],
         "alpha": args.alpha,
         "r_max": args.rmax,
         "verdict": _verdict_dict(verdict),
@@ -210,20 +203,7 @@ def _cmd_falsify(args) -> int:
     )
     spec = GridSpec(m=args.grid_m)
     summary = falsify(Theorem(args.theorem), args.n, params, cfg, spec)
-    parameters = {
-        "theorem": args.theorem,
-        "n": args.n,
-        "alpha": args.alpha,
-        "beta": _pair(beta),
-        "rho": args.rho,
-        "trials": cfg.trials,
-        "seed": cfg.seed,
-        "margin": cfg.margin,
-        "tail_len": cfg.tail_len,
-        "rmax": cfg.r_max,
-        "grid_m": spec.m,
-    }
-    _emit(_envelope("falsify", parameters, _falsify_dict(summary)))
+    _emit(_envelope("falsify", _parameters(args), _falsify_dict(summary)))
     return 0 if summary.fails == 0 else 1
 
 
@@ -232,14 +212,7 @@ def _cmd_radius(args) -> int:
     beta = parse_beta(args.beta)
     params = Params(alpha=args.alpha, beta=beta, rho=args.rho)
     rep = radius_of_validity(Theorem(args.theorem), f, params)
-    parameters = {
-        "theorem": args.theorem,
-        "alpha": args.alpha,
-        "beta": _pair(beta),
-        "rho": args.rho,
-        "input": str(args.input),
-    }
-    _emit(_envelope("radius", parameters, _radius_dict(rep)))
+    _emit(_envelope("radius", _parameters(args), _radius_dict(rep)))
     return 0
 
 
@@ -264,7 +237,7 @@ def _build_parser() -> _Parser:
     pc.set_defaults(func=_cmd_check)
 
     pm = sub.add_parser("membership", help="grid membership verdict")
-    pm.add_argument("--class", required=True, choices=[c.value for c in FunctionClass], dest="cls")
+    pm.add_argument("--class", required=True, choices=[c.value for c in FunctionClass], dest="class")
     pm.add_argument("--alpha", type=float, default=0.0)
     pm.add_argument("--input", required=True)
     pm.add_argument("--rmax", type=float, default=0.999)

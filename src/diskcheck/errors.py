@@ -27,9 +27,9 @@ class NotPolynomialError(InputError):
 class SingularDenominatorError(ArithmeticError):
     """A quotient's denominator fell below the modulus floor; carries the point."""
 
-    def __init__(self, z: complex, message: str | None = None):
+    def __init__(self, z: complex):
         self.z = complex(z)
-        super().__init__(message or f"denominator modulus below floor near z = {self.z}")
+        super().__init__(f"denominator modulus below floor near z = {self.z}")
 
 
 def require_int(x, minimum: int, message: str, exc: type = InputError) -> int:

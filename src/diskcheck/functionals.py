@@ -58,12 +58,7 @@ POLYNOMIAL_FUNCTIONALS = frozenset(
 
 def _require_nonsingular(z, den, floor: float) -> None:
     """Raise if any denominator modulus falls below the floor, carrying the point."""
-    mags = np.abs(den)
-    if np.ndim(mags) == 0:
-        if mags < floor:
-            raise SingularDenominatorError(complex(np.asarray(z, dtype=np.complex128).item()))
-        return
-    bad = mags < floor
+    bad = np.abs(den) < floor
     if bad.any():
         i = int(np.argmax(bad))
         raise SingularDenominatorError(complex(np.asarray(z, dtype=np.complex128).ravel()[i]))

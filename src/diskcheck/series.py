@@ -98,10 +98,7 @@ class PolySeries:
     coeffs: np.ndarray
 
     def __post_init__(self):
-        arr = _coeff_array(self.coeffs)
-        object.__setattr__(self, "coeffs", arr)
-        # plain-complex mirror for the fast scalar Horner path
-        object.__setattr__(self, "_py", tuple(complex(c) for c in arr))
+        object.__setattr__(self, "coeffs", _coeff_array(self.coeffs))
 
     @property
     def order(self) -> int:
@@ -124,7 +121,7 @@ class PolySeries:
         """Evaluate by backward (Horner) recursion; z may be scalar or ndarray."""
         if isinstance(z, (int, float, complex)) and not isinstance(z, bool):
             zc = require_complex(z, cmath.isfinite, "non-finite evaluation point", InputError)
-            return _horner(self._py, zc)
+            return _horner(self.coeffs.tolist(), zc)
         zz = _points(z)
         if not np.isfinite(zz).all():
             raise InputError("non-finite evaluation point")

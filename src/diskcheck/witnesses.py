@@ -26,7 +26,7 @@ from enum import Enum
 
 import numpy as np
 
-from .bounds import _MAX_GRID_M, GridSpec, _coeff_sums, coeff_bound
+from .bounds import _MAX_GRID_M, GridSpec, _coeff_sums
 from .checks import (
     _FAILS,
     HYPOTHESIS_FUNCTIONAL,
@@ -42,7 +42,7 @@ from .checks import (
 )
 from .errors import InputError, ParameterError, require_complex, require_int, require_real
 from .funcspec import function_to_dict
-from .functionals import _polynomial_coeffs, as_polynomial
+from .functionals import _polynomial_coeffs
 from .series import _MAX_DEGREE, PolySeries, SeriesA, _require_degree, _tail_coeffs
 
 __all__ = [
@@ -561,11 +561,11 @@ def radius_of_validity(theorem: Theorem, f: SeriesA, params: Params) -> RadiusRe
     matching the closed-form scale for monomial witnesses.
     """
     thr = threshold(theorem, params, f.n)
+    # coefficient j of the hypothesis polynomial of f(sz)/s is h_j s^j
+    h = _polynomial_coeffs(HYPOTHESIS_FUNCTIONAL[theorem], f.body.coeffs, complex(params.beta))
 
     def certified(scale: float) -> bool:
-        g = f.scale_radius(scale)
-        poly = as_polynomial(HYPOTHESIS_FUNCTIONAL[theorem], g, params.beta)
-        return coeff_bound(poly, 1.0) < thr
+        return _coeff_sums(h, scale) < thr
 
     lo, hi = 2.0**-30, 1.0
     if certified(hi):

@@ -294,6 +294,27 @@ class TestReports:
         assert doc["result"]["conclusion"]["upper"] is None
         assert doc["result"]["conclusion"]["kind"] == "grid_only"
 
+    @pytest.mark.parametrize(
+        "argv, keys",
+        [
+            (["check", "--theorem", "thm2", "--beta", "0.5-2i", "--input", str(CORPUS / "halfdisk.json")],
+             ["theorem", "alpha", "beta", "rho", "input", "rmax", "grid_m"]),
+            (["membership", "--class", "star", "--input", str(CORPUS / "halfdisk.json")],
+             ["class", "alpha", "input", "rmax", "grid_m"]),
+            (["falsify", "--theorem", "thm2", "--beta", "0.5-2i", "--trials", "2", "--grid-m", "64"],
+             ["theorem", "n", "alpha", "beta", "rho", "trials", "seed", "margin", "tail_len", "rmax",
+              "grid_m"]),
+            (["radius", "--theorem", "thm2", "--beta", "0.5-2i", "--input", str(CORPUS / "halfdisk.json")],
+             ["theorem", "alpha", "beta", "rho", "input"]),
+        ],
+    )
+    def test_parameters_echo_every_option_in_parser_order(self, capsys, argv, keys):
+        _, out = run_cli(capsys, *argv)
+        parameters = json.loads(out)["parameters"]
+        assert list(parameters) == keys
+        if "beta" in keys:
+            assert parameters["beta"] == [0.5, -2.0]
+
 
 class TestExampleCommand:
     @pytest.mark.parametrize("wid,alpha", [("ex1", 0.5), ("ex2", 0.25), ("ex3", 0.5)])

@@ -1,6 +1,8 @@
 """Count the settable option values of src/diskcheck: every function (or
 lambda) parameter with a default, plus every dataclass field with a default.
-Prints one line per module and the total; run as `python3 tools/option_count.py`.
+Prints one line per module and the total, then the line total of
+src/diskcheck/*.py and the number of names in the package's `__all__`;
+run as `python3 tools/option_count.py`.
 """
 
 import ast
@@ -23,10 +25,28 @@ def option_count(tree):
     return count
 
 
-if __name__ == "__main__":
-    total = 0
+def export_count(tree):
+    """Names in the module's literal `__all__` list."""
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "__all__" for t in node.targets):
+            return len(ast.literal_eval(node.value))
+    return 0
+
+
+def design_numbers():
+    """Per-module option counts, the source line total and the export count."""
+    options, lines = {}, 0
     for path in sorted(SRC.glob("*.py")):
-        n = option_count(ast.parse(path.read_text()))
-        total += n
-        print(f"{path.name} {n}")
-    print(f"total {total}")
+        text = path.read_text()
+        options[path.name] = option_count(ast.parse(text))
+        lines += len(text.splitlines())
+    return options, lines, export_count(ast.parse((SRC / "__init__.py").read_text()))
+
+
+if __name__ == "__main__":
+    options, lines, exports = design_numbers()
+    for name, n in options.items():
+        print(f"{name} {n}")
+    print(f"total {sum(options.values())}")
+    print(f"lines {lines}")
+    print(f"exports {exports}")
