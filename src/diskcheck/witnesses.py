@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import cmath
 import contextvars
-import functools
 import math
 import os
 import threading
@@ -61,10 +60,10 @@ __all__ = [
 
 #: Values one falsify block row array may hold: a block holds
 #: max(1, 16384 // max(m, n + 1 + tail_len)) trials, so its grids and its
-#: coefficient rows both stay within 16384 values, and _uniforms's 128-bit
-#: draw arithmetic works on at most 16384 values an array. Once no step is
-#: per trial, a block's fixed cost is its numpy calls, so fewer, larger
-#: blocks are faster; 32768 would break the memory bound of long tails.
+#: coefficient rows both stay within 16384 values, and its draws within twice
+#: its coefficient rows. Once no step is per trial, a block's fixed cost is
+#: its numpy calls, so fewer, larger blocks are faster; 32768 would break the
+#: memory bound of long tails.
 _BLOCK_POINTS = 16384
 #: Most trials one falsify call may run.
 _MAX_TRIALS = 10**6
@@ -72,18 +71,6 @@ _MAX_TRIALS = 10**6
 #: About half a block's time is FFT and grid arithmetic, which numpy runs
 #: without the GIL.
 _WORKERS = 2
-#: Longest streams, and fewest, that _uniforms draws by jump-ahead arrays.
-#: An array draw costs about 25 numpy passes over 128-bit words, where
-#: numpy's own uniform takes a few ns, and one call about 45 us, where
-#: setting a Generator to a stream takes about 6 us. At 96 draws a stream
-#: (tail_len 48), or at 8 streams, the two ways take about the same time.
-_JUMP_DRAWS, _JUMP_STREAMS = 96, 8
-
-#: numpy's SeedSequence hash constants (random/bit_generator.pyx) and the
-#: PCG64 multiplier (random/src/pcg64/pcg64.h), which _stream_states replays.
-_INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
-_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
-_PCG_MULT_HI, _PCG_MULT_LO = 0x2360ED051FC65DA4, 0x4385DF649FCCF645
 
 
 class Witness(Enum):
@@ -187,7 +174,9 @@ def sample_satisfying(
     whole tail is scaled down by that ratio, which is exact because the
     hypothesis coefficients are linear in the tail. The returned function
     therefore satisfies the hypothesis on the whole open disk with a
-    certified margin. tail_len = 0 yields the identity.
+    certified margin. tail_len = 0 yields the identity. With
+    rng = np.random.Generator(np.random.PCG64(seed).advance(2 * tail_len * t))
+    it returns trial t of falsify.
     """
     target = cfg.margin * threshold(theorem, params, n)
     box = rng.uniform(-1.0, 1.0, size=(cfg.tail_len, 2))
@@ -207,173 +196,15 @@ def _sample_rows(theorem: Theorem, n: int, params: Params, target: float, box: n
     return a
 
 
-def _hash_constants(init: int, mult: int, count: int) -> np.ndarray:
-    """SeedSequence's hash constant before and after each of its first count
-    multiplications by mult, as a (2, count, 1) uint32 array."""
-    chain = [init]
-    for _ in range(count):
-        chain.append(chain[-1] * mult & 0xFFFFFFFF)
-    return np.array([chain[:-1], chain[1:]], dtype=np.uint32)[..., None]
-
-
-def _hashmix(values: np.ndarray, consts: np.ndarray) -> np.ndarray:
-    """SeedSequence's hashmix of each row of values with its own pair of
-    _hash_constants columns; a single row is hashed with every pair."""
-    values = (values ^ consts[0]) * consts[1]
-    return values ^ values >> 16
-
-
-def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """SeedSequence's mix of pool words x with hashed words y."""
-    values = _MIX_L * x - _MIX_R * y
-    return values ^ values >> 16
-
-
-def _stream_states(seed: int, trials: range) -> np.ndarray:
-    """The PCG64 states that default_rng([seed, t]) starts from, for every t
-    of trials, as a (2, 2, len(trials)) uint64 array: the high words of the
-    128-bit state and increment, then their low words. numpy's SeedSequence
-    and pcg64_set_seed are replayed on uint32 and uint64 arrays, one trial a
-    column.
-
-    The entropy is the seed's little-endian 32-bit words (at least one) and
-    then the trial, one word since trials stay below _MAX_TRIALS < 2^32. It is
-    hashed into a pool of 4 words; each pool word is then mixed into the
-    other three, and every entropy word past the fourth into all four.
-    generate_state(4, uint64) expands the pool to (initstate, initseq), and
-    pcg64_set_seed sets inc = 2 initseq + 1 and
-    state = (inc + initstate) * MULT + inc mod 2^128.
-    """
-    words = [seed & 0xFFFFFFFF]
-    while seed >> 32 * len(words):
-        words.append(seed >> 32 * len(words) & 0xFFFFFFFF)
-    entropy = np.zeros((max(4, len(words) + 1), len(trials)), dtype=np.uint32)
-    entropy[: len(words)] = np.array(words, dtype=np.uint32)[:, None]
-    entropy[len(words)] = np.arange(trials.start, trials.stop)
-    consts = _hash_constants(_INIT_A, _MULT_A, 4 * len(entropy))
-    pool = _hashmix(entropy[:4], consts[:, :4])
-    for src in range(4):
-        dst = [i for i in range(4) if i != src]
-        pool[dst] = _mix(pool[dst], _hashmix(pool[src], consts[:, 4 + 3 * src : 7 + 3 * src]))
-    for i in range(4, len(entropy)):
-        pool = _mix(pool, _hashmix(entropy[i], consts[:, 4 * i : 4 * i + 4]))
-    out = _hashmix(np.concatenate([pool, pool]), _hash_constants(_INIT_B, _MULT_B, 8)).astype(np.uint64)
-    seed_hi, seed_lo, seq_hi, seq_lo = out[0::2] | out[1::2] << 32
-    inc_hi = seq_hi << 1 | seq_lo >> 63
-    inc_lo = seq_lo << 1 | 1
-    s_hi, s_lo = _add128(inc_hi, inc_lo, seed_hi, seed_lo)
-    state_hi, state_lo = _add128(*_mul128(s_hi, s_lo, _PCG_MULT_HI, _PCG_MULT_LO), inc_hi, inc_lo)
-    return np.array([[state_hi, inc_hi], [state_lo, inc_lo]])
-
-
-def _mul128(x_hi, x_lo, y_hi, y_lo):
-    """x * y mod 2^128, elementwise, for 128-bit numbers held as uint64 high
-    and low words (arrays, or Python ints below 2^64 beside an array): the
-    high word of x_lo * y_lo comes from 32-bit limb products, whose partial
-    sums stay below 2^64."""
-    x0, x1 = x_lo & 0xFFFFFFFF, x_lo >> 32
-    y0, y1 = y_lo & 0xFFFFFFFF, y_lo >> 32
-    low = x0 * y0
-    mid = x1 * y0 + (low >> 32)
-    cross = x0 * y1 + (mid & 0xFFFFFFFF)
-    hi = x1 * y1 + (mid >> 32) + (cross >> 32) + x_lo * y_hi + x_hi * y_lo
-    return hi, x_lo * y_lo
-
-
-def _add128(x_hi, x_lo, y_hi, y_lo):
-    """x + y mod 2^128, elementwise, in the words of _mul128."""
-    lo = x_lo + y_lo
-    return x_hi + y_hi + (lo < y_lo), lo
-
-
-@functools.cache
-def _jump_table() -> np.ndarray:
-    """PCG64's k-step jumps for k = 1 up to the first power of two of at
-    least _JUMP_DRAWS, the widest draw window of _uniforms, as a (2, 2, k)
-    uint64 array of high then low words: [:, 0, k - 1] holds A_k = MULT^k
-    and [:, 1, k - 1] holds S_k = sum_{j<k} MULT^j mod 2^128, so that k
-    steps take a state s with increment inc to A_k s + S_k inc (O'Neill,
-    "PCG: a family of simple fast space-efficient statistically good
-    algorithms for random number generation", HMC-CS-2014-0905). Built by
-    doubling, with A_{h+k} = A_h A_k and S_{h+k} = A_h S_k + S_h; one
-    read-only table, built once, serves every draw count."""
-    hi, lo = np.array([[[_PCG_MULT_HI], [0]], [[_PCG_MULT_LO], [1]]], dtype=np.uint64)
-    while hi.shape[1] < _JUMP_DRAWS:
-        jump_hi, jump_lo = _mul128(hi[:1, -1:], lo[:1, -1:], hi, lo)
-        jump_hi[1], jump_lo[1] = _add128(jump_hi[1], jump_lo[1], hi[1, -1:], lo[1, -1:])
-        hi, lo = np.concatenate([hi, jump_hi], axis=1), np.concatenate([lo, jump_lo], axis=1)
-    table = np.array([hi, lo])
-    table.setflags(write=False)
-    return table
-
-
-def _uniforms(states: np.ndarray, draws: int) -> np.ndarray:
-    """The first draws values of uniform(-1.0, 1.0) from each PCG64 stream of
-    a _stream_states array, as a (trials, draws) array.
-
-    At least _JUMP_STREAMS streams of at most _JUMP_DRAWS draws are drawn on
-    arrays. Draw k (from 1) of a stream with start state s and increment inc
-    outputs XSL-RR of its state after k steps, A_k s + S_k inc mod 2^128
-    from _jump_table (the high word xor the low word, rotated right by the
-    top 6 bits of the high word), and numpy's uniform maps an output u to
-    -1 + 2 (u >> 11) 2^-53. Both products of a draw come from one _mul128
-    call. The draws are taken in windows of
-    max(1, min(draws, _BLOCK_POINTS // (2 trials))) columns, each jumping on
-    from the last state of the one before, so each array of that arithmetic
-    holds at most _BLOCK_POINTS values once a window has a column per trial.
-    Other streams are drawn by numpy's own doubles (u >> 11) 2^-53, written
-    in place by one Generator set to each start state in turn, and then
-    mapped as uniform maps them.
-    """
-    trials = states.shape[-1]
-    out = np.empty((trials, draws))
-    if draws > _JUMP_DRAWS or trials < _JUMP_STREAMS:
-        gen = np.random.default_rng(0)
-        for i, (state_hi, inc_hi, state_lo, inc_lo) in enumerate(states.reshape(4, trials).T.tolist()):
-            gen.bit_generator.state = {
-                "bit_generator": "PCG64",
-                "state": {"state": state_hi << 64 | state_lo, "inc": inc_hi << 64 | inc_lo},
-                "has_uint32": 0,
-                "uinteger": 0,
-            }
-            gen.random(out=out[i])
-        out *= 2.0
-        out -= 1.0
-        return out
-    table = _jump_table()
-    width = max(1, min(draws, _BLOCK_POINTS // (2 * trials)))
-    start_hi, start_lo = states[..., None]
-    for first in range(0, draws, width):
-        jump_hi, jump_lo = table[:, :, None, : min(width, draws - first)]
-        hi, lo = _mul128(jump_hi, jump_lo, start_hi, start_lo)
-        hi, lo = _add128(hi[0], lo[0], hi[1], lo[1])
-        value, rot = hi ^ lo, hi >> 58
-        out[:, first : first + width] = ((value >> rot | value << (64 - rot & 63)) >> 11) * 2.0**-52 - 1.0
-        start_hi, start_lo = np.array([hi[:, -1:], start_hi[1]]), np.array([lo[:, -1:], start_lo[1]])
-    return out
-
-
 def _tail_boxes(seed: int, trials: range, tail_len: int, rows: int):
     """Yield, for every rows consecutive trials t of trials (fewer in the
-    last block), the (rows, tail_len, 2) array of the first draws
-    default_rng([seed, t]).uniform(-1.0, 1.0, size=(tail_len, 2)).
-
-    No generator is seeded per trial: the streams' start states come from
-    _stream_states, for at most _BLOCK_POINTS trials a call, and their draws
-    from _uniforms, for groups of whole blocks whose 2 tail_len draws a
-    trial fit _BLOCK_POINTS values (one block when they do not, whose draws
-    come to less than twice its rows' n + 1 + tail_len coefficients). So
-    the draws are numpy's own values bit for bit.
-    """
-    group = rows * max(1, _BLOCK_POINTS // (rows * max(1, 2 * tail_len)))
-    chunk = group * max(1, _BLOCK_POINTS // group)
-    for begin in range(0, len(trials), chunk):
-        states = _stream_states(seed, trials[begin : begin + chunk])
-        for first in range(0, states.shape[-1], group):
-            draws = _uniforms(states[..., first : first + group], 2 * tail_len)
-            for row in range(0, len(draws), rows):
-                block = draws[row : row + rows]
-                yield block.reshape(len(block), tail_len, 2)
+    last block), the (rows, tail_len, 2) array of their draws: trial t's are
+    values 2 tail_len t ... 2 tail_len (t + 1) - 1 of the one
+    uniform(-1.0, 1.0) stream of default_rng(seed). One generator, advanced
+    to the first trial, draws the whole range block by block."""
+    gen = np.random.Generator(np.random.PCG64(seed).advance(2 * tail_len * trials.start))
+    for first in range(0, len(trials), rows):
+        yield gen.uniform(-1.0, 1.0, size=(min(rows, len(trials) - first), tail_len, 2))
 
 
 @dataclass(frozen=True)
@@ -445,12 +276,11 @@ def falsify(
 ) -> FalsifySummary:
     """Seeded search for hypothesis-satisfying functions that break a conclusion.
 
-    Trial t draws from default_rng([seed, t]), so summaries are reproducible,
-    trials could run in any order, and sample_satisfying with that generator
-    rebuilds any one trial. The draws are numpy's own values, computed on
-    arrays: the streams' start states by replaying numpy's seeding, and for
-    tails of at most 48 terms and at least 8 trials, draw k of each stream by
-    PCG64's k-step jump (_tail_boxes). Trials are decided in blocks of
+    Trial t draws values 2 tail_len t ... 2 tail_len (t + 1) - 1 of the one
+    uniform(-1.0, 1.0) stream of default_rng(seed), so summaries are
+    reproducible and do not depend on how trials are grouped, and
+    sample_satisfying with that stream advanced by 2 tail_len t rebuilds any
+    one trial (_tail_boxes). Trials are decided in blocks of
     max(1, 16384 // max(m, n + 1 + tail_len)) rows, 32 at the defaults: the
     block's tails are rescaled together as sample_satisfying rescales one,
     and every row gets check's verdict state and conclusion margin from

@@ -273,51 +273,71 @@ class TestFalsify:
         assert out.fails == 0
 
 
-def default_rng_boxes(seed, trials, tail_len):
-    """The first uniform draws of each trial's own generator, as sample_satisfying
-    makes them."""
-    return np.array([np.random.default_rng([seed, t]).uniform(-1.0, 1.0, size=(tail_len, 2)) for t in trials])
+def trial_rng(seed, tail_len, trial):
+    """A generator that starts at trial's draws of falsify's stream, as the
+    README's rebuild recipe makes it."""
+    return np.random.Generator(np.random.PCG64(seed).advance(2 * tail_len * trial))
+
+
+def stream_boxes(seed, trials, tail_len):
+    """The boxes of trials cut from the one uniform(-1, 1) stream of
+    default_rng(seed), with no advance: the draws before trials.start are
+    made and dropped, at most 2^20 at a time."""
+    gen = np.random.default_rng(seed)
+    for done in range(0, 2 * tail_len * trials.start, 2**20):
+        gen.uniform(-1.0, 1.0, size=min(2**20, 2 * tail_len * trials.start - done))
+    return gen.uniform(-1.0, 1.0, size=(len(trials), tail_len, 2))
 
 
 class TestTailStreams:
     @pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**64 + 3, 2**130 + 7])
     @pytest.mark.parametrize("tail_len", [0, 1, 6, 33])
     def test_boxes_are_the_per_trial_draws(self, seed, tail_len):
-        # 2^130 + 7 has five 32-bit words, so SeedSequence mixes its fifth
-        # word and the trial word in after the pool of four
-        for trials, rows in ((range(64), 5), (range(999_999, 10**6), 16)):
-            boxes = list(_tail_boxes(seed, trials, tail_len, rows))
-            assert [len(box) for box in boxes] == [min(rows, len(trials) - i) for i in range(0, len(trials), rows)]
-            assert np.array_equal(np.concatenate(boxes), default_rng_boxes(seed, trials, tail_len))
+        # trial t's box is its slice of one prefix draw, whatever the rows a
+        # block and wherever the range starts
+        for start, stop in ((0, 64), (37, 100)):
+            want = np.random.default_rng(seed).uniform(-1, 1, size=(stop, tail_len, 2))[start:]
+            for rows in (1, 5, 16, 64):
+                boxes = list(_tail_boxes(seed, range(start, stop), tail_len, rows))
+                assert [len(box) for box in boxes] == [min(rows, stop - i) for i in range(start, stop, rows)]
+                assert np.array_equal(np.concatenate(boxes), want)
 
     def test_boxes_cross_the_state_chunk_edge(self):
-        # with 3 rows a block, the draws are taken 8190 trials at a time
-        trials = range(1_000_000 - 8200, 1_000_000)
-        boxes = list(_tail_boxes(2**64 + 3, trials, 1, 3))
-        assert np.array_equal(np.concatenate(boxes), default_rng_boxes(2**64 + 3, trials, 1))
+        # each falsify chunk advances its own generator to its first trial:
+        # near the trial cap, two chunks of 32-row blocks give the boxes of
+        # one range, and both are the unadvanced stream's draws
+        edge, stop = 10**6 - 1000, 10**6
+        whole = list(_tail_boxes(2**64 + 3, range(edge - 520, stop), 6, 32))
+        chunks = (range(edge - 520, edge), range(edge, stop))
+        halves = [list(_tail_boxes(2**64 + 3, trials, 6, 32)) for trials in chunks]
+        assert [len(box) for box in whole] == [32] * 47 + [16]
+        assert [len(box) for box in halves[0] + halves[1]] == [32] * 16 + [8] + [32] * 31 + [8]
+        want = stream_boxes(2**64 + 3, range(edge - 520, stop), 6)
+        assert np.array_equal(np.concatenate(whole), want)
+        assert np.array_equal(np.concatenate(halves[0] + halves[1]), want)
 
-    def test_draw_windows_groups_and_state_chunks_join_up(self):
-        # at tail_len 6 and 32 rows a block, a group of 1344 trials gets its
-        # 12 draws a trial in two windows of 6 columns, and 12 groups, 16128
-        # trials, get their start states together; the next group and the
-        # next chunk start at trials 1344 and 16128 of the range
-        trials = range(10**6 - 16200, 10**6)
-        boxes = list(_tail_boxes(5, trials, 6, 32))
-        assert [len(box) for box in boxes] == [32] * 506 + [8]
-        assert np.array_equal(np.concatenate(boxes), default_rng_boxes(5, trials, 6))
+    def test_a_trial_near_the_cap_is_rebuilt_alone(self):
+        # the last trial a call may run, drawn alone by the rebuild recipe,
+        # is its box in a block and its slice of one unadvanced prefix draw
+        last = 10**6 - 1
+        for seed in (0, 2**130 + 7):
+            boxes = list(_tail_boxes(seed, range(last - 40, last + 1), 1, 7))
+            alone = trial_rng(seed, 1, last).uniform(-1.0, 1.0, size=(1, 2))
+            assert np.array_equal(boxes[-1][-1], alone)
+            assert np.array_equal(alone, np.random.default_rng(seed).uniform(-1, 1, size=(last + 1, 1, 2))[last])
 
-    @pytest.mark.parametrize("tail_len, count", [(48, 40), (49, 40), (6, 8), (6, 7)])
-    def test_jump_and_generator_draws_meet(self, tail_len, count):
-        # at least 8 streams of at most 96 draws are drawn by jump-ahead;
-        # 98 draws a stream, or 7 streams, by a Generator set to each stream
-        trials = range(10**6 - count, 10**6)
-        boxes = list(_tail_boxes(2**64 + 3, trials, tail_len, 7))
-        assert np.array_equal(np.concatenate(boxes), default_rng_boxes(2**64 + 3, trials, tail_len))
+    @pytest.mark.parametrize("k", [1, 97, 2**17 - 1, 2**17])
+    def test_advance_skips_draws(self, k):
+        # the one numpy property the contract rests on: PCG64.advance(k) then
+        # uniform gives values k... of the unadvanced stream
+        for seed in (0, 2**64 + 3):
+            advanced = np.random.Generator(np.random.PCG64(seed).advance(k)).uniform(-1.0, 1.0, size=9)
+            assert np.array_equal(advanced, np.random.default_rng(seed).uniform(-1.0, 1.0, size=k + 9)[k:])
 
     def test_longest_tails_keep_draw_memory_bounded(self):
         # at the tail_len cap a block's draws are one trial's 2^17 values
         trials, tail_len = range(7, 9), 2**16
-        want = default_rng_boxes(2**64 + 3, trials, tail_len)
+        want = np.random.default_rng(2**64 + 3).uniform(-1, 1, size=(trials.stop, tail_len, 2))[trials.start :]
         tracemalloc.start()
         try:
             boxes = _tail_boxes(2**64 + 3, trials, tail_len, 1)
@@ -332,12 +352,12 @@ class TestTailStreams:
 def per_trial_falsify(theorem, n, params, cfg, spec):
     """The falsifier as one sample_satisfying + check per trial, with the 16x
     dense re-check and counterexample record of a Fails: the oracle for the
-    block-wise falsify."""
+    block-wise falsify. Each trial's generator is built alone by advance."""
     counts = dict.fromkeys(VerdictState, 0)
     min_margin = None
     records = []
     for trial in range(cfg.trials):
-        f = sample_satisfying(theorem, n, params, cfg, np.random.default_rng([cfg.seed, trial]))
+        f = sample_satisfying(theorem, n, params, cfg, trial_rng(cfg.seed, cfg.tail_len, trial))
         report = check(theorem, f, params, spec, cfg.r_max)
         if report.verdict.state is VerdictState.FAILS:
             report = check(theorem, f, params, GridSpec(m=16 * spec.m, refine_depth=spec.refine_depth), cfg.r_max)
@@ -418,7 +438,7 @@ class TestFalsifyOracle:
         if theorem is Theorem.THM2:
             assert [c["trial"] for c in got.counterexamples] == list(range(6))
         for record in got.counterexamples:
-            f = sample_satisfying(theorem, 2, params, cfg, np.random.default_rng([cfg.seed, record["trial"]]))
+            f = sample_satisfying(theorem, 2, params, cfg, trial_rng(cfg.seed, cfg.tail_len, record["trial"]))
             assert record["function"] == function_to_dict(f)
             assert record["conclusion_bound"] == 1e-3
             assert record["conclusion_value"] >= 1e-3
