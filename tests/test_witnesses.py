@@ -316,6 +316,15 @@ class TestTailStreams:
         assert np.array_equal(np.concatenate(whole), want)
         assert np.array_equal(np.concatenate(halves[0] + halves[1]), want)
 
+    def test_draw_windows_groups_and_state_chunks_join_up(self):
+        # at tail_len 6 and 32 rows a block, the 507 blocks of a 16200-trial
+        # range near the cap each draw on from where the last one stopped:
+        # together they are the unadvanced stream's draws for that range
+        trials = range(10**6 - 16200, 10**6)
+        boxes = list(_tail_boxes(5, trials, 6, 32))
+        assert [len(box) for box in boxes] == [32] * 506 + [8]
+        assert np.array_equal(np.concatenate(boxes), stream_boxes(5, trials, 6))
+
     def test_a_trial_near_the_cap_is_rebuilt_alone(self):
         # the last trial a call may run, drawn alone by the rebuild recipe,
         # is its box in a block and its slice of one unadvanced prefix draw
