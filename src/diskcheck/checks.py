@@ -35,8 +35,8 @@ import numpy as np
 
 # poly_sup is not called here, but diskcheck.checks.poly_sup stays importable:
 # bench/tracer.py wraps that name and bench/test_bench.py deletes it.
-from .bounds import GridSpec, SupBracket, BracketKind, _below, _circle_argopt, _circle_point, _circle_rows, \
-    _golden_argmax, _sup_bracket, _sup_rows, _sup_upper, _unit_circle, poly_sup  # noqa: F401
+from .bounds import _SUM_SLACK, GridSpec, SupBracket, BracketKind, _below, _circle_argopt, _circle_point, \
+    _circle_rows, _coeff_sums, _golden_argmax, _sup_bracket, _sup_rows, _sup_upper, _unit_circle, poly_sup  # noqa: F401
 from .errors import InputError, ParameterError, require_complex, require_finite, require_int, require_real
 from .functionals import DEFAULT_DENOM_FLOOR, Functional, _polynomial_coeffs, _require_nonsingular
 from .series import PolySeries, SeriesA, _derivative_coeffs
@@ -369,7 +369,42 @@ def check(
     )
 
 
-def _check_rows(theorem: Theorem, a: np.ndarray, params: Params, thr: float, spec: GridSpec, r_max: float):
+#: Absolute room _conclusion_caps adds to each cap beside its _SUM_SLACK
+#: relative room: a quotient near 1 rounds by about eps in absolute terms,
+#: which is more than 2^-20 of a tiny conclusion value.
+_CAP_ROOM = 2.0**-40
+
+
+@np.errstate(all="ignore")
+def _conclusion_caps(conclusion, a: np.ndarray, bound: float, r: float) -> np.ndarray:
+    """Certified upper bounds on the conclusion value of every row a[i] of
+    series coefficients over |z| <= r, from coefficient sums S(p) at r alone:
+
+        polynomial p   S(p)
+        z f'/f         S(f' - f/z) / (1 - g),   g = S(f/z - 1)
+        1 + z f''/f'   r S(f'') / (1 - g),      g = S(f' - 1)
+        1/f'           (|1 - c| + c g) / (1 - g), g = S(f' - 1), c = bound
+
+    each bounding |q - 1| (|q - c| for 1/f'), because the guard polynomial
+    has modulus at most g < 1. A quotient's cap is inf where g > 1/2. Every
+    cap gets _SUM_SLACK relative and _CAP_ROOM absolute room, so that it also
+    bounds the rounded grid values of _conclusion_rows."""
+    if isinstance(conclusion, Functional):
+        cap = _coeff_sums(_polynomial_coeffs(conclusion, a, 0j), r)
+    else:
+        g = _coeff_sums(_polynomial_coeffs(_GUARD[conclusion], a, 0j), r)
+        if conclusion is _Quotient.STARLIKE:
+            top = _coeff_sums(_polynomial_coeffs(Functional.DERIV_DEFECT, a, 0j), r)
+        elif conclusion is _Quotient.CONVEX:
+            top = r * _coeff_sums(_derivative_coeffs(_derivative_coeffs(a)), r)
+        else:
+            top = abs(1.0 - bound) + bound * g
+        cap = np.where(g <= 0.5, top / (1.0 - g), np.inf)
+    return cap * (1.0 + _SUM_SLACK) + _CAP_ROOM
+
+
+def _check_rows(theorem: Theorem, a: np.ndarray, params: Params, thr: float, spec: GridSpec, r_max: float,
+                floor: float):
     """check's verdict state codes (indices into _STATES) and conclusion
     margins for the functions with series coefficient rows a, as two row
     arrays by check's rules, with margin nan where check's is None, against
@@ -378,11 +413,25 @@ def _check_rows(theorem: Theorem, a: np.ndarray, params: Params, thr: float, spe
     _below, which decides as check's bracket does without a grid when the
     coefficient sum leaves room. The conclusion needs no upper bound: a row
     whose lower bound is not below the bound, a non-finite one included, is
-    a Fails, which check re-decides and where an overflow raises."""
+    a Fails, which check re-decides and where an overflow raises.
+
+    floor is the smallest margin the caller has seen so far, nan before any.
+    A row whose _conclusion_caps cap leaves a margin bound - cap above
+    max(floor, 0) skips its conclusion scan: it gets cap as its conclusion
+    value, so it holds where its hypothesis is certified and is Inconclusive
+    elsewhere, as check decides it, and its margin bound - cap is at most
+    check's but above floor, so it is never the smallest. The 0 keeps a row
+    that may reach the bound scanned when an uncertified row has made floor
+    negative."""
     bound = _conclusion_bound(theorem, params)
     hyp_fun, _, conclusion = _RULES[theorem]
     hyp_ok = _below(_polynomial_coeffs(hyp_fun, a, complex(params.beta)), r_max, thr, spec)
-    _, lower, _ = _conclusion_rows(conclusion, a, bound, r_max, spec)
+    lower = np.empty(len(a))
+    scan = np.arange(len(a))
+    if not math.isnan(floor):
+        lower = _conclusion_caps(conclusion, a, bound, r_max)
+        scan = np.flatnonzero(bound - lower <= max(floor, 0.0))
+    lower[scan] = _conclusion_rows(conclusion, a[scan], bound, r_max, spec)[1]
     return _decide(hyp_ok, lower, bound), bound - lower
 
 

@@ -16,10 +16,7 @@ their sups have closed forms, which anchors the bracket machinery.
 from __future__ import annotations
 
 import cmath
-import contextvars
 import math
-import os
-import threading
 from dataclasses import dataclass
 from enum import Enum
 
@@ -67,10 +64,6 @@ __all__ = [
 _BLOCK_POINTS = 16384
 #: Most trials one falsify call may run.
 _MAX_TRIALS = 10**6
-#: Most threads one falsify call decides its trials on, its own included.
-#: About half a block's time is FFT and grid arithmetic, which numpy runs
-#: without the GIL.
-_WORKERS = 2
 
 
 class Witness(Enum):
@@ -231,42 +224,6 @@ def _counterexample_record(trial: int, f: SeriesA, report: CheckReport) -> dict:
     }
 
 
-def _usable_cpus() -> int:
-    """CPUs this process may run on: its affinity set, or the CPU count
-    where the platform has no affinity call."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
-def _decide_chunk(theorem: Theorem, n: int, params: Params, cfg: FalsifyConfig, spec: GridSpec, thr: float,
-                  rows: int, trials: range, stop: threading.Event):
-    """Decide the trials of one falsify chunk in blocks of rows trials, until
-    they are done, one block raises, or stop is set before the next block.
-    Returns the chunk's counts by state code, its smallest margin, its Fails
-    rows as (trial, coefficient row) pairs in trial order, and the exception
-    that ended it, or None. The Fails rows are counted as Fails and left out
-    of the margin, for falsify to re-check."""
-    counts = np.zeros(len(_STATES), dtype=np.int64)
-    min_margin = math.nan
-    fails = []
-    try:
-        boxes = _tail_boxes(cfg.seed, trials, cfg.tail_len, rows)
-        for start in range(trials.start, trials.stop, rows):
-            if stop.is_set():
-                break
-            a = _sample_rows(theorem, n, params, cfg.margin * thr, next(boxes))
-            states, margins = _check_rows(theorem, a, params, thr, spec, cfg.r_max)
-            failed = np.flatnonzero(states == _FAILS)
-            fails += zip((start + failed).tolist(), a[failed])
-            margins[failed] = math.nan
-            counts += np.bincount(states, minlength=len(_STATES))
-            min_margin = np.fmin(min_margin, np.fmin.reduce(margins))
-    except Exception as exc:
-        return counts, min_margin, fails, exc
-    return counts, min_margin, fails, None
-
-
 def falsify(
     theorem: Theorem,
     n: int,
@@ -294,64 +251,41 @@ def falsify(
     cap) before being reported, to exclude grid artifacts. Zero fails is the
     expected outcome for a sound checker.
 
-    The call uses up to two threads. Its blocks are split into
-    min(_WORKERS, usable CPUs, blocks) contiguous chunks of whole blocks,
-    decided at once: the calling thread decides the first, and one more
-    thread the second in a copy of the caller's contextvars context, so
-    under the caller's numpy floating-point error state. So at most two
-    blocks are held at once, and the coefficient row of each trial that
-    fails on the coarse grid until it is re-checked. The Fails rows of all
-    chunks are re-checked afterwards in trial order, and an exception is
-    raised as a serial run would raise it: the first one in trial order,
-    after the re-checks of the trials before it. Once the first chunk has
-    raised or been interrupted, the other stops before its next block; no
-    thread outlives the call. Results therefore do not depend on the thread
-    count.
+    A block's conclusion scans are pruned: _check_rows gets the smallest
+    margin seen so far, and a row whose certified coefficient-sum cap
+    (_conclusion_caps) keeps its margin above that margin and above 0 is
+    decided without its grid. Such a row holds, or is Inconclusive where its
+    hypothesis is uncertified, as check decides it, and its margin cannot be
+    the smallest, so the summary is unchanged. Blocks are decided one after
+    another on the calling thread, and each block's Fails rows are re-checked
+    before the next block is drawn, so the counterexamples are in trial
+    order and an error is raised after the re-checks of the trials before
+    it, as a per-trial loop raises it.
     """
     thr = threshold(theorem, params, n)
     _require_degree(n, cfg.tail_len)
     spec = spec if spec is not None else GridSpec(m=512)
     dense = GridSpec(m=min(16 * spec.m, _MAX_GRID_M))
     rows = max(1, _BLOCK_POINTS // max(spec.m, n + 1 + cfg.tail_len))
-    blocks = -(-cfg.trials // rows)
-    count = min(_WORKERS, _usable_cpus(), blocks)
-    edges = [min(cfg.trials, rows * (k * blocks // count)) for k in range(count + 1)]
-    stop = threading.Event()
-    results = [None] * count
-
-    def decide(k: int) -> None:
-        results[k] = _decide_chunk(theorem, n, params, cfg, spec, thr, rows, range(edges[k], edges[k + 1]), stop)
-
-    workers = [threading.Thread(target=contextvars.copy_context().run, args=(decide, k)) for k in range(1, count)]
-    started = []
-    try:
-        for worker in workers:
-            worker.start()
-            started.append(worker)
-        decide(0)
-    finally:
-        # the first chunk's error, or an interrupt, makes the others moot
-        if results[0] is None or results[0][3] is not None:
-            stop.set()
-        for worker in started:
-            worker.join()
     counts = np.zeros(len(_STATES), dtype=np.int64)
     min_margin = math.nan
     counterexamples: list[dict] = []
-    for chunk_counts, chunk_margin, fails, error in results:
-        counts += chunk_counts
-        min_margin = np.fmin(min_margin, chunk_margin)
-        for trial, row in fails:
-            f = SeriesA(n, PolySeries(row))
+    for start, box in zip(range(0, cfg.trials, rows), _tail_boxes(cfg.seed, range(cfg.trials), cfg.tail_len, rows)):
+        a = _sample_rows(theorem, n, params, cfg.margin * thr, box)
+        states, margins = _check_rows(theorem, a, params, thr, spec, cfg.r_max, min_margin)
+        counts += np.bincount(states, minlength=len(_STATES))
+        failed = np.flatnonzero(states == _FAILS)
+        margins[failed] = math.nan
+        min_margin = np.fmin(min_margin, np.fmin.reduce(margins))
+        for row in failed.tolist():
+            f = SeriesA(n, PolySeries(a[row]))
             report = check(theorem, f, params, dense, cfg.r_max)
             counts[_FAILS] -= 1
             counts[_STATE_CODES[report.verdict.state]] += 1
             if report.verdict.conclusion_margin is not None:
                 min_margin = np.fmin(min_margin, report.verdict.conclusion_margin)
             if report.verdict.state is VerdictState.FAILS:
-                counterexamples.append(_counterexample_record(trial, f, report))
-        if error is not None:
-            raise error
+                counterexamples.append(_counterexample_record(start + row, f, report))
     tally = dict(zip(_STATES, counts.tolist()))
     return FalsifySummary(
         theorem=theorem,

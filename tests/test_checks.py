@@ -352,7 +352,7 @@ def test_conclusion_lower_is_the_grid_maximum(rng):
         top = np.abs(_circle_rows(p.coeffs[None], r, spec.m)).max()
         lem11 = check(Theorem.LEM11, f, Params(rho=0.5), spec)
         assert lem11.concl.lower == top
-        assert _check_rows(Theorem.LEM11, a, Params(rho=0.5), lem11.hyp_threshold, spec, r)[1][0] == 0.5 - top
+        assert _check_rows(Theorem.LEM11, a, Params(rho=0.5), lem11.hyp_threshold, spec, r, math.nan)[1][0] == 0.5 - top
         assert top == pytest.approx(circle_max(p.eval, r, grid), rel=1e-12)
         assert top <= circle_max(p.eval, r, spec)
 
@@ -361,7 +361,7 @@ def test_conclusion_lower_is_the_grid_maximum(rng):
         top = np.abs(values - 1.0).max()
         thm1 = check(Theorem.THM1, f, Params(alpha=0.25), spec)
         assert thm1.concl.lower == top
-        assert _check_rows(Theorem.THM1, a, Params(alpha=0.25), thm1.hyp_threshold, spec, r)[1][0] == 0.75 - top
+        assert _check_rows(Theorem.THM1, a, Params(alpha=0.25), thm1.hyp_threshold, spec, r, math.nan)[1][0] == 0.75 - top
         assert top == pytest.approx(circle_max(quotient, r, grid), rel=1e-12)
         assert top < circle_max(quotient, r, spec)
 
@@ -381,7 +381,8 @@ def test_denominator_floor_gives_the_singular_point(offset):
     assert rep.witness == pytest.approx(r * cmath.exp(1j * pole), abs=1e-15)
     star = membership(FunctionClass.STARLIKE, f, 0.25, spec, r)
     assert star.state is VerdictState.INCONCLUSIVE and star.witness == rep.witness
-    states, margins = _check_rows(Theorem.THM1, f.body.coeffs[None], Params(alpha=0.25), rep.hyp_threshold, spec, r)
+    states, margins = _check_rows(
+        Theorem.THM1, f.body.coeffs[None], Params(alpha=0.25), rep.hyp_threshold, spec, r, math.nan)
     assert [_STATES[c] for c in states] == [VerdictState.INCONCLUSIVE]
     assert np.isnan(margins).all() and len(margins) == 1
 

@@ -1,7 +1,6 @@
 """Sharp witnesses, the falsifier, and the validity-radius bisection."""
 
 import math
-import threading
 import tracemalloc
 
 import numpy as np
@@ -35,11 +34,12 @@ from diskcheck import (
     witness_closed_forms,
 )
 from diskcheck.bounds import _below
-from diskcheck.checks import _STATES, HYPOTHESIS_FUNCTIONAL, _check_rows
+from diskcheck.checks import _FAILS, _RULES, _STATES, HYPOTHESIS_FUNCTIONAL, _check_rows, _conclusion_bound, \
+    _conclusion_caps, _conclusion_rows
 from diskcheck.funcspec import function_to_dict
 from diskcheck.functionals import _polynomial_coeffs, as_polynomial
 from diskcheck.series import _tail_coeffs
-from diskcheck.witnesses import FalsifySummary, _tail_boxes
+from diskcheck.witnesses import FalsifySummary, _sample_rows, _tail_boxes
 
 LADDER = (0.9, 0.99, 0.999, 0.9999)
 DENSE = GridSpec(m=8192, refine_depth=5)
@@ -303,9 +303,9 @@ class TestTailStreams:
                 assert np.array_equal(np.concatenate(boxes), want)
 
     def test_boxes_cross_the_state_chunk_edge(self):
-        # each falsify chunk advances its own generator to its first trial:
-        # near the trial cap, two chunks of 32-row blocks give the boxes of
-        # one range, and both are the unadvanced stream's draws
+        # _tail_boxes advances its generator to the first trial of its range:
+        # near the trial cap, two adjacent ranges of 32-row blocks give the
+        # boxes of one range, and both are the unadvanced stream's draws
         edge, stop = 10**6 - 1000, 10**6
         whole = list(_tail_boxes(2**64 + 3, range(edge - 520, stop), 6, 32))
         chunks = (range(edge - 520, edge), range(edge, stop))
@@ -462,7 +462,7 @@ class TestFalsifyOracle:
         def verdicts(theorem, tails):
             thr = diskcheck.checks.threshold(theorem, params, 1)
             states, margins = _check_rows(
-                theorem, _tail_coeffs(1, np.array(tails, dtype=complex)), params, thr, spec, r_max)
+                theorem, _tail_coeffs(1, np.array(tails, dtype=complex)), params, thr, spec, r_max, math.nan)
             reports = [check(theorem, SeriesA.from_tail(1, t), params, spec, r_max) for t in tails]
             assert [(_STATES[s], None if m != m else m) for s, m in zip(states, margins.tolist())] == [
                 (rep.verdict.state, rep.verdict.conclusion_margin) for rep in reports]
@@ -526,13 +526,6 @@ class TestFalsifyOracle:
                 assert rel < 1.0 or not want[0]
 
 
-def on_workers(patch, workers):
-    """Let falsify split its trials over up to workers threads, whatever the
-    CPUs of the machine the tests run on."""
-    patch.setattr("diskcheck.witnesses._WORKERS", workers)
-    patch.setattr("diskcheck.witnesses._usable_cpus", lambda: 2)
-
-
 def raising(error):
     """An action that raises error."""
 
@@ -542,127 +535,63 @@ def raising(error):
     return action
 
 
-def recording_chunks(patch):
-    """Record the trial range, thread and stop event of every falsify chunk."""
-    chunks = []
-    real = diskcheck.witnesses._decide_chunk
-
-    def decide_chunk(*args):
-        chunks.append((args[-2], threading.current_thread(), args[-1]))
-        chunks.sort(key=lambda chunk: chunk[0].start)
-        return real(*args)
-
-    patch.setattr("diskcheck.witnesses._decide_chunk", decide_chunk)
-    return chunks
-
-
 def failing_boxes(fail_at, action):
     """_tail_boxes that runs action before it yields the block starting at
-    trial fail_at, and the list of the block starts it has yielded."""
+    trial fail_at."""
     real = diskcheck.witnesses._tail_boxes
-    yielded = []
 
     def boxes(seed, trials, tail_len, rows):
         for start, box in zip(range(trials.start, trials.stop, rows), real(seed, trials, tail_len, rows)):
             if start == fail_at:
                 action()
-            yielded.append(start)
             yield box
 
-    return boxes, yielded
+    return boxes
 
 
-class TestFalsifyThreads:
-    @pytest.mark.parametrize("theorem", list(Theorem))
-    def test_summary_does_not_depend_on_the_worker_count(self, theorem, monkeypatch):
-        # the m = 512 and m = 8192 grids have two blocks, one a chunk
-        params = _params(theorem, 0.6, -0.5 + 0.5j)
-        for spec, trials in ORACLE_GRIDS:
-            cfg = FalsifyConfig(trials=trials, seed=5, tail_len=6)
-            got = {}
-            for workers in (1, 2):
-                with monkeypatch.context() as patch:
-                    on_workers(patch, workers)
-                    chunks = recording_chunks(patch)
-                    got[workers] = falsify(theorem, 2, params, cfg, spec)
-                rows = 16384 // spec.m
-                want = [range(trials)] if workers == 1 or rows >= trials else [range(rows), range(rows, trials)]
-                assert [chunk[0] for chunk in chunks] == want
-                assert [chunk[1] is threading.current_thread() for chunk in chunks] == [True, False][: len(want)]
-            assert got[1] == got[2]
-
+class TestFalsifySerial:
     @pytest.mark.parametrize("theorem", [Theorem.THM2, Theorem.THM1])
-    def test_counterexamples_of_both_chunks_keep_trial_order(self, theorem, monkeypatch):
-        # with a conclusion bound of 1e-3, Fails rows fall in both chunks of
-        # 70 trials, blocks 0-31 and 32-69
+    def test_counterexamples_keep_trial_order(self, theorem, monkeypatch):
+        # with a conclusion bound of 1e-3, Fails rows fall in all three blocks
+        # of 70 trials, 0-31, 32-63 and 64-69
         monkeypatch.setattr("diskcheck.checks._conclusion_bound", lambda theorem, params: 1e-3)
         params = Params(alpha=0.25)
         cfg = FalsifyConfig(trials=70, seed=4)
         spec = GridSpec(m=512, refine_depth=2)
-        got = {}
-        for workers in (1, 2):
-            with monkeypatch.context() as patch:
-                on_workers(patch, workers)
-                got[workers] = falsify(theorem, 2, params, cfg, spec)
-        assert got[1] == got[2]
-        trials = [c["trial"] for c in got[2].counterexamples]
-        assert trials == sorted(trials) and trials[0] < 32 <= trials[-1]
+        got = falsify(theorem, 2, params, cfg, spec)
+        assert got == per_trial_falsify(theorem, 2, params, cfg, spec)
+        trials = [c["trial"] for c in got.counterexamples]
+        assert trials == sorted(trials) and trials[0] < 32 and trials[-1] >= 64
         if theorem is Theorem.THM2:
             assert trials == list(range(70))
 
     @pytest.mark.parametrize("error", [InputError("injected at trial 96"), FloatingPointError("injected")])
-    def test_error_in_the_second_chunk_is_raised_as_serially(self, error, monkeypatch):
-        # 130 trials are chunks 0-63 and 64-129; the block of trials 96-127
-        # raises after every earlier trial was recorded Fails and re-checked
+    def test_error_comes_after_the_earlier_rechecks(self, error, monkeypatch):
+        # 130 trials are blocks of 32; the block of trials 96-127 raises after
+        # every earlier trial was recorded Fails and re-checked, in trial order
         monkeypatch.setattr("diskcheck.checks._conclusion_bound", lambda theorem, params: 1e-3)
         params = Params(alpha=0.25)
         cfg = FalsifyConfig(trials=130, seed=4)
         spec = GridSpec(m=512, refine_depth=2)
-        before = threading.active_count()
-        rechecked = {}
-        for workers in (1, 2):
-            with monkeypatch.context() as patch:
-                on_workers(patch, workers)
-                rechecked[workers] = []
+        rechecked = []
 
-                def recording_check(theorem, f, *args, seen=rechecked[workers]):
-                    seen.append(function_to_dict(f))
-                    return check(theorem, f, *args)
+        def recording_check(theorem, f, *args):
+            rechecked.append(function_to_dict(f))
+            return check(theorem, f, *args)
 
-                patch.setattr("diskcheck.witnesses.check", recording_check)
-                patch.setattr("diskcheck.witnesses._tail_boxes", failing_boxes(96, raising(error))[0])
-                with pytest.raises(type(error)) as info:
-                    falsify(Theorem.THM2, 2, params, cfg, spec)
-            assert info.value is error
-            assert threading.active_count() == before
-        assert len(rechecked[1]) == 96
-        assert rechecked[1] == rechecked[2]
-
-    @pytest.mark.parametrize("error", [InputError("injected at trial 0"), KeyboardInterrupt()])
-    def test_error_in_the_first_chunk_stops_the_second(self, error, monkeypatch):
-        # the second chunk, blocks 160-319, waits before its second block
-        # until the first chunk has raised, and so decides at most two blocks
-        cfg = FalsifyConfig(trials=320, seed=4)
-        spec = GridSpec(m=512, refine_depth=2)
-        before = threading.active_count()
-        on_workers(monkeypatch, 2)
-        chunks = recording_chunks(monkeypatch)
-        fail_boxes, _ = failing_boxes(0, raising(error))
-        wait_boxes, yielded = failing_boxes(192, lambda: chunks[0][2].wait(10.0))
-        monkeypatch.setattr("diskcheck.witnesses._tail_boxes", lambda seed, trials, tail_len, rows: (
-            fail_boxes if trials.start == 0 else wait_boxes)(seed, trials, tail_len, rows))
+        monkeypatch.setattr("diskcheck.witnesses.check", recording_check)
+        monkeypatch.setattr("diskcheck.witnesses._tail_boxes", failing_boxes(96, raising(error)))
         with pytest.raises(type(error)) as info:
-            falsify(Theorem.THM2, 2, Params(alpha=0.25), cfg, spec)
+            falsify(Theorem.THM2, 2, params, cfg, spec)
         assert info.value is error
-        assert threading.active_count() == before
-        assert [trials for trials, _, _ in chunks] == [range(160), range(160, 320)]
-        assert chunks[0][2] is chunks[1][2] and chunks[1][2].is_set()
-        assert yielded == [160, 192][: len(yielded)]
+        assert rechecked == [
+            function_to_dict(sample_satisfying(Theorem.THM2, 2, params, cfg, trial_rng(cfg.seed, cfg.tail_len, t)))
+            for t in range(96)]
 
-    def test_worker_keeps_the_callers_floating_point_state(self, monkeypatch):
-        # numpy's error state is context-local, and a worker runs in a copy of
-        # the caller's context: an overflow in the second chunk raises under
-        # the caller's over="raise", and warns under numpy's default
+    def test_floating_point_errors_follow_the_callers_errstate(self, monkeypatch):
+        # numpy's error state is context-local, and every block is decided in
+        # the caller's context: an overflow while the second block is drawn
+        # raises under the caller's over="raise", and warns under numpy's default
         params = Params(alpha=0.25)
         cfg = FalsifyConfig(trials=64, seed=4)
         spec = GridSpec(m=512, refine_depth=2)
@@ -670,30 +599,102 @@ class TestFalsifyThreads:
         real_check_rows = diskcheck.witnesses._check_rows
 
         def recording_check_rows(*args):
-            states.append((np.geterr(), threading.current_thread() is threading.main_thread()))
+            states.append(np.geterr())
             return real_check_rows(*args)
 
         def overflow():
             np.float64(1e308) * np.float64(10.0)
 
         monkeypatch.setattr("diskcheck.witnesses._check_rows", recording_check_rows)
-        outcomes = {}
-        for workers in (1, 2):
+        monkeypatch.setattr("diskcheck.witnesses._tail_boxes", failing_boxes(32, overflow))
+        with np.errstate(over="raise", under="warn"):
+            caller = np.geterr()
+            with pytest.raises(FloatingPointError, match="overflow"):
+                falsify(Theorem.THM1, 2, params, cfg, spec)
+        assert states == [caller]
+        with pytest.warns(RuntimeWarning, match="overflow"):
+            got = falsify(Theorem.THM1, 2, params, cfg, spec)
+        assert states[1:] == [np.geterr()] * 2
+        monkeypatch.undo()
+        assert got == falsify(Theorem.THM1, 2, params, cfg, spec)
+
+
+class TestFalsifyPruning:
+    @pytest.mark.parametrize("theorem", list(Theorem))
+    def test_summary_equals_the_unpruned_rule(self, theorem, monkeypatch):
+        # every ORACLE_GRIDS grid runs at least three blocks, so later blocks
+        # are pruned against the margins of earlier ones; the last parameter
+        # set puts beta 1e-9 inside its strip, so the threshold, the tails and
+        # the conclusion values are all near 0
+        edge = 2 + _RULES[theorem][1] - 1e-9
+        scanned = []
+        real_rows = diskcheck.checks._conclusion_rows
+
+        def counting_rows(conclusion, a, *args):
+            scanned[-1] += len(a)
+            return real_rows(conclusion, a, *args)
+
+        monkeypatch.setattr("diskcheck.checks._conclusion_rows", counting_rows)
+        got = {}
+        for prune in (True, False):
+            scanned.append(0)
             with monkeypatch.context() as patch:
-                on_workers(patch, workers)
-                patch.setattr("diskcheck.witnesses._tail_boxes", failing_boxes(32, overflow)[0])
-                with np.errstate(over="raise", under="warn"):
-                    caller = np.geterr()
-                    with pytest.raises(FloatingPointError) as info:
-                        falsify(Theorem.THM1, 2, params, cfg, spec)
-                assert [state for state, _ in states] == [caller]
-                with pytest.warns(RuntimeWarning, match="overflow"):
-                    outcomes[workers] = falsify(Theorem.THM1, 2, params, cfg, spec)
-                assert [state for state, _ in states[1:]] == [np.geterr()] * 2
-            assert sorted(main for _, main in states) == [workers == 1, True, True]
-            outcomes[workers] = (str(info.value), outcomes[workers])
-            states.clear()
-        assert outcomes[1] == outcomes[2]
+                if not prune:  # infinite caps: every row is scanned whatever its floor
+                    patch.setattr("diskcheck.checks._conclusion_caps",
+                                  lambda conclusion, a, bound, r: np.full(len(a), np.inf))
+                got[prune] = []
+                for alpha, beta in ((0.25, 0j), (0.6, -0.5 + 0.5j), (0.25, edge)):
+                    params = _params(theorem, alpha, beta)
+                    for spec, trials in ORACLE_GRIDS:
+                        for tail_len in (0, 1, 6, 40):
+                            rows = 16384 // max(spec.m, 3 + tail_len)
+                            cfg = FalsifyConfig(trials=2 * rows + trials, seed=23, tail_len=tail_len)
+                            got[prune].append(falsify(theorem, 2, params, cfg, spec))
+        assert got[True] == got[False]
+        assert scanned[0] < scanned[1]
+
+    @pytest.mark.parametrize("theorem", list(Theorem))
+    def test_rows_at_the_bound_fail_under_a_negative_floor(self, theorem, monkeypatch, rng):
+        # with a conclusion bound of 1e-3, drawn rows reach the bound and the
+        # rows scaled down by 1e-6 stay below it; a floor of -1 may prune only
+        # the latter
+        monkeypatch.setattr("diskcheck.checks._conclusion_bound", lambda theorem, params: 1e-3)
+        params = _params(theorem, 0.25, 0j)
+        thr = threshold(theorem, params, 2)
+        spec = GridSpec(m=512, refine_depth=2)
+        a = _sample_rows(theorem, 2, params, 0.9 * thr, rng.uniform(-1.0, 1.0, (16, 6, 2)))
+        a[8:, 3:] *= 1e-6
+        want_states, want_margins = _check_rows(theorem, a, params, thr, spec, 0.999, math.nan)
+        states, margins = _check_rows(theorem, a, params, thr, spec, 0.999, -1.0)
+        failed = want_states == _FAILS
+        assert failed[:8].all()
+        assert states.tolist() == want_states.tolist()
+        assert margins[failed].tolist() == want_margins[failed].tolist()
+        assert (margins <= want_margins).all()
+
+    @pytest.mark.parametrize("theorem", list(Theorem))
+    def test_caps_bound_the_grid_values(self, theorem, rng):
+        # drawn rows of seven scales at n = 1 and 2, on every grid up to
+        # m = 8192; every eighth row is a monomial z + c z^(n+1) with c > 0,
+        # whose conclusion meets its cap at the grid point of angle pi / n
+        # (at alpha = 0.6, where the 1/f' center 1/(2 alpha) is below 1)
+        params = _params(theorem, 0.6, 0j)
+        bound = _conclusion_bound(theorem, params)
+        conclusion = _RULES[theorem][2]
+        for n in (1, 2):
+            a = _tail_coeffs(n, rng.uniform(-1.0, 1.0, (56, 6)) + 1j * rng.uniform(-1.0, 1.0, (56, 6)))
+            a[:, n + 1:] *= np.repeat([1e-12, 1e-6, 1e-3, 0.03, 0.1, 0.3, 1e6], 8)[:, None]
+            a[::8, n + 2:] = 0.0
+            a[::8, n + 1] = np.abs(a[::8, n + 1])
+            caps = _conclusion_caps(conclusion, a, bound, 0.999)
+            assert np.isfinite(caps).sum() >= 24
+            for m in (16, 512, 8192):
+                _, lower, _ = _conclusion_rows(conclusion, a, bound, 0.999, GridSpec(m=m))
+                known = ~np.isnan(lower)
+                assert known[np.isfinite(caps)].all()
+                assert (caps[known] >= lower[known]).all(), (n, m)
+                tight = np.isfinite(caps[::8])
+                np.testing.assert_allclose(lower[::8][tight], caps[::8][tight], rtol=2**-19, atol=2**-39)
 
 
 class TestRadiusOfValidity:

@@ -9,12 +9,15 @@ every corpus file and theorem, membership for every class at `--rmax` 0.6,
 1), and falsify (50 trials, n = 2) for each theorem. A third set runs
 falsify (50 trials, n = 2, the second parameter set) for each theorem at
 --seed 1, 2^32 and 2^70 + 1, seeds of one, two and three 32-bit words, and
-at --tail-len 0, 1 and 40. A fourth set passes out-of-range and non-finite
-arguments (--rmax, --alpha, --beta, --rho, --margin, --n) to every command,
-so that each argument error the CLI can print is covered. Each line is the
-argv, the exit code and the sha256 of stdout + stderr. Inputs are named
-relative to the repo root, so the output does not depend on where the
-checkout lives. Compare two trees with
+at --tail-len 0, 1 and 40, and falsify (1000 trials, n = 2) for each
+theorem and parameter set at the default grid and at --grid-m 64. Those
+calls run 32 and 4 blocks, so falsify's pruning of conclusion scans against
+the margins of earlier blocks is covered. A fourth set passes out-of-range
+and non-finite arguments (--rmax, --alpha, --beta, --rho, --margin, --n) to
+every command, so that each argument error the CLI can print is covered.
+Each line is the argv, the exit code and the sha256 of stdout + stderr.
+Inputs are named relative to the repo root, so the output does not depend
+on where the checkout lives. Compare two trees with
 `python3 tools/report_digest.py > a.txt` in each and `diff`.
 
 To see why a line changed, dump the runs in each tree and compare the dumps:
@@ -83,6 +86,10 @@ def runs():
                    ["--tail-len", "0"], ["--tail-len", "1"], ["--tail-len", "40"]):
         for thm in THEOREMS:
             yield ["falsify", "--n", "2", "--trials", "50"] + theorem_args(thm, *PARAMS[1]) + stream
+    for grid in ([], coarse):
+        for thm in THEOREMS:
+            for alpha, beta in PARAMS:
+                yield ["falsify", "--n", "2", "--trials", "1000"] + theorem_args(thm, alpha, beta) + grid
     yield from bad_argument_runs("tests/corpus/halfdisk.json")
 
 
