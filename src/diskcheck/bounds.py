@@ -3,8 +3,10 @@
 For analytic g the sup over the closed disk of radius r is attained on the
 circle |z| = r (maximum principle), so a dense angular grid already gives a
 true lower bound. Every polynomial grid comes from one FFT (_circle_rows;
-Cooley & Tukey, Math. Comp. 19 (1965)), and every bracket takes its lower
-bound from the grid maximum alone (_circle_argopt); golden-section
+Cooley & Tukey, Math. Comp. 19 (1965)); a check or membership call makes one
+FFT over all of its rows, stacked by _stacked (a guard that its coefficient
+sum cannot certify takes one more), and every bracket takes its lower bound
+from the grid maximum alone (_circle_argopt); golden-section
 refinement (_golden_argmax) serves only circle_argmax, circle_max and
 checks.jack_probe, which locate a point. For a polynomial p with a
 coefficient row of length K + 1, so of degree at most K, three certified
@@ -209,6 +211,19 @@ def _circle_rows(c: np.ndarray, r: float, m: int) -> np.ndarray:
     return np.fft.ifft(c, n=m, axis=-1, norm="forward")
 
 
+def _stacked(*parts) -> np.ndarray:
+    """The rows of the coefficient arrays parts (shapes (rows_i, L_i)) as one
+    array, each row zero-padded on the right to the longest length. Zero
+    padding changes no _circle_rows value, so one call on the stack gives
+    every part's grid bitwise as a call on that part alone does."""
+    stack = np.zeros((sum(len(p) for p in parts), max(p.shape[-1] for p in parts)), dtype=np.complex128)
+    start = 0
+    for p in parts:
+        stack[start : start + len(p), : p.shape[-1]] = p
+        start += len(p)
+    return stack
+
+
 @np.errstate(all="ignore")
 def _sup_rows(c: np.ndarray, r: float, spec: GridSpec):
     """Lower bounds on sup |p| over |z| <= r for every polynomial row p of c
@@ -244,13 +259,6 @@ def _sup_upper(c: np.ndarray, r: float, lower, spec: GridSpec) -> np.ndarray:
     return require_finite(np.maximum(lower, upper), f"the sup on |z| = {r}")
 
 
-def _sup_bracket(c: np.ndarray, r: float, spec: GridSpec) -> SupBracket:
-    """Certified bracket on sup |p| over |z| <= r for the one polynomial row
-    p of c (shape (1, M+1))."""
-    lower, _ = _sup_rows(c, r, spec)
-    return SupBracket(float(lower[0]), float(_sup_upper(c, r, lower, spec)[0]), r, BracketKind.CERTIFIED)
-
-
 #: Relative room a coefficient sum must leave below a bound for _below to
 #: accept it without a grid. The _sup_upper bound is at most that sum, or the
 #: grid value when rounding puts it above the sum, and FFT rounding moves a
@@ -284,4 +292,6 @@ def poly_sup(p: PolySeries, r: float, spec: GridSpec | None = None) -> SupBracke
     """
     spec = spec if spec is not None else GridSpec()
     r = require_real(r, lambda v: 0.0 < v <= 1.0, "circle radius must lie in (0, 1]", InputError)
-    return _sup_bracket(p.coeffs[None], r, spec)
+    c = p.coeffs[None]
+    lower, _ = _sup_rows(c, r, spec)
+    return SupBracket(float(lower[0]), float(_sup_upper(c, r, lower, spec)[0]), r, BracketKind.CERTIFIED)

@@ -36,7 +36,7 @@ import numpy as np
 # poly_sup is not called here, but diskcheck.checks.poly_sup stays importable:
 # bench/tracer.py wraps that name and bench/test_bench.py deletes it.
 from .bounds import _SUM_SLACK, GridSpec, SupBracket, BracketKind, _below, _circle_argopt, _circle_point, \
-    _circle_rows, _coeff_sums, _golden_argmax, _sup_bracket, _sup_rows, _sup_upper, _unit_circle, poly_sup  # noqa: F401
+    _circle_rows, _coeff_sums, _golden_argmax, _stacked, _sup_rows, _sup_upper, _unit_circle, poly_sup  # noqa: F401
 from .errors import InputError, ParameterError, require_complex, require_finite, require_int, require_real
 from .functionals import DEFAULT_DENOM_FLOOR, Functional, _polynomial_coeffs, _require_nonsingular
 from .series import PolySeries, SeriesA, _derivative_coeffs
@@ -220,12 +220,13 @@ _STATE_CODES = {state: code for code, state in enumerate(_STATES)}
 _FAILS, _INCONCLUSIVE = _STATE_CODES[VerdictState.FAILS], _STATE_CODES[VerdictState.INCONCLUSIVE]
 
 
-def _decide(hyp_ok, lower, bound: float) -> np.ndarray:
+def _decide(hyp_ok, lower, bound: float):
     """check's verdict state codes (indices into _STATES) for rows with a
     certified hypothesis where hyp_ok and conclusion grid maximum lower, nan
     where the conclusion is unknown: Inconclusive for either failure, else
-    Holds when lower < bound and Fails when not."""
-    return np.where(hyp_ok & ~np.isnan(lower), lower >= bound, _INCONCLUSIVE)
+    Holds when lower < bound and Fails when not. Bool arithmetic, so it runs
+    elementwise on row arrays and on check's one row as plain Python."""
+    return _INCONCLUSIVE - (hyp_ok & (lower == lower)) * (_INCONCLUSIVE - (lower >= bound))
 
 
 #: Guard polynomial g of each guarded quotient: its nonvanishing needs sup |g| < 1.
@@ -261,11 +262,17 @@ def _quotient_value(kind: _Quotient, z, den, top):
     return top
 
 
+#: The lead of a scan with no polynomial rows ahead of its conclusion.
+_NO_ROWS = np.zeros((0, 0), dtype=np.complex128)
+
+
 @np.errstate(all="ignore")
-def _quotient_rows(kind: _Quotient, a: np.ndarray, r: float, spec: GridSpec, h):
-    """Maximum over the m-point grid on |z| = r of the real objective h(q),
-    for the quotient q of every row a[i] of series coefficients: two arrays,
-    the maxima and their grid points.
+def _quotient_rows(kind: _Quotient, a: np.ndarray, r: float, spec: GridSpec, h, lead: np.ndarray):
+    """Maximum over the m-point grid on |z| = r of |p| for every polynomial
+    row p of lead (check's hypothesis), then of the real objective h(q) for
+    the quotient q of every row a[i] of series coefficients: two arrays over
+    lead's rows and a's, the maxima and their grid points. All grids come
+    from one _circle_rows call on the stacked rows.
 
     A guarded quotient is scanned only when its guard is certified below 1 by
     _below; otherwise value and point are nan. When a denominator modulus
@@ -273,56 +280,53 @@ def _quotient_rows(kind: _Quotient, a: np.ndarray, r: float, spec: GridSpec, h):
     point is the first such grid point. h takes an ndarray. InputError when
     a value overflows.
     """
-    values = np.full(len(a), np.nan)
-    points = np.full(len(a), complex(np.nan, np.nan))
-    parts = _quotient_parts(kind, a)
+    k = len(lead)
+    values = np.full(k + len(a), np.nan)
+    points = np.full(k + len(a), complex(np.nan, np.nan))
+    den, top = _quotient_parts(kind, a)
     rows = np.arange(len(a))
     if kind in _GUARD:
         rows = rows[_below(_polynomial_coeffs(_GUARD[kind], a, 0j), r, 1.0, spec)]
     z = r * _unit_circle(spec.m)
-    den, top = (None if p is None else _circle_rows(p[rows], r, spec.m) for p in parts)
+    grids = _circle_rows(_stacked(lead, *(p[rows] for p in (den, top) if p is not None)), r, spec.m)
+    den = None if den is None else grids[k : k + len(rows)]
+    top = None if top is None else grids[len(grids) - len(rows) :]
     vals = h(_quotient_value(kind, z, den, top))
-    bad = np.abs(den) < DEFAULT_DENOM_FLOOR if den is not None else np.zeros(vals.shape, dtype=bool)
-    singular = bad.any(axis=-1)
-    if not (singular | np.isfinite(vals).all(axis=-1)).all():
+    ok = np.isfinite(vals).all(axis=-1)
+    if den is not None:  # a singular row reads nan at its singular points, and argmax takes the first
+        bad = np.abs(den) < DEFAULT_DENOM_FLOOR
+        singular = bad.any(axis=-1)
+        ok |= singular
+        vals[singular] = np.where(bad[singular], np.nan, 0.0)
+    if not ok.all():
         raise InputError(f"float overflow in {kind.value} on |z| = {r}")
-    best, j = _circle_argopt(vals)
-    values[rows] = np.where(singular, np.nan, best)
-    points[rows] = z[np.where(singular, bad.argmax(axis=-1), j)]
+    scanned = np.concatenate([np.arange(k), k + rows])
+    best, j = _circle_argopt(np.concatenate([np.abs(grids[:k]), vals]))
+    values[scanned], points[scanned] = best, z[j]
     return values, points
 
 
-def _pairs(values, points):
-    """(value, z) pairs of two row arrays, with None for nan."""
-    return [(None if v != v else v, None if z != z else z) for v, z in zip(values.tolist(), points.tolist())]
-
-
-def _conclusion_rows(conclusion, a: np.ndarray, bound: float, r_max: float, spec: GridSpec):
-    """check's conclusion scan of every row a[i] of series coefficients: the
-    coefficient rows of a polynomial conclusion, which check certifies from
-    above, or None for a quotient, then two row arrays, the grid maximum and
-    its point. A polynomial conclusion gets the _sup_rows value, inf where
-    that is nan (a non-finite grid, which check rejects). A quotient q,
-    bounded as |q - center| < bound, gets the _quotient_rows value of that
-    modulus, nan for a failed guard or a singular point.
+def _conclusion_rows(conclusion, a: np.ndarray, bound: float, r: float, spec: GridSpec, lead: np.ndarray):
+    """check's scan of the polynomial rows of lead (check's hypothesis; none
+    for falsify) and of the conclusion of every row a[i] of series
+    coefficients, from one _circle_rows call: the polynomial rows that check
+    certifies from above (lead, then a polynomial conclusion's coefficient
+    rows), then two arrays over lead's rows and a's, the grid maxima and
+    their points. A polynomial row gets its _sup_rows value, nan where its
+    grid is not finite. A quotient q, bounded as |q - center| < bound, gets
+    the _quotient_rows value of that modulus, nan for a failed guard or a
+    singular point.
     """
     if isinstance(conclusion, Functional):
-        c = _polynomial_coeffs(conclusion, a, 0j)
-        lower, j = _sup_rows(c, r_max, spec)
-        return c, np.where(np.isnan(lower), np.inf, lower), r_max * _unit_circle(spec.m)[j]
+        polys = _stacked(lead, _polynomial_coeffs(conclusion, a, 0j))
+        values, j = _sup_rows(polys, r, spec)
+        return polys, values, r * _unit_circle(spec.m)[j]
     center = bound if conclusion is _Quotient.RECIPROCAL else 1.0
-    return None, *_quotient_rows(conclusion, a, r_max, spec, lambda q: abs(q - center))
+    return lead, *_quotient_rows(conclusion, a, r, spec, lambda q: abs(q - center), lead)
 
 
-def check(
-    theorem: Theorem,
-    f: SeriesA,
-    params: Params,
-    spec: GridSpec | None = None,
-    r_max: float = 0.999,
-    *,
-    thm3_branch: str = "auto",
-) -> CheckReport:
+def check(theorem: Theorem, f: SeriesA, params: Params, spec: GridSpec | None = None, r_max: float = 0.999, *,
+          thm3_branch: str = "auto") -> CheckReport:
     """Verify one sufficient-condition instance on the disk |z| <= r_max.
 
     The hypothesis sup gets a certified bracket; the conclusion gets a
@@ -341,32 +345,22 @@ def check(
     bound = _conclusion_bound(theorem, params)
     hyp_fun, _, conclusion = _RULES[theorem]
     a = f.body.coeffs[None]
-    hyp = _sup_bracket(_polynomial_coeffs(hyp_fun, a, complex(params.beta)), r_max, spec)
-    poly, lowers, points = _conclusion_rows(conclusion, a, bound, r_max, spec)
-    state = _STATES[_decide(hyp.upper < thr, lowers, bound)[0]]
-    [(lower, z)] = _pairs(lowers, points)
+    hyp_rows = _polynomial_coeffs(hyp_fun, a, complex(params.beta))
+    polys, values, points = _conclusion_rows(conclusion, a, bound, r_max, spec, hyp_rows)
+    # rows: the hypothesis, then the conclusion; the bound rejects a non-finite grid
+    uppers = _sup_upper(polys, r_max, values[: len(polys)], spec).tolist()
+    (hyp_lower, lower), z = values.tolist(), points[1].item()
+    hyp = SupBracket(hyp_lower, uppers[0], r_max, BracketKind.CERTIFIED)
+    state = _STATES[_decide(hyp.upper < thr, lower, bound)]
     concl = margin = None
-    if lower is not None:
-        margin = bound - lower
-        if poly is None:
-            concl = SupBracket(lower, math.inf, r_max, BracketKind.GRID_ONLY)
-        else:
-            concl = SupBracket(lower, float(_sup_upper(poly, r_max, [lower], spec)[0]), r_max, BracketKind.CERTIFIED)
+    if lower == lower:  # nan for a failed guard or a singular point
+        kind = BracketKind.CERTIFIED if len(uppers) > 1 else BracketKind.GRID_ONLY
+        margin, concl = bound - lower, SupBracket(lower, (uppers + [math.inf])[1], r_max, kind)
     # a Fails shows its violating point, an unknown conclusion its singular point
-    witness = z if lower is None or state is VerdictState.FAILS else None
+    witness = z if (concl is None or state is VerdictState.FAILS) and z == z else None
     verdict = Verdict(state=state, hypothesis_margin=thr - hyp.upper, conclusion_margin=margin, witness=witness)
-    return CheckReport(
-        theorem=theorem,
-        params=params,
-        n=n,
-        r_max=r_max,
-        hyp=hyp,
-        hyp_threshold=thr,
-        concl=concl,
-        concl_bound=bound,
-        verdict=verdict,
-        witness=witness,
-    )
+    return CheckReport(theorem=theorem, params=params, n=n, r_max=r_max, hyp=hyp, hyp_threshold=thr, concl=concl,
+                       concl_bound=bound, verdict=verdict, witness=witness)
 
 
 #: Absolute room _conclusion_caps adds to each cap beside its _SUM_SLACK
@@ -431,7 +425,8 @@ def _check_rows(theorem: Theorem, a: np.ndarray, params: Params, thr: float, spe
     if not math.isnan(floor):
         lower = _conclusion_caps(conclusion, a, bound, r_max)
         scan = np.flatnonzero(bound - lower <= max(floor, 0.0))
-    lower[scan] = _conclusion_rows(conclusion, a[scan], bound, r_max, spec)[1]
+    values = _conclusion_rows(conclusion, a[scan], bound, r_max, spec, _NO_ROWS)[1]
+    lower[scan] = np.where(np.isnan(values), np.inf, values) if isinstance(conclusion, Functional) else values
     return _decide(hyp_ok, lower, bound), bound - lower
 
 
@@ -441,13 +436,8 @@ class FunctionClass(Enum):
     CONVEX = "k"               # Re(1 + z f''/f') > alpha
 
 
-def membership(
-    which: FunctionClass,
-    f: SeriesA,
-    alpha: float,
-    spec: GridSpec | None = None,
-    r_max: float = 0.999,
-) -> Verdict:
+def membership(which: FunctionClass, f: SeriesA, alpha: float, spec: GridSpec | None = None,
+               r_max: float = 0.999) -> Verdict:
     """Grid verdict on class membership of order alpha on the disk |z| <= r_max.
 
     Quotient classes run behind the same nonvanishing guards as check(); a
@@ -466,9 +456,11 @@ def membership(
 
     if not isinstance(which, FunctionClass):
         raise InputError(f"unknown function class {which!r}")
-    [(value, z)] = _pairs(*_quotient_rows(_Quotient[which.name], f.body.coeffs[None], r_max, spec, lambda q: -q.real))
-    if value is None:
-        return Verdict(VerdictState.INCONCLUSIVE, None, None, z)
+    a = f.body.coeffs[None]
+    values, points = _quotient_rows(_Quotient[which.name], a, r_max, spec, lambda q: -q.real, _NO_ROWS)
+    value, z = values.item(), points.item()
+    if value != value:  # nan for a failed guard or a singular point
+        return Verdict(VerdictState.INCONCLUSIVE, None, None, None if z != z else z)
     min_re = -value
     margin = min_re - alpha
     if min_re > alpha:
@@ -476,12 +468,7 @@ def membership(
     return Verdict(VerdictState.FAILS, None, margin, z)
 
 
-def duality_check(
-    f: SeriesA,
-    alpha: float,
-    spec: GridSpec | None = None,
-    r_max: float = 0.999,
-) -> Verdict:
+def duality_check(f: SeriesA, alpha: float, spec: GridSpec | None = None, r_max: float = 0.999) -> Verdict:
     """Compare convexity of f with starlikeness of z f' at the same order.
 
     The two memberships evaluate the same quotient through different
@@ -520,11 +507,10 @@ class JackReport:
 _POLISH_STEPS = 12
 
 
-def _polish_peak(w: PolySeries, r: float, theta: float, step_cap: float) -> float:
+def _polish_peak(w: PolySeries, w1: PolySeries, w2: PolySeries, r: float, theta: float, step_cap: float) -> float:
     """Newton steps on Im(z w'/w) = 0, the stationarity condition of
-    log |w| along the circle; leaves theta unchanged when the slope is flat."""
-    w1 = w.derivative()
-    w2 = w1.derivative()
+    log |w| along the circle, with w1 = w' and w2 = w''; leaves theta
+    unchanged when the slope is flat."""
     tol_scale = 1e-15
     for _ in range(_POLISH_STEPS):
         z = _circle_point(r, theta)
@@ -566,16 +552,18 @@ def jack_probe(w: PolySeries, n: int, r: float, spec: GridSpec | None = None) ->
         raise InputError("w must not be identically zero")
     if int(nonzero[0]) < n:
         raise InputError(f"leading index {int(nonzero[0])} is below the declared n = {n}")
+    with np.errstate(all="ignore"):
+        d1 = require_finite(_derivative_coeffs(c), "the derivative of w")
+        w1, w2 = PolySeries(d1), PolySeries(require_finite(_derivative_coeffs(d1), "the second derivative of w"))
 
     h = lambda z: abs(w.eval(z))  # noqa: E731
     _, theta = _golden_argmax(h, r, np.abs(_circle_rows(c[None], r, spec.m)[0]), spec.refine_depth, basins=3)
-    theta = _polish_peak(w, r, theta, step_cap=2.0 * math.pi / spec.m)
+    theta = _polish_peak(w, w1, w2, r, theta, step_cap=2.0 * math.pi / spec.m)
     z0 = _circle_point(r, theta)
     w0 = w.eval(z0)
-    w1 = w.derivative()
     v1 = w1.eval(z0)
     _require_nonsingular(z0, w0, DEFAULT_DENOM_FLOOR)
     _require_nonsingular(z0, v1, DEFAULT_DENOM_FLOOR)
     ratio = z0 * v1 / w0
-    curvature = (z0 * w1.derivative().eval(z0) / v1).real + 1.0
+    curvature = (z0 * w2.eval(z0) / v1).real + 1.0
     return JackReport(r=r, z0=z0, ratio=ratio, n=n, curvature_check=float(curvature))

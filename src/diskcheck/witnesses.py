@@ -302,10 +302,10 @@ def falsify(
 
 @dataclass(frozen=True)
 class RadiusReport:
-    """Bisection outcome: r_star is the largest subdisk scale at which the
-    hypothesis stays certified. status is "bracketed" after a genuine
-    bisection, "saturated" when the hypothesis is certified even at scale 1
-    (r_star = 1), and "empty" when not even tiny scales certify (r_star = 0).
+    """Bisection outcome: r_star is the certified lower end of the bisection
+    bracket. status is "bracketed" after a genuine bisection, "saturated"
+    when the hypothesis is certified even at scale 1 (r_star = 1), and
+    "empty" when not even tiny scales certify (r_star = 0).
     """
 
     theorem: Theorem
@@ -344,4 +344,4 @@ def radius_of_validity(theorem: Theorem, f: SeriesA, params: Params) -> RadiusRe
         else:
             hi = mid
         iterations += 1
-    return RadiusReport(theorem, 0.5 * (lo + hi), iterations, hi - lo, "bracketed")
+    return RadiusReport(theorem, lo, iterations, hi - lo, "bracketed")

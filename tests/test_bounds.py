@@ -16,7 +16,7 @@ from diskcheck import (
     coeff_bound,
     poly_sup,
 )
-from diskcheck.bounds import _circle_rows, _golden_argmax, _sup_rows, _sup_upper, _unit_circle
+from diskcheck.bounds import _circle_rows, _golden_argmax, _stacked, _sup_rows, _sup_upper, _unit_circle
 from diskcheck.series import _horner_rows
 
 from conftest import random_series
@@ -218,6 +218,18 @@ def test_circle_rows_equal_horner_on_the_grid(rng, rows, K, m):
     weight = np.sum(np.abs(c) * r ** np.arange(K + 1), axis=-1)
     tol = 8 * np.finfo(float).eps * (math.log2(m) + math.ceil((K + 1) / m)) * weight
     assert np.all(np.abs(fft - horner).max(axis=-1) <= tol)
+
+
+@pytest.mark.parametrize("m", [16, 512, 4096])
+def test_stacked_rows_equal_one_call_per_row(rng, m):
+    # rows of unequal length, zero-padded to the longest, give bitwise the
+    # grids of one call per row, also where a row is longer than m and folded
+    sizes = (1, 5, 66, 515, 2052, m - 1, m, m + 3, 2 * m + 7)
+    parts = [_random_rows(rng, 1 + i % 3, size) for i, size in enumerate(sizes)]
+    stack = _stacked(*parts)
+    assert stack.shape == (sum(len(p) for p in parts), max(sizes))
+    want = np.concatenate([_circle_rows(p, 0.95, m) for p in parts])
+    assert np.array_equal(_circle_rows(stack, 0.95, m), want)
 
 
 @pytest.mark.parametrize("K, m", [(15, 16), (8, 16), (64, 4096)])

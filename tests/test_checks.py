@@ -2,9 +2,12 @@
 
 import cmath
 import math
+import warnings
 
 import numpy as np
 import pytest
+
+import diskcheck.bounds
 
 from diskcheck import (
     BracketKind,
@@ -35,8 +38,8 @@ from diskcheck import (
     validate_params,
     witness_closed_forms,
 )
-from diskcheck.bounds import _circle_rows
-from diskcheck.checks import _STATES, _check_rows, _decide
+from diskcheck.bounds import _circle_rows, _sup_rows, _sup_upper
+from diskcheck.checks import _RULES, _STATES, _check_rows, _decide
 
 from conftest import small_tail_series
 
@@ -366,6 +369,59 @@ def test_conclusion_lower_is_the_grid_maximum(rng):
         assert top < circle_max(quotient, r, spec)
 
 
+def _params(theorem, alpha, beta):
+    if theorem in (Theorem.LEM11, Theorem.LEM12, Theorem.LEM3):
+        return Params(beta=beta, rho=1.0 - alpha)
+    return Params(alpha=alpha, beta=beta)
+
+
+@pytest.mark.parametrize("K", [64, 512, 2048])
+def test_stacked_brackets_equal_one_row_brackets(rng, K):
+    # check scans its hypothesis and conclusion rows in one stacked pass; the
+    # hypothesis bracket and a polynomial conclusion's bracket are exactly the
+    # one-row _sup_rows + _sup_upper brackets
+    spec, r = GridSpec(m=4096), 0.999
+    k = np.arange(3, 3 + K)
+    tail = 0.2 * (rng.uniform(-1, 1, K) + 1j * rng.uniform(-1, 1, K)) / k**3
+    f = SeriesA.from_tail(2, tail)
+    for theorem in Theorem:
+        hyp_fun, _, conclusion = _RULES[theorem]
+        params = _params(theorem, 0.25, 0.5 + 0j)
+        rep = check(theorem, f, params, spec, r)
+        rows = [(hyp_fun, params.beta, rep.hyp)]
+        if isinstance(conclusion, Functional):
+            rows.append((conclusion, 0j, rep.concl))
+        for functional, beta, bracket in rows:
+            c = as_polynomial(functional, f, beta).coeffs[None]
+            lower, _ = _sup_rows(c, r, spec)
+            assert bracket.kind is BracketKind.CERTIFIED
+            assert (bracket.lower, bracket.upper) == (lower[0], _sup_upper(c, r, lower, spec)[0])
+
+
+def test_one_circle_pass_per_call(rng, monkeypatch):
+    # every guard of f is certified by its coefficient sum, so check and
+    # membership make one _circle_rows call each, over all of their rows
+    real_rows = diskcheck.bounds._circle_rows
+    calls = []
+
+    def counting_rows(c, r, m):
+        calls.append(len(c))
+        return real_rows(c, r, m)
+
+    monkeypatch.setattr("diskcheck.bounds._circle_rows", counting_rows)
+    monkeypatch.setattr("diskcheck.checks._circle_rows", counting_rows)
+    f = small_tail_series(rng, 2, 6)
+    rows = {Theorem.THM1: 3, Theorem.COR1: 3}
+    for theorem in Theorem:
+        calls.clear()
+        check(theorem, f, _params(theorem, 0.25, 0j), SPEC)
+        assert calls == [rows.get(theorem, 2)], theorem
+    for which, want in ((FunctionClass.STARLIKE, 2), (FunctionClass.BOUNDED_TURNING, 1), (FunctionClass.CONVEX, 2)):
+        calls.clear()
+        membership(which, f, 0.25, SPEC)
+        assert calls == [want], which
+
+
 @pytest.mark.parametrize("offset", [0.0])
 def test_denominator_floor_gives_the_singular_point(offset):
     # f/z = 1 + a z with |a| r = 1 - 5e-13: the guard sup |f/z - 1| < 1 holds,
@@ -526,6 +582,13 @@ class TestJackProbe:
             assert abs(rep.ratio.imag) <= 1e-6 * (1 + abs(rep.ratio))
             assert rep.ratio.real >= n - 1e-6
             assert rep.curvature_check >= rep.ratio.real - 1e-6
+
+    def test_derivative_overflow_is_named(self):
+        # warnings raise here, so a numpy RuntimeWarning would escape instead
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InputError, match="^float overflow in the derivative of w$"):
+                jack_probe(PolySeries([0, 1e308, 1e308]), 1, 0.9)
 
     def test_validation(self):
         with pytest.raises(InputError):

@@ -157,6 +157,7 @@ class TestExitCodes:
         ["check", "--theorem", "thm1", "--alpha", "0.25"],
         ["membership", "--class", "c"],
         ["falsify", "--theorem", "thm1", "--n", "2", "--alpha", "0.25", "--beta=-1.7e308"],
+        ["radius", "--theorem", "thm1", "--alpha", "0.25"],
     ])
     def test_overflow_is_named_and_exits_three(self, capsys, tmp_path, command):
         # warnings raise here, so a numpy RuntimeWarning would show in the message

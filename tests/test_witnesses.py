@@ -1,6 +1,7 @@
 """Sharp witnesses, the falsifier, and the validity-radius bisection."""
 
 import math
+import pathlib
 import tracemalloc
 
 import numpy as np
@@ -33,10 +34,10 @@ from diskcheck import (
     threshold,
     witness_closed_forms,
 )
-from diskcheck.bounds import _below
+from diskcheck.bounds import _below, _coeff_sums
 from diskcheck.checks import _FAILS, _RULES, _STATES, HYPOTHESIS_FUNCTIONAL, _check_rows, _conclusion_bound, \
-    _conclusion_caps, _conclusion_rows
-from diskcheck.funcspec import function_to_dict
+    _NO_ROWS, _conclusion_caps, _conclusion_rows
+from diskcheck.funcspec import function_to_dict, load_function
 from diskcheck.functionals import _polynomial_coeffs, as_polynomial
 from diskcheck.series import _tail_coeffs
 from diskcheck.witnesses import FalsifySummary, _sample_rows, _tail_boxes
@@ -689,7 +690,7 @@ class TestFalsifyPruning:
             caps = _conclusion_caps(conclusion, a, bound, 0.999)
             assert np.isfinite(caps).sum() >= 24
             for m in (16, 512, 8192):
-                _, lower, _ = _conclusion_rows(conclusion, a, bound, 0.999, GridSpec(m=m))
+                _, lower, _ = _conclusion_rows(conclusion, a, bound, 0.999, GridSpec(m=m), _NO_ROWS)
                 known = ~np.isnan(lower)
                 assert known[np.isfinite(caps)].all()
                 assert (caps[known] >= lower[known]).all(), (n, m)
@@ -731,6 +732,26 @@ class TestRadiusOfValidity:
         rep = radius_of_validity(Theorem.THM1, SeriesA.from_tail(1, [1e30]), Params())
         assert rep.status == "empty"
         assert rep.r_star == 0.0
+
+    def test_bracketed_scale_is_certified(self):
+        # r_star is the certified lower end of the bisection bracket: at it, the
+        # hypothesis coefficient sum is below the threshold, for every loadable
+        # corpus file and theorem
+        bracketed = 0
+        for path in sorted((pathlib.Path(__file__).parent / "corpus").glob("*.json")):
+            try:
+                f = load_function(str(path))
+            except InputError:
+                continue
+            for theorem in Theorem:
+                for alpha, beta in ((0.5, 0j), (0.25, 0.5 + 0j)):
+                    params = _params(theorem, alpha, beta)
+                    rep = radius_of_validity(theorem, f, params)
+                    if rep.status == "bracketed":
+                        h = _polynomial_coeffs(HYPOTHESIS_FUNCTIONAL[theorem], f.body.coeffs, beta)
+                        assert _coeff_sums(h, rep.r_star) < threshold(theorem, params, f.n), (path.name, theorem)
+                        bracketed += 1
+        assert bracketed >= 100
 
     def test_monotone_in_coefficient_size(self):
         stars = []
