@@ -7,8 +7,8 @@ Cooley & Tukey, Math. Comp. 19 (1965)); a check or membership call makes one
 FFT over all of its rows, stacked by _stacked (a guard that its coefficient
 sum cannot certify takes one more), and every bracket takes its lower bound
 from the grid maximum alone (_circle_argopt); golden-section
-refinement (_golden_argmax) serves only circle_argmax, circle_max and
-checks.jack_probe, which locate a point. For a polynomial p with a
+refinement (_golden_argmax, GridSpec.refine_depth steps) serves only
+circle_argmax and circle_max, which locate a point. For a polynomial p with a
 coefficient row of length K + 1, so of degree at most K, three certified
 upper bounds follow from that grid maximum: the coefficient-modulus sum,
 the grid maximum padded by a derivative Lipschitz bound over half the arc
@@ -54,7 +54,7 @@ _MAX_GRID_M = 2**20
 @dataclass(frozen=True)
 class GridSpec:
     """Angular sample count of circle scans, and the golden-section steps of
-    circle_argmax, circle_max and jack_probe, which locate a peak."""
+    circle_argmax and circle_max, the only calls that read refine_depth."""
 
     m: int = 4096
     refine_depth: int = 3
@@ -107,49 +107,40 @@ def _circle_point(r: float, t: float) -> complex:
     return r * complex(math.cos(t), math.sin(t))
 
 
-def _golden_argmax(h, r: float, svals: np.ndarray, iters: int, *, basins: int = 1):
+def _golden_argmax(h, r: float, svals: np.ndarray, iters: int):
     """Maximum of a real objective h of the point on |z| = r, located from
     its values svals on the m-point grid (m = svals.size, from angle 0).
 
-    The best `basins` grid samples, each at least 3 samples from those
-    picked before, are refined by `iters` golden-section contractions of the
-    angle interval one grid step either side; several separated basins
-    protect against near-tied peaks picking the wrong one. Returns the best
+    The best grid sample is refined by `iters` golden-section contractions
+    of the angle interval one grid step either side. Returns the best
     (value, theta) seen, so the value is at least the grid maximum.
     """
     m = svals.size
     dt = _TWO_PI / m
-    best_val, best_t = -math.inf, 0.0
-    for k in range(basins):
-        i = int(svals.argmax())
-        val, t = float(svals[i]), _TWO_PI * i / m
+    i = int(svals.argmax())
+    val, t = float(svals[i]), _TWO_PI * i / m
 
-        def probe(x):
-            nonlocal val, t
-            f = h(_circle_point(r, x))
-            if f > val:
-                val, t = f, x
-            return f
+    def probe(x):
+        nonlocal val, t
+        f = h(_circle_point(r, x))
+        if f > val:
+            val, t = f, x
+        return f
 
-        if iters > 0:
-            a, b = t - dt, t + dt
-            x1, x2 = b - _INV_GOLDEN * (b - a), a + _INV_GOLDEN * (b - a)
-            f1, f2 = probe(x1), probe(x2)
-            for _ in range(iters):
-                if f1 < f2:
-                    a, x1, f1 = x1, x2, f2
-                    x2 = a + _INV_GOLDEN * (b - a)
-                    f2 = probe(x2)
-                else:
-                    b, x2, f2 = x2, x1, f1
-                    x1 = b - _INV_GOLDEN * (b - a)
-                    f1 = probe(x1)
-        if val > best_val:
-            best_val, best_t = val, t
-        if k + 1 < basins:  # mask this basin in a copy
-            svals = svals.copy()
-            np.put(svals, range(i - 2, i + 3), -np.inf, mode="wrap")
-    return best_val, best_t
+    if iters > 0:
+        a, b = t - dt, t + dt
+        x1, x2 = b - _INV_GOLDEN * (b - a), a + _INV_GOLDEN * (b - a)
+        f1, f2 = probe(x1), probe(x2)
+        for _ in range(iters):
+            if f1 < f2:
+                a, x1, f1 = x1, x2, f2
+                x2 = a + _INV_GOLDEN * (b - a)
+                f2 = probe(x2)
+            else:
+                b, x2, f2 = x2, x1, f1
+                x1 = b - _INV_GOLDEN * (b - a)
+                f1 = probe(x1)
+    return val, t
 
 
 def _circle_argopt(vals: np.ndarray):
@@ -157,7 +148,7 @@ def _circle_argopt(vals: np.ndarray):
     on the m-point grid r e^{2 pi i j / m}) and its grid index j, as two
     arrays of shape (rows,)."""
     j = vals.argmax(axis=-1)
-    return np.take_along_axis(vals, j[:, None], axis=-1)[:, 0], j
+    return vals[np.arange(len(j)), j], j
 
 
 def circle_argmax(g, r: float, spec: GridSpec | None = None):

@@ -36,7 +36,7 @@ import numpy as np
 # poly_sup is not called here, but diskcheck.checks.poly_sup stays importable:
 # bench/tracer.py wraps that name and bench/test_bench.py deletes it.
 from .bounds import _SUM_SLACK, GridSpec, SupBracket, BracketKind, _below, _circle_argopt, _circle_point, \
-    _circle_rows, _coeff_sums, _golden_argmax, _stacked, _sup_rows, _sup_upper, _unit_circle, poly_sup  # noqa: F401
+    _circle_rows, _coeff_sums, _stacked, _sup_rows, _sup_upper, _unit_circle, poly_sup  # noqa: F401
 from .errors import InputError, ParameterError, require_complex, require_finite, require_int, require_real
 from .functionals import DEFAULT_DENOM_FLOOR, Functional, _polynomial_coeffs, _require_nonsingular
 from .series import PolySeries, SeriesA, _derivative_coeffs
@@ -503,43 +503,51 @@ class JackReport:
     curvature_check: float
 
 
-#: Newton steps _polish_peak takes at most.
+#: Newton steps jack_probe takes at most in each basin.
 _POLISH_STEPS = 12
 
 
-def _polish_peak(w: PolySeries, w1: PolySeries, w2: PolySeries, r: float, theta: float, step_cap: float) -> float:
-    """Newton steps on Im(z w'/w) = 0, the stationarity condition of
-    log |w| along the circle, with w1 = w' and w2 = w''; leaves theta
-    unchanged when the slope is flat."""
-    tol_scale = 1e-15
-    for _ in range(_POLISH_STEPS):
-        z = _circle_point(r, theta)
-        w0 = w.eval(z)
-        if abs(w0) < 1e-280:
-            break
-        v1 = w1.eval(z)
-        ratio = z * v1 / w0
-        b = ratio.imag
-        if abs(b) <= tol_scale * (1.0 + abs(ratio)):
-            break
-        slope = (ratio + z * z * w2.eval(z) / w0 - ratio * ratio).real
-        if not (slope > 1e-9 * (1.0 + abs(ratio) ** 2)):
-            break
-        step = b / slope
-        if abs(step) > step_cap:
-            step = math.copysign(step_cap, step)
-        theta -= step
-    return theta
+@np.errstate(all="ignore")
+def _polish_basins(rows: np.ndarray, r: float, starts: list, dt: float) -> list:
+    """Safeguarded Newton steps on Im(z w'/w) = 0, the stationarity condition
+    of log |w| along |z| = r, from all start angles in lockstep; each step
+    evaluates rows, the coefficients of w, w' and w'' (shape (3, K+1)), at
+    the moving points by one matrix product against their powers z^k. Each
+    basin keeps an angle bracket, at first its start +- dt, and closes it at
+    each point on the side that |w| falls towards. A step that is not the
+    Newton step of a maximum inside the bracket is replaced by the bracket's
+    midpoint. A basin stops when its ratio is real to 1e-15 or its next
+    point, or its Newton step, no longer moves it. Returns (|w|, z, w, w',
+    w'') at each basin's last point."""
+    ends, brackets, thetas = [None] * len(starts), [[t - dt, t + dt] for t in starts], list(starts)
+    live, step = list(range(len(starts))), 0
+    while live:
+        zs = [_circle_point(r, thetas[i]) for i in live]
+        powers = np.cumprod(np.repeat(np.array(zs)[:, None], rows.shape[-1] - 1, axis=1), axis=1)
+        moving = []
+        for i, z, (w0, v1, v2) in zip(live, zs, (rows[:, 0] + powers @ rows[:, 1:].T).tolist()):
+            t, bracket, ends[i] = thetas[i], brackets[i], (abs(w0), z, w0, v1, v2)
+            ratio = z * v1 / w0 if abs(w0) >= 1e-280 else 0j
+            if step == _POLISH_STEPS or abs(ratio.imag) <= 1e-15 * (1.0 + abs(ratio)):
+                continue
+            bracket[ratio.imag > 0] = t
+            slope = (ratio + z * z * v2 / w0 - ratio * ratio).real
+            trial = t - ratio.imag / slope if slope > 1e-9 * (1.0 + abs(ratio) ** 2) else math.nan
+            thetas[i] = trial if bracket[0] < trial < bracket[1] else 0.5 * (bracket[0] + bracket[1])
+            if t != trial and t != thetas[i]:
+                moving.append(i)
+        live, step = moving, step + 1
+    return ends
 
 
 def jack_probe(w: PolySeries, n: int, r: float, spec: GridSpec | None = None) -> JackReport:
     """Locate the argmax of |w| on |z| = r and report the boundary ratios.
 
     Requires w(0) = 0 with leading index (first nonzero coefficient) at
-    least n, and w not identically zero. The argmax search refines the three
-    best grid basins by spec.refine_depth golden-section steps and then
-    polishes the angle by Newton on the stationarity condition, so the
-    reported ratio is real to roundoff.
+    least n, and w not identically zero. Of one m-point grid of |w|, the 3
+    best samples, each at least 3 samples from those before, that are grid
+    peaks are polished by _polish_basins, and the point of largest |w| is
+    reported, so its ratio is real to roundoff. refine_depth plays no part.
     """
     spec = spec if spec is not None else GridSpec()
     r = require_real(r, lambda v: 0.0 < v < 1.0, "probe radius must lie in (0, 1)", InputError)
@@ -554,16 +562,15 @@ def jack_probe(w: PolySeries, n: int, r: float, spec: GridSpec | None = None) ->
         raise InputError(f"leading index {int(nonzero[0])} is below the declared n = {n}")
     with np.errstate(all="ignore"):
         d1 = require_finite(_derivative_coeffs(c), "the derivative of w")
-        w1, w2 = PolySeries(d1), PolySeries(require_finite(_derivative_coeffs(d1), "the second derivative of w"))
-
-    h = lambda z: abs(w.eval(z))  # noqa: E731
-    _, theta = _golden_argmax(h, r, np.abs(_circle_rows(c[None], r, spec.m)[0]), spec.refine_depth, basins=3)
-    theta = _polish_peak(w, w1, w2, r, theta, step_cap=2.0 * math.pi / spec.m)
-    z0 = _circle_point(r, theta)
-    w0 = w.eval(z0)
-    v1 = w1.eval(z0)
+        d2 = require_finite(_derivative_coeffs(d1), "the second derivative of w")
+    vals, starts = np.abs(_circle_rows(c[None], r, spec.m)[0]), []
+    peaks = ~(vals < np.maximum(np.roll(vals, 1), np.roll(vals, -1)))
+    for _ in range(3):
+        starts.append(int(vals.argmax()))
+        np.put(vals, range(starts[-1] - 2, starts[-1] + 3), -np.inf, mode="wrap")
+    dt = 2.0 * math.pi / spec.m
+    rows = _stacked(c[None], d1[None], d2[None])
+    _, z0, w0, v1, v2 = max(_polish_basins(rows, r, [dt * i for i in starts if peaks[i]], dt), key=lambda p: p[0])
     _require_nonsingular(z0, w0, DEFAULT_DENOM_FLOOR)
     _require_nonsingular(z0, v1, DEFAULT_DENOM_FLOOR)
-    ratio = z0 * v1 / w0
-    curvature = (z0 * w2.eval(z0) / v1).real + 1.0
-    return JackReport(r=r, z0=z0, ratio=ratio, n=n, curvature_check=float(curvature))
+    return JackReport(r=r, z0=z0, ratio=z0 * v1 / w0, n=n, curvature_check=(z0 * v2 / v1).real + 1.0)

@@ -161,7 +161,7 @@ def test_constant_poly_sup():
 
 
 def _deep_argmax(h, r, m):
-    return _golden_argmax(h, r, h(r * _unit_circle(m)), 120, basins=3)
+    return _golden_argmax(h, r, h(r * _unit_circle(m)), 120)
 
 
 def test_deep_argmax_locates_peaks():
@@ -174,29 +174,6 @@ def test_deep_argmax_locates_peaks():
     val, theta = _deep_argmax(lambda z: abs(q.eval(z)), 0.9, m=512)
     assert val == pytest.approx(1.305, abs=1e-12)
     assert math.cos(theta) == pytest.approx(-1.0, abs=1e-8)
-
-
-def test_multi_basin_argmax_prefers_off_grid_near_tie():
-    # A bump of height 1 on the grid point theta = 0 and a slightly higher
-    # bump between grid points at theta = pi + dt/2: the single best grid
-    # sample sits in the wrong basin, and only multi-basin refinement finds
-    # the true peak.
-    m = 64
-    dt = 2 * math.pi / m
-    peak = math.pi + dt / 2
-
-    def bumps(z):
-        t = np.angle(z)
-        near = np.angle(np.exp(1j * (t - peak)))
-        return np.exp(-0.5 * (t / dt) ** 2) + 1.01 * np.exp(-0.5 * (near / dt) ** 2)
-
-    val, theta = _golden_argmax(bumps, 0.9, bumps(0.9 * _unit_circle(m)), 120, basins=1)
-    assert val == 1.0
-    assert theta == 0.0
-
-    val, theta = _deep_argmax(bumps, 0.9, m)
-    assert val == pytest.approx(1.01, abs=1e-12)
-    assert theta % (2 * math.pi) == pytest.approx(peak, abs=1e-8)
 
 
 def _random_rows(rng, rows, size):

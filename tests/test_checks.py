@@ -39,7 +39,7 @@ from diskcheck import (
     witness_closed_forms,
 )
 from diskcheck.bounds import _circle_rows, _sup_rows, _sup_upper
-from diskcheck.checks import _RULES, _STATES, _check_rows, _decide
+from diskcheck.checks import _RULES, _STATES, _check_rows, _decide, _polish_basins
 
 from conftest import small_tail_series
 
@@ -444,7 +444,7 @@ def test_denominator_floor_gives_the_singular_point(offset):
 
 
 def test_refine_depth_only_moves_circle_max(rng):
-    # check, membership and falsify read grid maxima only; circle_max refines
+    # check, membership, falsify and jack_probe ignore refine_depth; circle_max refines
     shallow, deep = GridSpec(m=64, refine_depth=0), GridSpec(m=64, refine_depth=5)
     for _ in range(3):
         f = small_tail_series(rng, 2, 4)
@@ -458,6 +458,7 @@ def test_refine_depth_only_moves_circle_max(rng):
         assert falsify(theorem, 1, params, cfg, shallow) == falsify(theorem, 1, params, cfg, deep)
     p = PolySeries(np.array([0, 1, 0.5j, 0.25], dtype=complex))
     assert circle_max(p.eval, 0.9, deep) > circle_max(p.eval, 0.9, shallow)
+    assert jack_probe(p, 1, 0.9, deep) == jack_probe(p, 1, 0.9, shallow)
 
 
 def test_thm3_conclusion_equivalence(rng):
@@ -556,9 +557,8 @@ class TestJackProbe:
         assert rep.ratio.real >= 2
 
     def test_high_degree_peak_is_polished(self, rng):
-        # K = 2048 with a 1/k^3 tail: the golden steps of refine_depth and the
-        # Newton polish leave the ratio real to roundoff at a point no lower
-        # than the best FFT grid sample
+        # K = 2048 with a 1/k^3 tail: the Newton polish leaves the ratio real
+        # to roundoff at a point no lower than the best FFT grid sample
         K = 2048
         spec = GridSpec(m=4096)
         for r in (0.9, 0.95, 0.999):
@@ -567,6 +567,67 @@ class TestJackProbe:
             rep = jack_probe(w, 1, r, spec)
             assert abs(rep.ratio.imag) <= 1e-12 * (1 + abs(rep.ratio))
             assert abs(w.eval(rep.z0)) >= np.abs(_circle_rows(w.coeffs[None], r, spec.m)).max()
+
+    def test_near_tie_prefers_the_higher_off_grid_peak(self):
+        # two Dirichlet-kernel bumps: one peaks on the grid point theta = 0,
+        # a 1% higher one between grid points near pi, so the best grid
+        # sample sits in the lower peak's basin; a 2^16-point grid is the oracle
+        m, r, N = 64, 0.9, 12
+        k = np.arange(N + 1)
+        peak = math.pi + 0.45 * 2 * math.pi / m
+        w = PolySeries(np.concatenate([[0], (1 + 1.01 * np.exp(-1j * k * peak)) / (N + 1)]))
+        grid = np.abs(_circle_rows(w.coeffs[None], r, m)[0])
+        dense = np.abs(_circle_rows(w.coeffs[None], r, 2**16)[0])
+        assert grid.argmax() == 0
+        assert abs(2 * math.pi * dense.argmax() / 2**16 - peak) < 2 * math.pi / m
+        rep = jack_probe(w, 1, r, GridSpec(m=m))
+        assert abs(w.eval(rep.z0)) >= dense.max()
+        assert abs(w.eval(rep.z0)) >= grid.max()
+        assert abs(cmath.phase(rep.z0) % (2 * math.pi) - 2 * math.pi * dense.argmax() / 2**16) < 2 * math.pi / 2**16
+        assert abs(rep.ratio.imag) <= 1e-12 * (1 + abs(rep.ratio))
+
+    def test_one_grid_pass_and_no_scalar_evaluation(self, monkeypatch):
+        # one _circle_rows call on w's row; the polish evaluates by matrix
+        # products, never by scalar Horner or golden section
+        real_rows = diskcheck.bounds._circle_rows
+        calls = []
+
+        def counting_rows(c, r, m):
+            calls.append(len(c))
+            return real_rows(c, r, m)
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("jack_probe made a scalar evaluation")
+
+        monkeypatch.setattr("diskcheck.bounds._circle_rows", counting_rows)
+        monkeypatch.setattr("diskcheck.checks._circle_rows", counting_rows)
+        monkeypatch.setattr("diskcheck.series._horner", forbidden)
+        monkeypatch.setattr("diskcheck.bounds._golden_argmax", forbidden)
+        rep = jack_probe(PolySeries(np.array([0, 1, 0.5j, 0.25], dtype=complex)), 1, 0.9, SPEC)
+        assert calls == [1]
+        assert abs(rep.ratio.imag) <= 1e-12 * (1 + abs(rep.ratio))
+
+    def test_polish_stays_within_one_grid_step(self):
+        # |w| of z + z^2/2 peaks at theta = 0; a start two grid steps away
+        # climbs towards it but stops inside its own bracket, start +- dt
+        c = np.array([0, 1, 0.5], dtype=complex)
+        rows = np.array([c, [1, 1, 0], [1, 0, 0]], dtype=complex)
+        dt = 2 * math.pi / 64
+        (top, z_top, *_), (side, z_side, *_) = _polish_basins(rows, 0.9, [0.0, 2 * dt], dt)
+        assert z_top == 0.9 and top == pytest.approx(1.305, rel=1e-15)
+        assert dt <= cmath.phase(z_side) <= 2 * dt
+        assert side < top
+
+    def test_coarse_grid_peaks_are_polished(self, rng):
+        # flat-spectrum degree-48 polynomials on a 64-point grid: a best grid
+        # sample may sit where |w| is not concave, or a Newton step overshoot
+        # its bracket, and the polish then bisects instead of stopping
+        m = 64
+        for _ in range(300):
+            w = PolySeries(np.concatenate([[0], rng.uniform(-1, 1, 48) + 1j * rng.uniform(-1, 1, 48)]))
+            rep = jack_probe(w, 1, 0.9, GridSpec(m=m))
+            assert abs(rep.ratio.imag) <= 1e-12 * (1 + abs(rep.ratio))
+            assert abs(w.eval(rep.z0)) >= np.abs(_circle_rows(w.coeffs[None], 0.9, m)).max()
 
     @pytest.mark.parametrize("trial", range(12))
     def test_lemma_inequalities_on_random_functions(self, rng, trial):
