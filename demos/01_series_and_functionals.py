@@ -10,7 +10,7 @@ agree to roundoff.
 
 import numpy as np
 
-from diskcheck import Functional, SeriesA, as_polynomial, eval_functional
+from diskcheck import Functional, PolySeries, SeriesA, eval_functional
 
 # a function in the n = 2 class: z + 0.2 z^3 - 0.1i z^4
 f = SeriesA.from_tail(2, [0.2, -0.1j])
@@ -18,9 +18,12 @@ print("f coefficients:", list(f.body.coeffs))
 print("f(0.5)        :", f(0.5))
 print("f'(0.5)       :", f.derivative()(0.5))
 
-# the same functional two ways
+# the same functional two ways: the star test carries (k - 1)(k - beta) a_k
+# at z^(k-1), the closed formula that check bounds
 beta = 0.5 + 0.5j
-poly = as_polynomial(Functional.STAR_TEST, f, beta)
+a = f.body.coeffs
+k = np.arange(a.size)
+poly = PolySeries(((k - 1) * (k - beta) * a)[1:])
 zs = 0.9 * np.exp(1j * np.linspace(0, 2 * np.pi, 8, endpoint=False))
 route_a = poly(zs)
 route_b = eval_functional(Functional.STAR_TEST, f, beta, zs)
@@ -33,8 +36,9 @@ print("max disagreement:", np.max(np.abs(route_a - route_b)))
 q = eval_functional(Functional.STAR_QUOTIENT, f, z=0.7j)
 print("\nz f'/f - 1 at 0.7i:", q)
 
-# the transform f -> z f' turns the convex test into the starlike test
-g = f.to_zfprime()
-lhs = as_polynomial(Functional.STAR_TEST, g, beta).coeffs
-rhs = as_polynomial(Functional.CONVEX_TEST, f, beta).coeffs
+# the transform f -> z f', which maps a_k to k a_k, turns the convex test
+# into the starlike test
+g = SeriesA(f.n, PolySeries(k * a))
+lhs = eval_functional(Functional.STAR_TEST, g, beta, zs)
+rhs = eval_functional(Functional.CONVEX_TEST, f, beta, zs)
 print("\nconvex test of f equals star test of zf':", np.allclose(lhs, rhs))

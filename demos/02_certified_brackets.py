@@ -11,11 +11,11 @@ bracket width shrinks with the grid; for monomials it collapses to zero.
 
 import numpy as np
 
-from diskcheck import GridSpec, PolySeries, circle_max, coeff_bound, poly_sup
+from diskcheck import GridSpec, PolySeries, circle_argmax, poly_sup
 
 p = PolySeries(np.array([0, 1, -0.4, 0.25j, 0.1], dtype=complex))
 
-print("coefficient bound at r=0.9:", coeff_bound(p, 0.9))
+print("coefficient bound at r=0.9:", np.sum(np.abs(p.coeffs) * 0.9 ** np.arange(p.coeffs.size)))
 
 for m in (64, 512, 4096):
     b = poly_sup(p, 0.9, GridSpec(m=m))
@@ -29,4 +29,4 @@ print("\nmonomial 2i z^3 at r=0.5:", b.lower, b.upper, "(truth 0.25)")
 # circle maxima grow with the radius for analytic functions
 print("\nradius ladder for |p| (maximum principle in action):")
 for r in (1.0 - 2.0**-k for k in range(1, 11)):
-    print(f"  r={r:.10f}  sup={circle_max(p.eval, r, GridSpec(m=1024, refine_depth=2)):.10f}")
+    print(f"  r={r:.10f}  sup={circle_argmax(p.eval, r, GridSpec(m=1024, refine_depth=2))[0]:.10f}")

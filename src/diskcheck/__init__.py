@@ -12,15 +12,7 @@ tooling.
 
 __version__ = "0.1.0"
 
-from .bounds import (
-    BracketKind,
-    GridSpec,
-    SupBracket,
-    circle_argmax,
-    circle_max,
-    coeff_bound,
-    poly_sup,
-)
+from .bounds import BracketKind, GridSpec, SupBracket, circle_argmax, poly_sup
 from .checks import (
     CheckReport,
     FunctionClass,
@@ -30,24 +22,13 @@ from .checks import (
     Verdict,
     VerdictState,
     check,
-    duality_check,
     jack_probe,
     membership,
     threshold,
-    validate_params,
 )
-from .errors import (
-    InputError,
-    NotPolynomialError,
-    ParameterError,
-    SingularDenominatorError,
-)
+from .errors import InputError, ParameterError, SingularDenominatorError
 from .funcspec import function_from_dict, function_to_dict, load_function
-from .functionals import (
-    Functional,
-    as_polynomial,
-    eval_functional,
-)
+from .functionals import Functional, eval_functional
 from .series import PolySeries, SeriesA
 from .witnesses import (
     FalsifyConfig,
@@ -73,7 +54,6 @@ __all__ = [
     "GridSpec",
     "InputError",
     "JackReport",
-    "NotPolynomialError",
     "ParameterError",
     "Params",
     "PolySeries",
@@ -86,12 +66,8 @@ __all__ = [
     "VerdictState",
     "Witness",
     "WitnessForms",
-    "as_polynomial",
     "check",
     "circle_argmax",
-    "circle_max",
-    "coeff_bound",
-    "duality_check",
     "eval_functional",
     "falsify",
     "function_from_dict",
@@ -104,6 +80,5 @@ __all__ = [
     "radius_of_validity",
     "sample_satisfying",
     "threshold",
-    "validate_params",
     "witness_closed_forms",
 ]

@@ -8,7 +8,7 @@ FFT over all of its rows, stacked by _stacked (a guard that its coefficient
 sum cannot certify takes one more), and every bracket takes its lower bound
 from the grid maximum alone (_circle_argopt); golden-section
 refinement (_golden_argmax, GridSpec.refine_depth steps) serves only
-circle_argmax and circle_max, which locate a point. For a polynomial p with a
+circle_argmax, which locates a point. For a polynomial p with a
 coefficient row of length K + 1, so of degree at most K, three certified
 upper bounds follow from that grid maximum: the coefficient-modulus sum,
 the grid maximum padded by a derivative Lipschitz bound over half the arc
@@ -39,8 +39,6 @@ __all__ = [
     "GridSpec",
     "BracketKind",
     "SupBracket",
-    "coeff_bound",
-    "circle_max",
     "circle_argmax",
     "poly_sup",
 ]
@@ -54,7 +52,7 @@ _MAX_GRID_M = 2**20
 @dataclass(frozen=True)
 class GridSpec:
     """Angular sample count of circle scans, and the golden-section steps of
-    circle_argmax and circle_max, the only calls that read refine_depth."""
+    circle_argmax, the only call that reads refine_depth."""
 
     m: int = 4096
     refine_depth: int = 3
@@ -152,7 +150,10 @@ def _circle_argopt(vals: np.ndarray):
 
 
 def circle_argmax(g, r: float, spec: GridSpec | None = None):
-    """Grid maximum of |g| over |z| = r and its angular location.
+    """Lower bound for the true circle max of |g| over |z| = r and its
+    location: the best of m grid samples plus refine_depth rounds of
+    golden-section refinement around it. The brackets of poly_sup, check and
+    membership take the grid maximum alone.
 
     g must accept both scalar complex arguments and ndarrays of them;
     singular-denominator errors raised by g propagate.
@@ -162,19 +163,6 @@ def circle_argmax(g, r: float, spec: GridSpec | None = None):
     h = lambda z: abs(g(z))  # noqa: E731
     val, t = _golden_argmax(h, r, np.asarray(h(r * _unit_circle(spec.m)), dtype=np.float64), spec.refine_depth)
     return val, _circle_point(r, t)
-
-
-def circle_max(g, r: float, spec: GridSpec | None = None) -> float:
-    """Lower bound for the true circle max of |g|: best of m grid samples
-    plus refine_depth rounds of golden-section refinement around it. The
-    brackets of poly_sup, check and membership take the grid maximum alone."""
-    return circle_argmax(g, r, spec)[0]
-
-
-def coeff_bound(p: PolySeries, r: float) -> float:
-    """Coefficient-modulus bound sum |c_k| r^k, a certified disk sup bound."""
-    r = require_real(r, lambda v: 0.0 < v <= 1.0, "circle radius must lie in (0, 1]", InputError)
-    return float(_coeff_sums(p.coeffs, r))
 
 
 @np.errstate(all="ignore")

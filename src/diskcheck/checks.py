@@ -50,11 +50,9 @@ __all__ = [
     "JackReport",
     "FunctionClass",
     "HYPOTHESIS_FUNCTIONAL",
-    "validate_params",
     "threshold",
     "check",
     "membership",
-    "duality_check",
     "jack_probe",
 ]
 
@@ -111,8 +109,15 @@ class Params:
     rho: float | None = None
 
 
-def validate_params(theorem: Theorem, params: Params, n: int) -> None:
-    """Raise ParameterError naming the violated constraint, if any."""
+def threshold(theorem: Theorem, params: Params, n: int, *, thm3_branch: str = "auto") -> float:
+    """Hypothesis threshold of one result; validates the parameters first,
+    raising ParameterError naming the violated constraint.
+
+    thm3_branch picks the piece of the split thm3 bound: "auto" follows
+    alpha, "low" forces alpha |n - beta|, "high" forces (1-alpha) |n - beta|.
+    At alpha = 1/2 the two branches coincide. Every theorem rejects a value
+    other than these three.
+    """
     require_int(n, 1, "class index n must be a positive integer", ParameterError)
     # Both conversions come before either finiteness test, so a non-number in
     # either argument gets the shared message.
@@ -134,19 +139,10 @@ def validate_params(theorem: Theorem, params: Params, n: int) -> None:
             raise ParameterError(f"thm3 needs 0 < alpha < 1, got {alpha}")
     elif not (0.0 <= alpha < 1.0):
         raise ParameterError(f"{theorem.value} needs 0 <= alpha < 1, got {alpha}")
-
-
-def threshold(theorem: Theorem, params: Params, n: int, *, thm3_branch: str = "auto") -> float:
-    """Hypothesis threshold of one result; validates the parameters first.
-
-    thm3_branch picks the piece of the split thm3 bound: "auto" follows
-    alpha, "low" forces alpha |n - beta|, "high" forces (1-alpha) |n - beta|.
-    At alpha = 1/2 the two branches coincide.
-    """
-    validate_params(theorem, params, n)
-    alpha = float(params.alpha)
+    if thm3_branch not in ("auto", "low", "high"):
+        raise InputError(f"thm3_branch must be auto, low, or high, got {thm3_branch!r}")
     try:
-        strip = abs(n + _RULES[theorem][1] - complex(params.beta))
+        strip = abs(n + shift - beta)
     except OverflowError:  # |beta| beyond the float range
         strip = math.inf
     if theorem is Theorem.LEM11:
@@ -160,8 +156,6 @@ def threshold(theorem: Theorem, params: Params, n: int, *, thm3_branch: str = "a
     elif theorem is Theorem.LEM3:
         value = float(params.rho) * strip
     else:
-        if thm3_branch not in ("auto", "low", "high"):
-            raise InputError(f"thm3_branch must be auto, low, or high, got {thm3_branch!r}")
         low = alpha <= 0.5 if thm3_branch == "auto" else thm3_branch == "low"
         value = (alpha if low else 1.0 - alpha) * strip
     if not math.isfinite(value):
@@ -466,25 +460,6 @@ def membership(which: FunctionClass, f: SeriesA, alpha: float, spec: GridSpec | 
     if min_re > alpha:
         return Verdict(VerdictState.HOLDS, None, margin, None)
     return Verdict(VerdictState.FAILS, None, margin, z)
-
-
-def duality_check(f: SeriesA, alpha: float, spec: GridSpec | None = None, r_max: float = 0.999) -> Verdict:
-    """Compare convexity of f with starlikeness of z f' at the same order.
-
-    The two memberships evaluate the same quotient through different
-    algebraic routes, so their states must agree; Holds means they do.
-    hypothesis_margin carries the convex-side conclusion margin and
-    conclusion_margin the starlike-side one.
-    """
-    convex = membership(FunctionClass.CONVEX, f, alpha, spec, r_max)
-    star = membership(FunctionClass.STARLIKE, f.to_zfprime(), alpha, spec, r_max)
-    agree = convex.state == star.state
-    return Verdict(
-        VerdictState.HOLDS if agree else VerdictState.FAILS,
-        convex.conclusion_margin,
-        star.conclusion_margin,
-        star.witness if star.witness is not None else convex.witness,
-    )
 
 
 @dataclass(frozen=True)

@@ -7,7 +7,6 @@ import numpy as np
 __all__ = [
     "InputError",
     "ParameterError",
-    "NotPolynomialError",
     "SingularDenominatorError",
 ]
 
@@ -18,10 +17,6 @@ class InputError(ValueError):
 
 class ParameterError(InputError):
     """A theorem parameter lies outside its admissible range."""
-
-
-class NotPolynomialError(InputError):
-    """A polynomial form was requested for a functional that is rational."""
 
 
 class SingularDenominatorError(ArithmeticError):

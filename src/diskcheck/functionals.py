@@ -1,10 +1,10 @@
 """The differential expressions every sufficient-condition check measures.
 
 Six of the eight functionals are polynomials in z whose coefficients follow
-closed formulas from the series coefficients; those support an exact
-polynomial form. The two quotients are rational and only support pointwise
+closed formulas from the series coefficients; the checks bound those
+polynomial forms. The two quotients are rational and only support pointwise
 evaluation. Both evaluation routes are kept independent on purpose:
-``as_polynomial`` uses the symbolic coefficient formulas, while
+``_polynomial_coeffs`` uses the symbolic coefficient formulas, while
 ``eval_functional`` assembles values from runtime derivatives, so each one
 cross-checks the other.
 """
@@ -16,14 +16,12 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import InputError, NotPolynomialError, SingularDenominatorError, require_complex, require_finite
-from .series import PolySeries, SeriesA, _points
+from .errors import InputError, SingularDenominatorError, require_complex, require_finite
+from .series import SeriesA, _points
 
 __all__ = [
     "Functional",
-    "POLYNOMIAL_FUNCTIONALS",
     "DEFAULT_DENOM_FLOOR",
-    "as_polynomial",
     "eval_functional",
 ]
 
@@ -44,18 +42,6 @@ class Functional(Enum):
     DERIV_MINUS_ONE = "deriv_minus_one"    # f'(z) - 1
 
 
-POLYNOMIAL_FUNCTIONALS = frozenset(
-    {
-        Functional.DERIV_DEFECT,
-        Functional.RATIO_DEFECT,
-        Functional.STAR_TEST,
-        Functional.TURN_TEST,
-        Functional.CONVEX_TEST,
-        Functional.DERIV_MINUS_ONE,
-    }
-)
-
-
 def _require_nonsingular(z, den, floor: float) -> None:
     """Raise if any denominator modulus falls below the floor, carrying the point."""
     bad = np.abs(den) < floor
@@ -64,10 +50,11 @@ def _require_nonsingular(z, den, floor: float) -> None:
         raise SingularDenominatorError(complex(np.asarray(z, dtype=np.complex128).ravel()[i]))
 
 
-def as_polynomial(which: Functional, f: SeriesA, beta: complex = 0j) -> PolySeries:
-    """Exact polynomial form of a functional of f.
-
-    With a_k the coefficient of z^k in f, the result carries at z^(k-1):
+@np.errstate(all="ignore")
+def _polynomial_coeffs(which: Functional, a: np.ndarray, beta: complex) -> np.ndarray:
+    """Exact polynomial form of a functional for every row a[..., :] of
+    series coefficients; one degree less than a. With a_k the coefficient of
+    z^k in f, the result carries at z^(k-1):
 
         DERIV_DEFECT     (k - 1) a_k
         RATIO_DEFECT     a_k                   (k >= 2)
@@ -76,18 +63,8 @@ def as_polynomial(which: Functional, f: SeriesA, beta: complex = 0j) -> PolySeri
         CONVEX_TEST      k (k - 1)(k - beta) a_k
         DERIV_MINUS_ONE  k a_k                 (k >= 2)
 
-    The z^0 slot is identically zero because a_1 = 1. Quotient functionals
-    raise NotPolynomialError.
-    """
-    beta = require_complex(beta, None, f"beta not interpretable as a complex number: {beta!r}", InputError)
-    require_complex(beta, cmath.isfinite, "beta must be finite", InputError)
-    return PolySeries(_polynomial_coeffs(which, f.body.coeffs, beta))
-
-
-@np.errstate(all="ignore")
-def _polynomial_coeffs(which: Functional, a: np.ndarray, beta: complex) -> np.ndarray:
-    """as_polynomial's coefficient formulas for every row a[..., :] of series
-    coefficients; one degree less than a. InputError when one overflows."""
+    The z^0 slot is identically zero because a_1 = 1. InputError when a
+    coefficient overflows or which has no polynomial form."""
     k = np.arange(1, a.shape[-1])
     ak = a[..., 1:]
     if which is Functional.DERIV_DEFECT:
@@ -104,10 +81,8 @@ def _polynomial_coeffs(which: Functional, a: np.ndarray, beta: complex) -> np.nd
             out = k * (k - 1 - beta) * ak
         elif which is Functional.DERIV_MINUS_ONE:
             out = k * ak
-        elif isinstance(which, Functional):
-            raise NotPolynomialError(f"{which.value} is rational; use eval_functional instead")
         else:
-            raise InputError(f"unknown functional {which!r}")
+            raise InputError(f"{which!r} has no polynomial form")
         out[..., 0] = 0.0
     return require_finite(out, f"the {which.value} coefficients")
 

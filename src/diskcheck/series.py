@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InputError, require_complex, require_int, require_real
+from .errors import InputError, require_complex, require_int
 
 __all__ = ["PolySeries", "SeriesA"]
 
@@ -194,23 +194,6 @@ class SeriesA:
     def divide_by_z(self) -> PolySeries:
         """f(z)/z as an exact coefficient shift; the constant term is 1."""
         return PolySeries(self.body.coeffs[1:])
-
-    def scale_radius(self, r: float) -> SeriesA:
-        """Subdisk restriction f_r(z) = f(r z)/r, which maps a_k to a_k r^(k-1).
-
-        Stays inside the same class; r must lie in (0, 1].
-        """
-        r = require_real(r, lambda v: 0.0 < v <= 1.0, "scale radius must lie in (0, 1]", InputError)
-        c = self.body.coeffs
-        powers = np.float64(r) ** np.arange(-1, c.size - 1)
-        scaled = c * powers
-        scaled[0] = 0.0
-        scaled[1] = c[1]
-        return SeriesA(self.n, PolySeries(scaled))
-
-    def to_zfprime(self) -> SeriesA:
-        """The transform f -> z f'(z), which maps a_k to k a_k."""
-        return SeriesA(self.n, PolySeries(self.body.coeffs * np.arange(self.body.coeffs.size)))
 
     def __eq__(self, other):
         if not isinstance(other, SeriesA):

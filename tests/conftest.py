@@ -4,7 +4,8 @@ import pathlib
 import numpy as np
 import pytest
 
-from diskcheck import SeriesA
+from diskcheck import PolySeries, SeriesA
+from diskcheck.functionals import _polynomial_coeffs
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parents[1]
 
@@ -39,3 +40,14 @@ def small_tail_series(rng, n, tail_len, budget=0.5):
     if weight > budget:
         tail = tail * (budget / weight) * rng.uniform(0.5, 1.0)
     return SeriesA.from_tail(n, tail)
+
+
+def polynomial(which, f, beta=0j):
+    """The polynomial functional of f that check bounds, from its
+    coefficient formulas."""
+    return PolySeries(_polynomial_coeffs(which, f.body.coeffs, complex(beta)))
+
+
+def zfprime(f):
+    """z f'(z), which maps a_k to k a_k."""
+    return SeriesA(f.n, PolySeries(f.body.coeffs * np.arange(f.body.coeffs.size)))

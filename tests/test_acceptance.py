@@ -10,6 +10,7 @@ import numpy as np
 from diskcheck import (
     FalsifyConfig,
     Functional,
+    FunctionClass,
     GridSpec,
     Params,
     PolySeries,
@@ -17,20 +18,19 @@ from diskcheck import (
     Theorem,
     Witness,
     check,
-    circle_max,
-    duality_check,
+    circle_argmax,
     eval_functional,
     falsify,
     jack_probe,
     make_witness,
+    membership,
     poly_sup,
     radius_of_validity,
     threshold,
     VerdictState,
 )
-from diskcheck.functionals import as_polynomial
 
-from conftest import small_tail_series
+from conftest import polynomial, small_tail_series, zfprime
 
 R = 0.999
 NS = (1, 2, 3)
@@ -62,16 +62,16 @@ def test_acceptance_1_example1_sharpness():
             c = (1.0 - alpha) / (n + 1 - alpha)
             f = make_witness(Witness.EX1, n, alpha)
             quotient_want = n * c * R**n / (1.0 - c * R**n)
-            got_q = circle_max(
+            got_q = circle_argmax(
                 lambda zs: eval_functional(Functional.STAR_QUOTIENT, f, 0j, zs), R, spec
-            )
+            )[0]
             if _rel_err(got_q, quotient_want) > 1e-4:
                 failures.append(f"quotient mismatch n={n} alpha={alpha}: {got_q} vs {quotient_want}")
             if not got_q < 1.0 - alpha:
                 failures.append(f"quotient not below order bound n={n} alpha={alpha}")
             for beta in BETAS:
                 want = n * c * R**n * abs(n + 1 - beta)
-                hyp = poly_sup(as_polynomial(Functional.STAR_TEST, f, beta), R, spec)
+                hyp = poly_sup(polynomial(Functional.STAR_TEST, f, beta), R, spec)
                 if _rel_err(hyp.upper, want) > 1e-4 or _rel_err(hyp.lower, want) > 1e-4:
                     failures.append(f"hyp mismatch n={n} alpha={alpha} beta={beta}")
                 thr = threshold(Theorem.THM1, Params(alpha=alpha, beta=beta), n)
@@ -97,14 +97,14 @@ def test_acceptance_2_examples23_sharpness():
     for wit, n, alpha, beta, thm, branch in cases:
         c = (1.0 - alpha) / (n + 1) if wit is Witness.EX2 else alpha / (n + 1)
         f = make_witness(wit, n, alpha)
-        hyp = poly_sup(as_polynomial(Functional.TURN_TEST, f, beta), R, spec)
+        hyp = poly_sup(polynomial(Functional.TURN_TEST, f, beta), R, spec)
         hyp_want = (n + 1) * c * R**n * abs(n - beta)
         if _rel_err(hyp.upper, hyp_want) > 1e-4 or _rel_err(hyp.lower, hyp_want) > 1e-4:
             failures.append(f"hyp mismatch {wit.value} n={n} alpha={alpha} beta={beta}")
         thr = threshold(thm, Params(alpha=alpha, beta=beta), n, thm3_branch=branch)
         if not hyp.upper < thr:
             failures.append(f"hyp not below threshold {wit.value} n={n} alpha={alpha} beta={beta}")
-        concl = poly_sup(as_polynomial(Functional.DERIV_MINUS_ONE, f), R, spec)
+        concl = poly_sup(polynomial(Functional.DERIV_MINUS_ONE, f), R, spec)
         concl_want = (n + 1) * c * R**n
         if _rel_err(concl.upper, concl_want) > 1e-4 or _rel_err(concl.lower, concl_want) > 1e-4:
             failures.append(f"concl mismatch {wit.value} n={n} alpha={alpha} beta={beta}")
@@ -196,9 +196,10 @@ def test_acceptance_6_duality():
     spec = GridSpec(m=512, refine_depth=2)
     for i in range(200):
         f = small_tail_series(rng, int(rng.integers(1, 4)), int(rng.integers(1, 6)))
+        g = zfprime(f)
         for alpha in (0.0, 0.5):
-            out = duality_check(f, alpha, spec)
-            if out.state is not VerdictState.HOLDS:
+            convex = membership(FunctionClass.CONVEX, f, alpha, spec)
+            if membership(FunctionClass.STARLIKE, g, alpha, spec).state is not convex.state:
                 failures.append(f"function {i} alpha={alpha}: verdicts disagree")
     _report(6, failures)
 
@@ -214,7 +215,7 @@ def test_acceptance_7_bracket_soundness():
         p = PolySeries(rng.uniform(-1, 1, size=size) + 1j * rng.uniform(-1, 1, size=size))
         for r in (0.5, 0.9, 0.999):
             b = poly_sup(p, r, base)
-            ref = circle_max(p.eval, r, ref_spec)
+            ref = circle_argmax(p.eval, r, ref_spec)[0]
             tol = 1e-12 * max(1.0, ref)
             if ref > b.upper + tol:
                 failures.append(f"poly {i} r={r}: reference {ref} above upper {b.upper}")

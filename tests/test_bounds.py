@@ -12,11 +12,9 @@ from diskcheck import (
     PolySeries,
     SupBracket,
     circle_argmax,
-    circle_max,
-    coeff_bound,
     poly_sup,
 )
-from diskcheck.bounds import _circle_rows, _golden_argmax, _stacked, _sup_rows, _sup_upper, _unit_circle
+from diskcheck.bounds import _circle_rows, _coeff_sums, _golden_argmax, _stacked, _sup_rows, _sup_upper, _unit_circle
 from diskcheck.series import _horner_rows
 
 from conftest import random_series
@@ -66,7 +64,7 @@ def test_bracket_contains_dense_reference(rng):
             p = _random_poly(rng, size)
             for r in (0.5, 0.9, 0.999):
                 b = poly_sup(p, r, coarse)
-                ref = circle_max(p.eval, r, dense)
+                ref = circle_argmax(p.eval, r, dense)[0]
                 assert b.kind is BracketKind.CERTIFIED
                 assert b.lower <= ref * (1 + 1e-12) + 1e-15
                 assert ref <= b.upper * (1 + 1e-12) + 1e-15
@@ -100,7 +98,7 @@ def test_coeff_bound_dominates_circle_values(rng):
     for _ in range(10):
         p = _random_poly(rng, 6)
         for r in (0.2, 0.8, 1.0):
-            cb = coeff_bound(p, r)
+            cb = _coeff_sums(p.coeffs, r)
             zs = r * np.exp(1j * rng.uniform(0, 2 * np.pi, size=200))
             assert cb >= np.max(np.abs(p(zs))) - 1e-12
 
@@ -108,7 +106,7 @@ def test_coeff_bound_dominates_circle_values(rng):
 def test_coeff_bound_exact_for_positive_coefficients():
     p = PolySeries(np.array([0, 1, 0.5, 0.25], dtype=complex))
     # positive coefficients peak on the positive real axis
-    assert coeff_bound(p, 0.9) == pytest.approx(abs(p(0.9)), rel=1e-15)
+    assert _coeff_sums(p.coeffs, 0.9) == pytest.approx(abs(p(0.9)), rel=1e-15)
 
 
 def test_circle_argmax_known_peak():
@@ -128,10 +126,10 @@ def test_circle_argmax_negative_axis_peak():
 
 def test_refinement_never_loses_to_coarse_grid(rng):
     p = _random_poly(rng, 8)
-    flat = circle_max(p.eval, 0.95, GridSpec(m=16, refine_depth=0))
-    refined = circle_max(p.eval, 0.95, GridSpec(m=16, refine_depth=6))
+    flat = circle_argmax(p.eval, 0.95, GridSpec(m=16, refine_depth=0))[0]
+    refined = circle_argmax(p.eval, 0.95, GridSpec(m=16, refine_depth=6))[0]
     assert refined >= flat
-    dense = circle_max(p.eval, 0.95, GridSpec(m=4096, refine_depth=3))
+    dense = circle_argmax(p.eval, 0.95, GridSpec(m=4096, refine_depth=3))[0]
     assert refined <= dense * (1 + 1e-12)
 
 
@@ -139,7 +137,7 @@ def test_profile_nondecreasing_in_radius(rng):
     for _ in range(5):
         f = random_series(rng, 1, tail_len=4)
         # the radius ladder 1 - 2^-1, ..., 1 - 2^-10 approaching the boundary
-        values = [circle_max(f.eval, 1.0 - 2.0**-k, GridSpec(m=256, refine_depth=1)) for k in range(1, 11)]
+        values = [circle_argmax(f.eval, 1.0 - 2.0**-k, GridSpec(m=256, refine_depth=1))[0] for k in range(1, 11)]
         for lo, hi in zip(values, values[1:]):
             assert hi >= lo - 1e-12
 
@@ -150,7 +148,7 @@ def test_radius_validation():
         with pytest.raises(InputError):
             poly_sup(p, r)
         with pytest.raises(InputError):
-            coeff_bound(p, r)
+            circle_argmax(p.eval, r)
 
 
 def test_constant_poly_sup():

@@ -23,11 +23,8 @@ from diskcheck import (
     Theorem,
     VerdictState,
     Witness,
-    as_polynomial,
     check,
-    circle_max,
-    coeff_bound,
-    duality_check,
+    circle_argmax,
     eval_functional,
     falsify,
     jack_probe,
@@ -35,13 +32,13 @@ from diskcheck import (
     membership,
     poly_sup,
     threshold,
-    validate_params,
     witness_closed_forms,
 )
 from diskcheck.bounds import _circle_rows, _sup_rows, _sup_upper
 from diskcheck.checks import _RULES, _STATES, _check_rows, _decide, _polish_basins
+from diskcheck.functionals import _polynomial_coeffs
 
-from conftest import small_tail_series
+from conftest import polynomial, small_tail_series, zfprime
 
 SPEC = GridSpec(m=1024, refine_depth=2)
 
@@ -107,53 +104,67 @@ def test_thm3_branch_override():
         threshold(Theorem.THM3, p, 2, thm3_branch="middle")
 
 
+@pytest.mark.parametrize("theorem", list(Theorem))
+def test_bad_thm3_branch_is_rejected_for_every_theorem(theorem):
+    f = SeriesA.from_tail(1, [0.1])
+    params = _params(theorem, 0.5, 0j)
+    for call in (lambda: threshold(theorem, params, 1, thm3_branch="bogus"),
+                 lambda: check(theorem, f, params, SPEC, thm3_branch="bogus")):
+        with pytest.raises(InputError) as info:
+            call()
+        assert info.type is InputError
+        assert str(info.value) == "thm3_branch must be auto, low, or high, got 'bogus'"
+
+
 class TestValidateParams:
+    """The parameter checks that threshold runs before any arithmetic."""
+
     def test_n_validation(self):
         with pytest.raises(ParameterError):
-            validate_params(Theorem.THM1, Params(), 0)
+            threshold(Theorem.THM1, Params(), 0)
         with pytest.raises(ParameterError):
-            validate_params(Theorem.THM1, Params(), True)
+            threshold(Theorem.THM1, Params(), True)
         with pytest.raises(ParameterError):
-            validate_params(Theorem.THM1, Params(), 1.5)
+            threshold(Theorem.THM1, Params(), 1.5)
 
     def test_beta_strip_star_family(self):
         for thm in (Theorem.LEM11, Theorem.LEM12, Theorem.THM1, Theorem.COR1):
             # only the real part is constrained: Re(beta) < n+1
-            validate_params(thm, Params(beta=1.9 + 5j, rho=1.0), 1)
+            threshold(thm, Params(beta=1.9 + 5j, rho=1.0), 1)
             with pytest.raises(ParameterError):
-                validate_params(thm, Params(beta=2.5, rho=1.0), 1)
+                threshold(thm, Params(beta=2.5, rho=1.0), 1)
             with pytest.raises(ParameterError):
-                validate_params(thm, Params(beta=2.0 + 0j, rho=1.0), 1)
+                threshold(thm, Params(beta=2.0 + 0j, rho=1.0), 1)
 
     def test_beta_strip_turn_family(self):
         for thm in (Theorem.THM2, Theorem.LEM3, Theorem.THM3):
-            validate_params(thm, Params(alpha=0.3, beta=0.9 + 3j, rho=1.0), 1)
+            threshold(thm, Params(alpha=0.3, beta=0.9 + 3j, rho=1.0), 1)
             with pytest.raises(ParameterError):
-                validate_params(thm, Params(alpha=0.3, beta=1.0 + 0j, rho=1.0), 1)
+                threshold(thm, Params(alpha=0.3, beta=1.0 + 0j, rho=1.0), 1)
 
     def test_alpha_ranges(self):
         with pytest.raises(ParameterError):
-            validate_params(Theorem.THM1, Params(alpha=1.0), 1)
+            threshold(Theorem.THM1, Params(alpha=1.0), 1)
         with pytest.raises(ParameterError):
-            validate_params(Theorem.THM1, Params(alpha=-0.1), 1)
-        validate_params(Theorem.THM1, Params(alpha=0.0), 1)
+            threshold(Theorem.THM1, Params(alpha=-0.1), 1)
+        threshold(Theorem.THM1, Params(alpha=0.0), 1)
         with pytest.raises(ParameterError):
-            validate_params(Theorem.THM3, Params(alpha=0.0), 1)
+            threshold(Theorem.THM3, Params(alpha=0.0), 1)
         with pytest.raises(ParameterError):
-            validate_params(Theorem.THM3, Params(alpha=1.0), 1)
+            threshold(Theorem.THM3, Params(alpha=1.0), 1)
         with pytest.raises(ParameterError):
-            validate_params(Theorem.THM2, Params(alpha=math.nan), 1)
+            threshold(Theorem.THM2, Params(alpha=math.nan), 1)
 
     def test_rho_required_for_plain_bound_lemmas(self):
         for thm in (Theorem.LEM11, Theorem.LEM12, Theorem.LEM3):
             with pytest.raises(ParameterError):
-                validate_params(thm, Params(), 1)
+                threshold(thm, Params(), 1)
             with pytest.raises(ParameterError):
-                validate_params(thm, Params(rho=0.0), 1)
+                threshold(thm, Params(rho=0.0), 1)
             with pytest.raises(ParameterError):
-                validate_params(thm, Params(rho=-1.0), 1)
-            validate_params(thm, Params(rho=0.5), 1)
-        validate_params(Theorem.THM1, Params(), 1)  # rho ignored elsewhere
+                threshold(thm, Params(rho=-1.0), 1)
+            threshold(thm, Params(rho=0.5), 1)
+        threshold(Theorem.THM1, Params(), 1)  # rho ignored elsewhere
 
 
 def test_non_enum_arguments_raise_input_error():
@@ -182,8 +193,7 @@ def test_non_number_arguments_raise_the_site_error():
         (lambda: membership(FunctionClass.STARLIKE, f, 0.5, SPEC, None), InputError, "r_max must lie in (0, 1)"),
         (lambda: jack_probe(w, 1, None), InputError, "probe radius must lie in (0, 1)"),
         (lambda: poly_sup(w, "x"), InputError, "circle radius must lie in (0, 1]"),
-        (lambda: coeff_bound(w, None), InputError, "circle radius must lie in (0, 1]"),
-        (lambda: f.scale_radius(None), InputError, "scale radius must lie in (0, 1]"),
+        (lambda: circle_argmax(w.eval, None), InputError, "circle radius must lie in (0, 1]"),
         (lambda: witness_closed_forms(Witness.EX1, 1, 0.0, None, 0.5), InputError, "beta must be finite"),
         (lambda: witness_closed_forms(Witness.EX1, 1, 0.0, "x", 0.5), InputError, "beta must be finite"),
         (lambda: witness_closed_forms(Witness.EX1, 1, 0.0, 0j, None), InputError, "r must lie in (0, 1)"),
@@ -327,7 +337,7 @@ class TestCheck:
         for _ in range(5):
             f = small_tail_series(rng, 1, 4, budget=0.4)
             a = check(Theorem.COR1, f, Params(alpha=0.25), SPEC)
-            b = check(Theorem.THM1, f.to_zfprime(), Params(alpha=0.25), SPEC)
+            b = check(Theorem.THM1, zfprime(f), Params(alpha=0.25), SPEC)
             assert a.verdict.state == b.verdict.state
             assert a.hyp_threshold == pytest.approx(b.hyp_threshold, rel=1e-15)
             assert a.hyp.lower == pytest.approx(b.hyp.lower, rel=1e-10)
@@ -343,7 +353,7 @@ class TestCheck:
 
 def test_conclusion_lower_is_the_grid_maximum(rng):
     # check and _check_rows take the conclusion's largest value on the FFT
-    # grid, which circle_max's Horner grid matches to rounding and its golden
+    # grid, which circle_argmax's Horner grid matches to rounding and its golden
     # refinement can only raise
     spec = GridSpec(m=256, refine_depth=3)
     grid = GridSpec(m=256, refine_depth=0)
@@ -351,13 +361,13 @@ def test_conclusion_lower_is_the_grid_maximum(rng):
     for _ in range(5):
         f = small_tail_series(rng, 1, 4)
         a = f.body.coeffs[None]
-        p = as_polynomial(Functional.DERIV_DEFECT, f)
+        p = polynomial(Functional.DERIV_DEFECT, f)
         top = np.abs(_circle_rows(p.coeffs[None], r, spec.m)).max()
         lem11 = check(Theorem.LEM11, f, Params(rho=0.5), spec)
         assert lem11.concl.lower == top
         assert _check_rows(Theorem.LEM11, a, Params(rho=0.5), lem11.hyp_threshold, spec, r, math.nan)[1][0] == 0.5 - top
-        assert top == pytest.approx(circle_max(p.eval, r, grid), rel=1e-12)
-        assert top <= circle_max(p.eval, r, spec)
+        assert top == pytest.approx(circle_argmax(p.eval, r, grid)[0], rel=1e-12)
+        assert top <= circle_argmax(p.eval, r, spec)[0]
 
         quotient = lambda z: eval_functional(Functional.STAR_QUOTIENT, f, 0j, z)  # noqa: E731
         values = _circle_rows(f.derivative().coeffs[None], r, spec.m) / _circle_rows(a[:, 1:], r, spec.m)
@@ -365,8 +375,8 @@ def test_conclusion_lower_is_the_grid_maximum(rng):
         thm1 = check(Theorem.THM1, f, Params(alpha=0.25), spec)
         assert thm1.concl.lower == top
         assert _check_rows(Theorem.THM1, a, Params(alpha=0.25), thm1.hyp_threshold, spec, r, math.nan)[1][0] == 0.75 - top
-        assert top == pytest.approx(circle_max(quotient, r, grid), rel=1e-12)
-        assert top < circle_max(quotient, r, spec)
+        assert top == pytest.approx(circle_argmax(quotient, r, grid)[0], rel=1e-12)
+        assert top < circle_argmax(quotient, r, spec)[0]
 
 
 def _params(theorem, alpha, beta):
@@ -392,7 +402,7 @@ def test_stacked_brackets_equal_one_row_brackets(rng, K):
         if isinstance(conclusion, Functional):
             rows.append((conclusion, 0j, rep.concl))
         for functional, beta, bracket in rows:
-            c = as_polynomial(functional, f, beta).coeffs[None]
+            c = _polynomial_coeffs(functional, f.body.coeffs[None], beta)
             lower, _ = _sup_rows(c, r, spec)
             assert bracket.kind is BracketKind.CERTIFIED
             assert (bracket.lower, bracket.upper) == (lower[0], _sup_upper(c, r, lower, spec)[0])
@@ -444,7 +454,7 @@ def test_denominator_floor_gives_the_singular_point(offset):
 
 
 def test_refine_depth_only_moves_circle_max(rng):
-    # check, membership, falsify and jack_probe ignore refine_depth; circle_max refines
+    # check, membership, falsify and jack_probe ignore refine_depth; circle_argmax refines
     shallow, deep = GridSpec(m=64, refine_depth=0), GridSpec(m=64, refine_depth=5)
     for _ in range(3):
         f = small_tail_series(rng, 2, 4)
@@ -457,7 +467,7 @@ def test_refine_depth_only_moves_circle_max(rng):
     for theorem in (Theorem.THM1, Theorem.THM2, Theorem.COR1):
         assert falsify(theorem, 1, params, cfg, shallow) == falsify(theorem, 1, params, cfg, deep)
     p = PolySeries(np.array([0, 1, 0.5j, 0.25], dtype=complex))
-    assert circle_max(p.eval, 0.9, deep) > circle_max(p.eval, 0.9, shallow)
+    assert circle_argmax(p.eval, 0.9, deep)[0] > circle_argmax(p.eval, 0.9, shallow)[0]
     assert jack_probe(p, 1, 0.9, deep) == jack_probe(p, 1, 0.9, shallow)
 
 
@@ -514,18 +524,22 @@ class TestMembership:
 
 
 class TestDuality:
+    # convexity of f and starlikeness of z f' are the same quotient reached by
+    # two algebraic routes, so the two membership states must agree
     def test_agreement_on_small_tails(self, rng):
         for _ in range(10):
             f = small_tail_series(rng, int(rng.integers(1, 4)), 4)
-            out = duality_check(f, float(rng.uniform(0, 0.9)), SPEC)
-            assert out.state is VerdictState.HOLDS
+            alpha = float(rng.uniform(0, 0.9))
+            convex = membership(FunctionClass.CONVEX, f, alpha, SPEC)
+            assert membership(FunctionClass.STARLIKE, zfprime(f), alpha, SPEC).state is convex.state
 
     def test_agreement_when_both_sides_fail(self):
         f = SeriesA.from_tail(1, [0.5])
-        out = duality_check(f, 0.6, SPEC)
-        assert out.state is VerdictState.HOLDS
-        assert out.hypothesis_margin < 0  # convex side margin
-        assert out.conclusion_margin < 0  # starlike side margin
+        convex = membership(FunctionClass.CONVEX, f, 0.6, SPEC)
+        star = membership(FunctionClass.STARLIKE, zfprime(f), 0.6, SPEC)
+        assert convex.state is star.state
+        assert convex.conclusion_margin < 0
+        assert star.conclusion_margin < 0
 
 
 class TestJackProbe:

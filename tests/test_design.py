@@ -12,9 +12,9 @@ import diskcheck
 
 TOOL = pathlib.Path(__file__).resolve().parents[1] / "tools" / "option_count.py"
 
-MAX_OPTIONS = 31
-MAX_EXPORTS = 43
-MAX_LINES = 2136
+MAX_OPTIONS = 26
+MAX_EXPORTS = 37
+MAX_LINES = 2027
 
 
 def _design_numbers():

@@ -10,18 +10,19 @@ import pytest
 from diskcheck import (
     Functional,
     InputError,
-    NotPolynomialError,
+    Params,
     PolySeries,
     SeriesA,
     SingularDenominatorError,
-    as_polynomial,
+    Theorem,
+    check,
     eval_functional,
 )
-from diskcheck.functionals import POLYNOMIAL_FUNCTIONALS
 
-from conftest import random_series
+from conftest import polynomial, random_series, zfprime
 
 BETAS = [0j, 0.5 + 0j, -1 + 0j, 2j, 1.5 - 0.25j]
+POLYNOMIALS = [f for f in Functional if f not in (Functional.STAR_QUOTIENT, Functional.CONVEX_QUOTIENT)]
 
 
 def test_known_coefficients():
@@ -36,32 +37,32 @@ def test_known_coefficients():
         Functional.DERIV_MINUS_ONE: [0, 0, 6],
     }
     for which, coeffs in expect.items():
-        got = as_polynomial(which, f, beta)
+        got = polynomial(which, f, beta)
         assert np.allclose(got.coeffs, np.array(coeffs, dtype=complex)), which
 
 
-@pytest.mark.parametrize("which", sorted(POLYNOMIAL_FUNCTIONALS, key=lambda w: w.value))
+@pytest.mark.parametrize("which", POLYNOMIALS)
 @pytest.mark.parametrize("beta", BETAS)
 def test_polynomial_and_pointwise_routes_agree(rng, which, beta):
     for n in (1, 2, 4):
         f = random_series(rng, n, tail_len=5, scale=0.3)
         zs = 0.95 * np.exp(1j * rng.uniform(0, 2 * np.pi, size=40))
-        poly_vals = as_polynomial(which, f, beta)(zs)
+        poly_vals = polynomial(which, f, beta)(zs)
         direct_vals = eval_functional(which, f, beta, zs)
         assert np.max(np.abs(poly_vals - direct_vals)) < 1e-10
 
 
 def test_constant_slot_always_zero(rng):
     f = random_series(rng, 1, tail_len=4)
-    for which in POLYNOMIAL_FUNCTIONALS:
-        assert as_polynomial(which, f, 0.7 + 0.2j).coeffs[0] == 0
+    for which in POLYNOMIALS:
+        assert polynomial(which, f, 0.7 + 0.2j).coeffs[0] == 0
 
 
 def test_quotients_have_no_polynomial_form(rng):
     f = random_series(rng, 1, tail_len=3)
     for which in (Functional.STAR_QUOTIENT, Functional.CONVEX_QUOTIENT):
-        with pytest.raises(NotPolynomialError):
-            as_polynomial(which, f)
+        with pytest.raises(InputError):
+            polynomial(which, f)
 
 
 def _shifted(p: PolySeries, delta: complex) -> PolySeries:
@@ -96,15 +97,15 @@ def test_turn_test_rewrites_through_deriv_defect(rng, beta):
 @pytest.mark.parametrize("beta", BETAS)
 def test_convex_test_is_star_test_of_zfprime(rng, beta):
     f = random_series(rng, 2, tail_len=5)
-    via_transform = as_polynomial(Functional.STAR_TEST, f.to_zfprime(), beta)
-    direct = as_polynomial(Functional.CONVEX_TEST, f, beta)
+    via_transform = polynomial(Functional.STAR_TEST, zfprime(f), beta)
+    direct = polynomial(Functional.CONVEX_TEST, f, beta)
     assert np.allclose(via_transform.coeffs, direct.coeffs, rtol=1e-14, atol=0)
 
 
 def test_deriv_defect_of_zfprime_is_zfdoubleprime(rng):
     f = random_series(rng, 1, tail_len=4)
     zs = 0.8 * np.exp(1j * np.linspace(0, 6, 9))
-    lhs = eval_functional(Functional.DERIV_DEFECT, f.to_zfprime(), 0j, zs)
+    lhs = eval_functional(Functional.DERIV_DEFECT, zfprime(f), 0j, zs)
     rhs = zs * f.derivative().derivative()(zs)
     assert np.max(np.abs(lhs - rhs)) < 1e-13
 
@@ -152,7 +153,7 @@ class TestQuotients:
 def test_beta_must_be_finite(rng):
     f = random_series(rng, 1, tail_len=2)
     with pytest.raises(InputError):
-        as_polynomial(Functional.STAR_TEST, f, complex("inf"))
+        check(Theorem.THM1, f, Params(beta=complex("inf")))
     with pytest.raises(InputError):
         eval_functional(Functional.TURN_TEST, f, float("nan"), 0.1)
 
@@ -166,8 +167,8 @@ def test_list_input_for_z(rng):
 def test_non_number_and_non_enum_arguments_raise_input_error():
     f = SeriesA.from_tail(1, [0.1])
     cases = [
-        (lambda: as_polynomial("star_test", f), "unknown functional 'star_test'"),
-        (lambda: as_polynomial(None, f), "unknown functional None"),
+        (lambda: eval_functional("star_test", f), "unknown functional 'star_test'"),
+        (lambda: eval_functional(None, f), "unknown functional None"),
         (lambda: eval_functional(Functional.RATIO_DEFECT, f, 0j, "x"),
          "evaluation point not interpretable as complex numbers"),
         (lambda: eval_functional(Functional.STAR_QUOTIENT, f, 0j, [0.5, "x"]),

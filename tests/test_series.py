@@ -101,33 +101,6 @@ class TestSeriesA:
         z = 0.3 - 0.2j
         assert g(z) == pytest.approx(f(z) / z, abs=1e-15)
 
-    def test_to_zfprime(self):
-        f = SeriesA.from_tail(1, [0.5])
-        g = f.to_zfprime()
-        # z f'(z) = z + 2*0.5 z^2
-        assert np.array_equal(g.body.coeffs, np.array([0, 1, 1.0], dtype=complex))
-        assert g.n == f.n
-
-    def test_scale_radius_values(self):
-        f = SeriesA.from_tail(1, [0.5, -0.25j])
-        r = 0.6
-        g = f.scale_radius(r)
-        for z in (0.9, -0.3 + 0.7j):
-            assert g(z) == pytest.approx(f(r * z) / r, abs=1e-15)
-
-    def test_scale_radius_preserves_normalization(self):
-        f = SeriesA.from_tail(2, [0.4])
-        g = f.scale_radius(0.25)
-        assert g.body.coeffs[0] == 0
-        assert g.body.coeffs[1] == 1
-        assert g.n == 2
-
-    def test_scale_radius_rejects_bad_r(self):
-        f = SeriesA.from_tail(1, [0.5])
-        for r in (0.0, -0.5, 1.5):
-            with pytest.raises(InputError):
-                f.scale_radius(r)
-
     def test_eval_passthrough(self):
         f = SeriesA.from_tail(1, [0.5])
         z = 0.2 + 0.1j

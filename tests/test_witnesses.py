@@ -24,7 +24,7 @@ from diskcheck import (
     VerdictState,
     Witness,
     check,
-    circle_max,
+    circle_argmax,
     eval_functional,
     falsify,
     make_witness,
@@ -38,9 +38,11 @@ from diskcheck.bounds import _below, _coeff_sums
 from diskcheck.checks import _FAILS, _RULES, _STATES, HYPOTHESIS_FUNCTIONAL, _check_rows, _conclusion_bound, \
     _NO_ROWS, _conclusion_caps, _conclusion_rows
 from diskcheck.funcspec import function_to_dict, load_function
-from diskcheck.functionals import _polynomial_coeffs, as_polynomial
+from diskcheck.functionals import _polynomial_coeffs
 from diskcheck.series import _tail_coeffs
 from diskcheck.witnesses import FalsifySummary, _sample_rows, _tail_boxes
+
+from conftest import polynomial
 
 LADDER = (0.9, 0.99, 0.999, 0.9999)
 DENSE = GridSpec(m=8192, refine_depth=5)
@@ -84,10 +86,10 @@ class TestClosedForms:
         alpha, beta = 0.25, 0.5 + 0.5j
         f = make_witness(Witness.EX1, n, alpha)
         forms = witness_closed_forms(Witness.EX1, n, alpha, beta, r)
-        hyp = poly_sup(as_polynomial(Functional.STAR_TEST, f, beta), r, DENSE)
+        hyp = poly_sup(polynomial(Functional.STAR_TEST, f, beta), r, DENSE)
         assert hyp.lower == pytest.approx(forms.hyp_sup_on_circle, rel=1e-12)
         assert hyp.upper == pytest.approx(forms.hyp_sup_on_circle, rel=1e-12)
-        got = circle_max(lambda zs: eval_functional(Functional.STAR_QUOTIENT, f, 0j, zs), r, DENSE)
+        got = circle_argmax(lambda zs: eval_functional(Functional.STAR_QUOTIENT, f, 0j, zs), r, DENSE)[0]
         assert got == pytest.approx(forms.concl_sup_on_circle, abs=1e-6 * (1 + forms.concl_sup_on_circle))
 
     @pytest.mark.parametrize("r", LADDER)
@@ -96,9 +98,9 @@ class TestClosedForms:
         n, beta = 2, -1 + 0j
         f = make_witness(which, n, alpha)
         forms = witness_closed_forms(which, n, alpha, beta, r)
-        hyp = poly_sup(as_polynomial(Functional.TURN_TEST, f, beta), r, DENSE)
+        hyp = poly_sup(polynomial(Functional.TURN_TEST, f, beta), r, DENSE)
         assert hyp.lower == pytest.approx(forms.hyp_sup_on_circle, rel=1e-12)
-        concl = poly_sup(as_polynomial(Functional.DERIV_MINUS_ONE, f), r, DENSE)
+        concl = poly_sup(polynomial(Functional.DERIV_MINUS_ONE, f), r, DENSE)
         assert concl.lower == pytest.approx(forms.concl_sup_on_circle, rel=1e-12)
         assert concl.upper == pytest.approx(forms.concl_sup_on_circle, rel=1e-12)
 
@@ -191,7 +193,7 @@ class TestSampleSatisfying:
         for trial in range(20):
             rng = np.random.default_rng([11, trial])
             f = sample_satisfying(Theorem.THM1, 1, params, cfg, rng)
-            poly = as_polynomial(HYPOTHESIS_FUNCTIONAL[Theorem.THM1], f, params.beta)
+            poly = polynomial(HYPOTHESIS_FUNCTIONAL[Theorem.THM1], f, params.beta)
             bound = sum(abs(c) for c in poly.coeffs)
             assert bound <= 0.9 * threshold(Theorem.THM1, params, 1) * (1 + 1e-12)
 
@@ -200,7 +202,7 @@ class TestSampleSatisfying:
         params = Params(alpha=0.0)
         rng = np.random.default_rng(3)
         f = sample_satisfying(Theorem.THM2, 2, params, cfg, rng)
-        poly = as_polynomial(HYPOTHESIS_FUNCTIONAL[Theorem.THM2], f, 0j)
+        poly = polynomial(HYPOTHESIS_FUNCTIONAL[Theorem.THM2], f, 0j)
         bound = sum(abs(c) for c in poly.coeffs)
         target = 0.5 * threshold(Theorem.THM2, params, 2)
         # raw uniform draws essentially always exceed the target, so the
