@@ -109,14 +109,11 @@ class Params:
     rho: float | None = None
 
 
-def threshold(theorem: Theorem, params: Params, n: int, *, thm3_branch: str = "auto") -> float:
+def threshold(theorem: Theorem, params: Params, n: int) -> float:
     """Hypothesis threshold of one result; validates the parameters first,
-    raising ParameterError naming the violated constraint.
-
-    thm3_branch picks the piece of the split thm3 bound: "auto" follows
-    alpha, "low" forces alpha |n - beta|, "high" forces (1-alpha) |n - beta|.
-    At alpha = 1/2 the two branches coincide. Every theorem rejects a value
-    other than these three.
+    raising ParameterError naming the violated constraint. The split thm3
+    bound follows alpha: alpha |n - beta| for alpha <= 1/2, else
+    (1-alpha) |n - beta|; the two pieces meet at alpha = 1/2.
     """
     require_int(n, 1, "class index n must be a positive integer", ParameterError)
     # Both conversions come before either finiteness test, so a non-number in
@@ -139,8 +136,6 @@ def threshold(theorem: Theorem, params: Params, n: int, *, thm3_branch: str = "a
             raise ParameterError(f"thm3 needs 0 < alpha < 1, got {alpha}")
     elif not (0.0 <= alpha < 1.0):
         raise ParameterError(f"{theorem.value} needs 0 <= alpha < 1, got {alpha}")
-    if thm3_branch not in ("auto", "low", "high"):
-        raise InputError(f"thm3_branch must be auto, low, or high, got {thm3_branch!r}")
     try:
         strip = abs(n + shift - beta)
     except OverflowError:  # |beta| beyond the float range
@@ -156,8 +151,7 @@ def threshold(theorem: Theorem, params: Params, n: int, *, thm3_branch: str = "a
     elif theorem is Theorem.LEM3:
         value = float(params.rho) * strip
     else:
-        low = alpha <= 0.5 if thm3_branch == "auto" else thm3_branch == "low"
-        value = (alpha if low else 1.0 - alpha) * strip
+        value = (alpha if alpha <= 0.5 else 1.0 - alpha) * strip
     if not math.isfinite(value):
         raise ParameterError(f"{theorem.value} threshold overflows the float range")
     return value
@@ -190,7 +184,7 @@ class Verdict:
     state: VerdictState
     hypothesis_margin: float | None
     conclusion_margin: float | None
-    witness: complex | None = None
+    witness: complex | None
 
 
 @dataclass(frozen=True)
@@ -204,7 +198,6 @@ class CheckReport:
     concl: SupBracket | None
     concl_bound: float
     verdict: Verdict
-    witness: complex | None
 
 
 #: Verdict states by their code in _decide's arrays, and the codes by state:
@@ -221,6 +214,17 @@ def _decide(hyp_ok, lower, bound: float):
     Holds when lower < bound and Fails when not. Bool arithmetic, so it runs
     elementwise on row arrays and on check's one row as plain Python."""
     return _INCONCLUSIVE - (hyp_ok & (lower == lower)) * (_INCONCLUSIVE - (lower >= bound))
+
+
+def _verdict(hyp_ok: bool, lower: float, z: complex, bound: float, hypothesis_margin: float | None) -> Verdict:
+    """The Verdict of one row decided by _decide: conclusion margin
+    bound - lower, None where lower is nan (a failed guard or a singular
+    point). A Fails shows its violating point z, an unknown conclusion its
+    singular point z when it has one."""
+    state = _STATES[_decide(hyp_ok, lower, bound)]
+    known = lower == lower
+    witness = z if (state is VerdictState.FAILS or not known) and z == z else None
+    return Verdict(state, hypothesis_margin, bound - lower if known else None, witness)
 
 
 #: Guard polynomial g of each guarded quotient: its nonvanishing needs sup |g| < 1.
@@ -319,8 +323,8 @@ def _conclusion_rows(conclusion, a: np.ndarray, bound: float, r: float, spec: Gr
     return lead, *_quotient_rows(conclusion, a, r, spec, lambda q: abs(q - center), lead)
 
 
-def check(theorem: Theorem, f: SeriesA, params: Params, spec: GridSpec | None = None, r_max: float = 0.999, *,
-          thm3_branch: str = "auto") -> CheckReport:
+def check(theorem: Theorem, f: SeriesA, params: Params, spec: GridSpec | None = None,
+          r_max: float = 0.999) -> CheckReport:
     """Verify one sufficient-condition instance on the disk |z| <= r_max.
 
     The hypothesis sup gets a certified bracket; the conclusion gets a
@@ -335,7 +339,7 @@ def check(theorem: Theorem, f: SeriesA, params: Params, spec: GridSpec | None = 
     spec = spec if spec is not None else GridSpec()
     r_max = require_real(r_max, lambda r: 0.0 < r < 1.0, "r_max must lie in (0, 1)", InputError)
     n = f.n
-    thr = threshold(theorem, params, n, thm3_branch=thm3_branch)
+    thr = threshold(theorem, params, n)
     bound = _conclusion_bound(theorem, params)
     hyp_fun, _, conclusion = _RULES[theorem]
     a = f.body.coeffs[None]
@@ -345,16 +349,12 @@ def check(theorem: Theorem, f: SeriesA, params: Params, spec: GridSpec | None = 
     uppers = _sup_upper(polys, r_max, values[: len(polys)], spec).tolist()
     (hyp_lower, lower), z = values.tolist(), points[1].item()
     hyp = SupBracket(hyp_lower, uppers[0], r_max, BracketKind.CERTIFIED)
-    state = _STATES[_decide(hyp.upper < thr, lower, bound)]
-    concl = margin = None
+    concl = None
     if lower == lower:  # nan for a failed guard or a singular point
         kind = BracketKind.CERTIFIED if len(uppers) > 1 else BracketKind.GRID_ONLY
-        margin, concl = bound - lower, SupBracket(lower, (uppers + [math.inf])[1], r_max, kind)
-    # a Fails shows its violating point, an unknown conclusion its singular point
-    witness = z if (concl is None or state is VerdictState.FAILS) and z == z else None
-    verdict = Verdict(state=state, hypothesis_margin=thr - hyp.upper, conclusion_margin=margin, witness=witness)
+        concl = SupBracket(lower, (uppers + [math.inf])[1], r_max, kind)
     return CheckReport(theorem=theorem, params=params, n=n, r_max=r_max, hyp=hyp, hyp_threshold=thr, concl=concl,
-                       concl_bound=bound, verdict=verdict, witness=witness)
+                       concl_bound=bound, verdict=_verdict(hyp.upper < thr, lower, z, bound, thr - hyp.upper))
 
 
 #: Absolute room _conclusion_caps adds to each cap beside its _SUM_SLACK
@@ -440,7 +440,9 @@ def membership(which: FunctionClass, f: SeriesA, alpha: float, spec: GridSpec | 
     analytic on the closed disk, so its real part is harmonic there and takes
     its minimum on the circle |z| = r_max (minimum principle): only that
     circle is scanned. This is a grid verdict, not a certificate:
-    hypothesis_margin stays None.
+    hypothesis_margin stays None. It is check's verdict rule on the one
+    conclusion row max(-Re q) < -alpha, which holds exactly when
+    min Re q > alpha; its margin -alpha - max(-Re q) is min Re q - alpha.
     """
     spec = spec if spec is not None else GridSpec()
     r_max = require_real(r_max, lambda r: 0.0 < r < 1.0, "r_max must lie in (0, 1)", InputError)
@@ -452,14 +454,7 @@ def membership(which: FunctionClass, f: SeriesA, alpha: float, spec: GridSpec | 
         raise InputError(f"unknown function class {which!r}")
     a = f.body.coeffs[None]
     values, points = _quotient_rows(_Quotient[which.name], a, r_max, spec, lambda q: -q.real, _NO_ROWS)
-    value, z = values.item(), points.item()
-    if value != value:  # nan for a failed guard or a singular point
-        return Verdict(VerdictState.INCONCLUSIVE, None, None, None if z != z else z)
-    min_re = -value
-    margin = min_re - alpha
-    if min_re > alpha:
-        return Verdict(VerdictState.HOLDS, None, margin, None)
-    return Verdict(VerdictState.FAILS, None, margin, z)
+    return _verdict(True, values.item(), points.item(), -alpha, None)
 
 
 @dataclass(frozen=True)
@@ -522,7 +517,9 @@ def jack_probe(w: PolySeries, n: int, r: float, spec: GridSpec | None = None) ->
     least n, and w not identically zero. Of one m-point grid of |w|, the 3
     best samples, each at least 3 samples from those before, that are grid
     peaks are polished by _polish_basins, and the point of largest |w| is
-    reported, so its ratio is real to roundoff. refine_depth plays no part.
+    reported, so its ratio is real to roundoff. Each basin stays within one
+    grid step of its sample, so on an aliased grid (K >= m) that misses the
+    highest peak a lower local maximum is reported. refine_depth plays no part.
     """
     spec = spec if spec is not None else GridSpec()
     r = require_real(r, lambda v: 0.0 < v < 1.0, "probe radius must lie in (0, 1)", InputError)

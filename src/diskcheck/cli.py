@@ -101,7 +101,7 @@ def _check_report_dict(rep: CheckReport) -> dict:
         "conclusion": _bracket_dict(rep.concl),
         "conclusion_bound": rep.concl_bound,
         "verdict": _verdict_dict(rep.verdict),
-        "witness": _pair(rep.witness),
+        "witness": _pair(rep.verdict.witness),
     }
 
 

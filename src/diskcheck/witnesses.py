@@ -214,7 +214,7 @@ class FalsifySummary:
 
 
 def _counterexample_record(trial: int, f: SeriesA, report: CheckReport) -> dict:
-    witness = report.witness
+    witness = report.verdict.witness
     return {
         "trial": trial,
         "function": function_to_dict(f),

@@ -91,17 +91,17 @@ def test_acceptance_2_examples23_sharpness():
     for n in NS:
         for beta in BETAS:
             for alpha in ALPHAS:
-                cases.append((Witness.EX2, n, alpha, beta, Theorem.THM2, "auto"))
-            for alpha in (0.25, 0.5):
-                cases.append((Witness.EX3, n, alpha, beta, Theorem.THM3, "low"))
-    for wit, n, alpha, beta, thm, branch in cases:
+                cases.append((Witness.EX2, n, alpha, beta, Theorem.THM2))
+            for alpha in (0.25, 0.5):  # thm3's low branch, alpha |n - beta|
+                cases.append((Witness.EX3, n, alpha, beta, Theorem.THM3))
+    for wit, n, alpha, beta, thm in cases:
         c = (1.0 - alpha) / (n + 1) if wit is Witness.EX2 else alpha / (n + 1)
         f = make_witness(wit, n, alpha)
         hyp = poly_sup(polynomial(Functional.TURN_TEST, f, beta), R, spec)
         hyp_want = (n + 1) * c * R**n * abs(n - beta)
         if _rel_err(hyp.upper, hyp_want) > 1e-4 or _rel_err(hyp.lower, hyp_want) > 1e-4:
             failures.append(f"hyp mismatch {wit.value} n={n} alpha={alpha} beta={beta}")
-        thr = threshold(thm, Params(alpha=alpha, beta=beta), n, thm3_branch=branch)
+        thr = threshold(thm, Params(alpha=alpha, beta=beta), n)
         if not hyp.upper < thr:
             failures.append(f"hyp not below threshold {wit.value} n={n} alpha={alpha} beta={beta}")
         concl = poly_sup(polynomial(Functional.DERIV_MINUS_ONE, f), R, spec)
@@ -224,26 +224,25 @@ def test_acceptance_7_bracket_soundness():
     _report(7, failures)
 
 
-def test_acceptance_8_thm3_branch_consistency():
-    """Both thm3 threshold branches coincide at alpha = 1/2 and the check
-    verdicts agree under either branch selection."""
+def test_acceptance_8_thm3_threshold_continuity():
+    """The thm3 threshold is continuous at alpha = 1/2: at 1/2 it is
+    0.5 |n - beta|, and at the float neighbours of 1/2, which select the low
+    branch alpha |n - beta| and the high branch (1 - alpha) |n - beta|, it is
+    within 2 ulp of that. The check verdicts agree at all three alphas."""
     failures = []
+    alphas = (0.5, math.nextafter(0.5, 0.0), math.nextafter(0.5, 1.0))
     for n in NS:
         for beta in BETAS:
-            p = Params(alpha=0.5, beta=beta)
-            low = threshold(Theorem.THM3, p, n, thm3_branch="low")
-            high = threshold(Theorem.THM3, p, n, thm3_branch="high")
             want = 0.5 * abs(n - beta)
-            if abs(low - high) > 1e-15 * abs(want) or _rel_err(low, want) > 1e-15:
-                failures.append(f"thresholds differ n={n} beta={beta}: {low} vs {high}")
+            got = [threshold(Theorem.THM3, Params(alpha=alpha, beta=beta), n) for alpha in alphas]
+            if got[0] != want or any(abs(thr - want) > 2 * math.ulp(want) for thr in got):
+                failures.append(f"thresholds jump n={n} beta={beta}: {got} vs {want}")
     spec = GridSpec(m=512, refine_depth=2)
     rng = np.random.default_rng(20240821)
     functions = [make_witness(Witness.EX3, n, 0.5) for n in NS]
     functions += [small_tail_series(rng, 1, 4) for _ in range(5)]
     for i, f in enumerate(functions):
-        p = Params(alpha=0.5)
-        a = check(Theorem.THM3, f, p, spec, thm3_branch="low")
-        b = check(Theorem.THM3, f, p, spec, thm3_branch="high")
-        if a.verdict.state is not b.verdict.state:
-            failures.append(f"function {i}: verdicts {a.verdict.state} vs {b.verdict.state}")
+        states = [check(Theorem.THM3, f, Params(alpha=alpha), spec).verdict.state for alpha in alphas]
+        if len(set(states)) > 1:
+            failures.append(f"function {i}: verdicts {states} at alpha {alphas}")
     _report(8, failures)

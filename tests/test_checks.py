@@ -90,30 +90,24 @@ def test_threshold_formula_sweep(rng):
         assert threshold(Theorem.THM3, p, n) == pytest.approx(want3, rel=1e-15)
 
 
-def test_thm3_branch_override():
-    p = Params(alpha=0.25)
-    assert threshold(Theorem.THM3, p, 2, thm3_branch="low") == pytest.approx(0.5)
-    assert threshold(Theorem.THM3, p, 2, thm3_branch="high") == pytest.approx(1.5)
-    assert threshold(Theorem.THM3, p, 2, thm3_branch="auto") == pytest.approx(0.5)
-    # the two pieces meet exactly at alpha = 1/2
-    mid = Params(alpha=0.5, beta=0.25j)
-    low = threshold(Theorem.THM3, mid, 3, thm3_branch="low")
-    high = threshold(Theorem.THM3, mid, 3, thm3_branch="high")
-    assert low == high
-    with pytest.raises(InputError):
-        threshold(Theorem.THM3, p, 2, thm3_branch="middle")
+def test_thm3_threshold_takes_the_smaller_branch():
+    # the split bound alpha |n - beta| (alpha <= 1/2), (1 - alpha) |n - beta| (alpha >= 1/2)
+    for alpha in np.linspace(0.01, 0.99, 99).tolist() + [0.5, math.nextafter(0.5, 0.0), math.nextafter(0.5, 1.0)]:
+        for n, beta in ((1, 0j), (2, 0.5 + 0j), (3, 0.25j), (2, -1 + 2j)):
+            want = min(alpha, 1.0 - alpha) * abs(n - beta)
+            assert threshold(Theorem.THM3, Params(alpha=alpha, beta=beta), n) == want, (alpha, n, beta)
 
 
-@pytest.mark.parametrize("theorem", list(Theorem))
-def test_bad_thm3_branch_is_rejected_for_every_theorem(theorem):
-    f = SeriesA.from_tail(1, [0.1])
-    params = _params(theorem, 0.5, 0j)
-    for call in (lambda: threshold(theorem, params, 1, thm3_branch="bogus"),
-                 lambda: check(theorem, f, params, SPEC, thm3_branch="bogus")):
-        with pytest.raises(InputError) as info:
-            call()
-        assert info.type is InputError
-        assert str(info.value) == "thm3_branch must be auto, low, or high, got 'bogus'"
+def test_thm3_above_one_half_never_uses_the_low_branch():
+    # z + z^2/4 at alpha = 0.75: the hypothesis sup 0.4995 of |turn test| lies
+    # between the high branch 0.25 and the low branch 0.75, and the conclusion
+    # is violated, so the low branch would give a false Fails
+    rep = check(Theorem.THM3, SeriesA.from_tail(1, [0.25]), Params(alpha=0.75), SPEC)
+    assert rep.hyp_threshold == 0.25
+    assert rep.hyp.upper == pytest.approx(0.4995, rel=1e-9)
+    assert rep.concl.lower >= rep.concl_bound
+    assert rep.verdict.state is VerdictState.INCONCLUSIVE
+    assert rep.verdict.hypothesis_margin < 0 and rep.verdict.witness is None
 
 
 class TestValidateParams:
@@ -257,8 +251,8 @@ class TestDecide:
         monkeypatch.setattr("diskcheck.checks._conclusion_bound", lambda theorem, params: 1e-3)
         rep = check(Theorem.THM2, SeriesA.from_tail(1, [0.1]), Params(alpha=0.5), GridSpec(m=256))
         assert rep.verdict.state is VerdictState.FAILS
-        assert rep.witness == rep.verdict.witness
-        assert abs(0.2 * rep.witness) == pytest.approx(rep.concl.lower, rel=1e-12)
+        assert rep.verdict.witness is not None
+        assert abs(0.2 * rep.verdict.witness) == pytest.approx(rep.concl.lower, rel=1e-12)
 
 
 class TestCheck:
@@ -276,14 +270,14 @@ class TestCheck:
         assert rep.concl.lower == pytest.approx((1 / 3) * 0.999 / (1 - 0.999 / 3), rel=1e-9)
         assert rep.verdict.hypothesis_margin > 0
         assert rep.verdict.conclusion_margin > 0
-        assert rep.witness is None
+        assert rep.verdict.witness is None
 
     def test_thm1_large_coefficient_inconclusive(self):
         f = SeriesA.from_tail(1, [1.0])
         rep = check(Theorem.THM1, f, Params(alpha=0.0), SPEC)
         assert rep.verdict.state is VerdictState.INCONCLUSIVE
         assert rep.verdict.hypothesis_margin < 0
-        assert rep.concl is not None and rep.witness is None
+        assert rep.concl is not None and rep.verdict.witness is None
 
     def test_lem11_holds_and_conclusion_bound_is_rho(self):
         f = SeriesA.from_tail(1, [0.1])
@@ -444,9 +438,9 @@ def test_denominator_floor_gives_the_singular_point(offset):
     rep = check(Theorem.THM1, f, Params(alpha=0.25), spec, r)
     assert rep.verdict.state is VerdictState.INCONCLUSIVE
     assert rep.concl is None and rep.verdict.conclusion_margin is None
-    assert rep.witness == pytest.approx(r * cmath.exp(1j * pole), abs=1e-15)
+    assert rep.verdict.witness == pytest.approx(r * cmath.exp(1j * pole), abs=1e-15)
     star = membership(FunctionClass.STARLIKE, f, 0.25, spec, r)
-    assert star.state is VerdictState.INCONCLUSIVE and star.witness == rep.witness
+    assert star.state is VerdictState.INCONCLUSIVE and star.witness == rep.verdict.witness
     states, margins = _check_rows(
         Theorem.THM1, f.body.coeffs[None], Params(alpha=0.25), rep.hyp_threshold, spec, r, math.nan)
     assert [_STATES[c] for c in states] == [VerdictState.INCONCLUSIVE]
@@ -501,6 +495,17 @@ class TestMembership:
         assert bad.state is VerdictState.FAILS
         assert bad.witness.real == pytest.approx(-0.999, abs=1e-3)
         assert bad.conclusion_margin == pytest.approx(1 - 0.999 - 0.6, abs=1e-6)
+
+    def test_tie_at_the_order_fails(self):
+        # min Re f' = 1 - 0.25 r sits on the grid point -r; at alpha equal to
+        # it, min Re f' > alpha is false: a Fails with margin exactly 0
+        f, spec = SeriesA.from_tail(1, [0.125]), GridSpec(m=4096)
+        alpha = membership(FunctionClass.BOUNDED_TURNING, f, 0.0, spec).conclusion_margin
+        assert alpha == pytest.approx(0.75025, rel=1e-15)
+        tie = membership(FunctionClass.BOUNDED_TURNING, f, alpha, spec)
+        assert tie.state is VerdictState.FAILS
+        assert tie.conclusion_margin == 0.0
+        assert tie.witness == pytest.approx(-0.999, abs=1e-12)
 
     def test_convex(self):
         f = SeriesA.from_tail(1, [0.125])

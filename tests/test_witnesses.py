@@ -377,7 +377,7 @@ def per_trial_falsify(theorem, n, params, cfg, spec):
                 records.append({
                     "trial": trial,
                     "function": function_to_dict(f),
-                    "witness": [report.witness.real, report.witness.imag],
+                    "witness": [report.verdict.witness.real, report.verdict.witness.imag],
                     "conclusion_value": report.concl.lower,
                     "conclusion_bound": report.concl_bound,
                 })
