@@ -47,6 +47,10 @@ _INV_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 _TWO_PI = 2.0 * math.pi
 #: Most angular samples a grid may have: one grid row then takes 16 MB.
 _MAX_GRID_M = 2**20
+#: Values one coefficient or grid array of falsify may hold, or one row (the
+#: block and chunk rules of falsify, _check_rows and _below): fewer numpy
+#: calls are faster, and 32768 would break the memory bound of long tails.
+_BLOCK_POINTS = 16384
 
 
 @dataclass(frozen=True)
@@ -248,11 +252,12 @@ _SUM_SLACK = 2.0**-20
 def _below(c: np.ndarray, r: float, bound: float, spec: GridSpec) -> np.ndarray:
     """Whether the certified sup of every polynomial row of c over |z| <= r
     lies strictly below bound: the decision of the _sup_upper bound, taken
-    from the coefficient sum alone when that leaves _SUM_SLACK of room."""
+    from the coefficient sum alone when that leaves _SUM_SLACK of room, else
+    from grids of at most _BLOCK_POINTS values (or one row) at a time."""
     ok = _coeff_sums(c, r) < bound * (1.0 - _SUM_SLACK)
-    rest = np.flatnonzero(~ok)
-    if rest.size:
-        ok[rest] = _sup_upper(c[rest], r, _sup_rows(c[rest], r, spec)[0], spec) < bound
+    rest, step = (~ok).nonzero()[0], max(1, _BLOCK_POINTS // max(spec.m, c.shape[-1]))
+    for part in (rest[i : i + step] for i in range(0, len(rest), step)):
+        ok[part] = _sup_upper(c[part], r, _sup_rows(c[part], r, spec)[0], spec) < bound
     return ok
 
 

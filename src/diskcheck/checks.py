@@ -35,8 +35,8 @@ import numpy as np
 
 # poly_sup is not called here, but diskcheck.checks.poly_sup stays importable:
 # bench/tracer.py wraps that name and bench/test_bench.py deletes it.
-from .bounds import _SUM_SLACK, GridSpec, SupBracket, BracketKind, _below, _circle_argopt, _circle_point, \
-    _circle_rows, _coeff_sums, _stacked, _sup_rows, _sup_upper, _unit_circle, poly_sup  # noqa: F401
+from .bounds import _BLOCK_POINTS, _SUM_SLACK, GridSpec, SupBracket, BracketKind, _below, _circle_argopt, \
+    _circle_point, _circle_rows, _coeff_sums, _stacked, _sup_rows, _sup_upper, _unit_circle, poly_sup  # noqa: F401
 from .errors import InputError, ParameterError, require_complex, require_finite, require_int, require_real
 from .functionals import DEFAULT_DENOM_FLOOR, Functional, _polynomial_coeffs, _require_nonsingular
 from .series import PolySeries, SeriesA, _derivative_coeffs
@@ -371,23 +371,24 @@ def _conclusion_caps(conclusion, a: np.ndarray, bound: float, r: float) -> np.nd
         polynomial p   S(p)
         z f'/f         S(f' - f/z) / (1 - g),   g = S(f/z - 1)
         1 + z f''/f'   r S(f'') / (1 - g),      g = S(f' - 1)
-        1/f'           (|1 - c| + c g) / (1 - g), g = S(f' - 1), c = bound
+        1/f'           |1/(1 - g^2) - c| + g/(1 - g^2),   g = S(f' - 1), c = bound
 
-    each bounding |q - 1| (|q - c| for 1/f'), because the guard polynomial
-    has modulus at most g < 1. A quotient's cap is inf where g > 1/2. Every
-    cap gets _SUM_SLACK relative and _CAP_ROOM absolute room, so that it also
-    bounds the rounded grid values of _conclusion_rows."""
+    each bounding |q - 1| (|q - c| for 1/f'), as the guard polynomial has
+    modulus at most g < 1 (1/(1 + u) with |u| <= g lies in the disk of center
+    1/(1 - g^2) and radius g/(1 - g^2)); inf where g > 1/2. Every cap gets
+    _SUM_SLACK relative and _CAP_ROOM absolute room, so that it also bounds
+    the rounded grid values of _conclusion_rows."""
     if isinstance(conclusion, Functional):
         cap = _coeff_sums(_polynomial_coeffs(conclusion, a, 0j), r)
     else:
         g = _coeff_sums(_polynomial_coeffs(_GUARD[conclusion], a, 0j), r)
         if conclusion is _Quotient.STARLIKE:
-            top = _coeff_sums(_polynomial_coeffs(Functional.DERIV_DEFECT, a, 0j), r)
+            cap = _coeff_sums(_polynomial_coeffs(Functional.DERIV_DEFECT, a, 0j), r) / (1.0 - g)
         elif conclusion is _Quotient.CONVEX:
-            top = r * _coeff_sums(_derivative_coeffs(_derivative_coeffs(a)), r)
+            cap = r * _coeff_sums(_derivative_coeffs(_derivative_coeffs(a)), r) / (1.0 - g)
         else:
-            top = abs(1.0 - bound) + bound * g
-        cap = np.where(g <= 0.5, top / (1.0 - g), np.inf)
+            cap = np.abs(1.0 / (1.0 - g * g) - bound) + g / (1.0 - g * g)
+        cap = np.where(g <= 0.5, cap, np.inf)
     return cap * (1.0 + _SUM_SLACK) + _CAP_ROOM
 
 
@@ -403,24 +404,29 @@ def _check_rows(theorem: Theorem, a: np.ndarray, params: Params, thr: float, spe
     whose lower bound is not below the bound, a non-finite one included, is
     a Fails, which check re-decides and where an overflow raises.
 
-    floor is the smallest margin the caller has seen so far, nan before any.
-    A row whose _conclusion_caps cap leaves a margin bound - cap above
-    max(floor, 0) skips its conclusion scan: it gets cap as its conclusion
-    value, so it holds where its hypothesis is certified and is Inconclusive
-    elsewhere, as check decides it, and its margin bound - cap is at most
-    check's but above floor, so it is never the smallest. The 0 keeps a row
-    that may reach the bound scanned when an uncertified row has made floor
-    negative."""
+    Rows are scanned max(1, _BLOCK_POINTS // max(m, row length)) a chunk,
+    in ascending order of the margin bound - cap of their _conclusion_caps
+    cap (a stable sort). floor, the caller's smallest margin (nan before
+    any), takes each chunk's smallest margin outside its Fails rows, whose
+    margins check re-decides. The scan stops at the first row whose cap
+    margin is above max(floor, 0): it and the rows after it keep cap as
+    their value, so each holds where its hypothesis is certified and is
+    Inconclusive elsewhere, as check decides it, and its margin, at most
+    check's but above floor, is never the smallest. The 0 keeps a row that
+    may reach the bound scanned when an uncertified row made floor negative."""
     bound = _conclusion_bound(theorem, params)
     hyp_fun, _, conclusion = _RULES[theorem]
     hyp_ok = _below(_polynomial_coeffs(hyp_fun, a, complex(params.beta)), r_max, thr, spec)
-    lower = np.empty(len(a))
-    scan = np.arange(len(a))
-    if not math.isnan(floor):
-        lower = _conclusion_caps(conclusion, a, bound, r_max)
-        scan = np.flatnonzero(bound - lower <= max(floor, 0.0))
-    values = _conclusion_rows(conclusion, a[scan], bound, r_max, spec, _NO_ROWS)[1]
-    lower[scan] = np.where(np.isnan(values), np.inf, values) if isinstance(conclusion, Functional) else values
+    lower = _conclusion_caps(conclusion, a, bound, r_max)
+    order, step = np.argsort(bound - lower, kind="stable"), max(1, _BLOCK_POINTS // max(spec.m, a.shape[-1]))
+    for rows in (order[i : i + step] for i in range(0, len(a), step)):
+        rows = rows[bound - lower[rows] <= (math.inf if math.isnan(floor) else max(floor, 0.0))]
+        if not rows.size:
+            break
+        values = _conclusion_rows(conclusion, a[rows], bound, r_max, spec, _NO_ROWS)[1]
+        lower[rows] = np.where(np.isnan(values), np.inf, values) if isinstance(conclusion, Functional) else values
+        fails = _decide(hyp_ok[rows], lower[rows], bound) == _FAILS
+        floor = np.fmin.reduce(np.where(fails, np.nan, bound - lower[rows]), initial=floor)
     return _decide(hyp_ok, lower, bound), bound - lower
 
 

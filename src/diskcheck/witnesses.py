@@ -22,7 +22,7 @@ from enum import Enum
 
 import numpy as np
 
-from .bounds import _MAX_GRID_M, GridSpec, _coeff_sums
+from .bounds import _BLOCK_POINTS, _MAX_GRID_M, GridSpec, _coeff_sums
 from .checks import (
     _FAILS,
     HYPOTHESIS_FUNCTIONAL,
@@ -55,13 +55,6 @@ __all__ = [
 ]
 
 
-#: Values one falsify block row array may hold: a block holds
-#: max(1, 16384 // max(m, n + 1 + tail_len)) trials, so its grids and its
-#: coefficient rows both stay within 16384 values, and its draws within twice
-#: its coefficient rows. Once no step is per trial, a block's fixed cost is
-#: its numpy calls, so fewer, larger blocks are faster; 32768 would break the
-#: memory bound of long tails.
-_BLOCK_POINTS = 16384
 #: Most trials one falsify call may run.
 _MAX_TRIALS = 10**6
 
@@ -238,35 +231,33 @@ def falsify(
     reproducible and do not depend on how trials are grouped, and
     sample_satisfying with that stream advanced by 2 tail_len t rebuilds any
     one trial (_tail_boxes). Trials are decided in blocks of
-    max(1, 16384 // max(m, n + 1 + tail_len)) rows, 32 at the defaults: the
-    block's tails are rescaled together as sample_satisfying rescales one,
-    and every row gets check's verdict state and conclusion margin from
-    check's own row-wise rules, whatever its verdict, so the summary is the
-    one a sample_satisfying + check loop gives. The counts and the smallest
-    margin are taken from those arrays. A block's grids and coefficient rows
-    hold at most 16384 values an array (one row when a single row is
-    larger), and its draws 2 tail_len values a row, so memory stays bounded
-    whatever m, tail_len and the trial count. Only a Fails row goes through
-    check itself: it is re-verified at 16x grid density (at most the grid
-    cap) before being reported, to exclude grid artifacts. Zero fails is the
-    expected outcome for a sound checker.
+    max(1, _BLOCK_POINTS // (n + 1 + tail_len)) rows, 1820 at n = 2 and the
+    default tail_len 6: the block's tails are rescaled together as
+    sample_satisfying rescales one, and every row gets check's verdict state
+    and conclusion margin from check's own row-wise rules, whatever its
+    verdict, so the counts and smallest margin taken from those arrays are
+    those of a sample_satisfying + check loop. A block's coefficient arrays
+    hold at most _BLOCK_POINTS values, or one row, its grids are scanned in
+    chunks as small (_check_rows), and its draws take 2 tail_len values a
+    row, so memory stays bounded whatever m, tail_len and the trial count.
+    Only a Fails row goes through check itself: it is re-verified at 16x
+    grid density (at most the grid cap) before being reported, to exclude
+    grid artifacts. Zero fails is the expected outcome for a sound checker.
 
-    A block's conclusion scans are pruned: _check_rows gets the smallest
-    margin seen so far, and a row whose certified coefficient-sum cap
-    (_conclusion_caps) keeps its margin above that margin and above 0 is
-    decided without its grid. Such a row holds, or is Inconclusive where its
-    hypothesis is uncertified, as check decides it, and its margin cannot be
-    the smallest, so the summary is unchanged. Blocks are decided one after
-    another on the calling thread, and each block's Fails rows are re-checked
-    before the next block is drawn, so the counterexamples are in trial
-    order and an error is raised after the re-checks of the trials before
-    it, as a per-trial loop raises it.
+    _check_rows gets the smallest margin seen so far and scans its rows in
+    ascending order of their certified conclusion caps, up to the first row
+    whose cap keeps its margin above that margin and above 0; the rest are
+    decided by their caps, which leaves the summary unchanged. Blocks are
+    decided one after another on the calling thread, and each block's Fails
+    rows are re-checked before the next block is drawn, so counterexamples
+    are in trial order and an error is raised after the re-checks of the
+    earlier blocks' trials.
     """
     thr = threshold(theorem, params, n)
     _require_degree(n, cfg.tail_len)
     spec = spec if spec is not None else GridSpec(m=512)
     dense = GridSpec(m=min(16 * spec.m, _MAX_GRID_M))
-    rows = max(1, _BLOCK_POINTS // max(spec.m, n + 1 + cfg.tail_len))
+    rows = max(1, _BLOCK_POINTS // (n + 1 + cfg.tail_len))
     counts = np.zeros(len(_STATES), dtype=np.int64)
     min_margin = math.nan
     counterexamples: list[dict] = []
@@ -274,10 +265,8 @@ def falsify(
         a = _sample_rows(theorem, n, params, cfg.margin * thr, box)
         states, margins = _check_rows(theorem, a, params, thr, spec, cfg.r_max, min_margin)
         counts += np.bincount(states, minlength=len(_STATES))
-        failed = np.flatnonzero(states == _FAILS)
-        margins[failed] = math.nan
-        min_margin = np.fmin(min_margin, np.fmin.reduce(margins))
-        for row in failed.tolist():
+        min_margin = np.fmin.reduce(np.where(states == _FAILS, np.nan, margins), initial=min_margin)
+        for row in np.flatnonzero(states == _FAILS).tolist():
             f = SeriesA(n, PolySeries(a[row]))
             report = check(theorem, f, params, dense, cfg.r_max)
             counts[_FAILS] -= 1

@@ -247,8 +247,9 @@ class TestFalsify:
 
     @pytest.mark.parametrize("theorem", [Theorem.THM1, Theorem.THM2])
     def test_long_tails_keep_memory_bounded(self, theorem):
-        # a block's coefficient rows count against its 16384 values, as its
-        # grids do: at m = 16 a 4096-term tail gives 3 rows a block, not 1024
+        # a block's coefficient rows count against its 16384 values: a
+        # 4096-term tail gives 3 rows a block, and its m = 16 grids are
+        # scanned 3 rows a chunk, not 1024
         cfg = FalsifyConfig(trials=128, seed=4, tail_len=4096)
         spec = GridSpec(m=16)
         tracemalloc.start()
@@ -404,14 +405,27 @@ def _params(theorem, alpha, beta):
     return Params(alpha=alpha, beta=beta)
 
 
-#: (grid, trials): 32 rows a block for m = 512, two rows for m = 8192, and a
-#: single partial block for m = 16; no trial count is a multiple of its rows.
+#: (grid, trials): one block of trials, its conclusions scanned 32 rows a
+#: chunk for m = 512, two rows for m = 8192, and in a single partial chunk
+#: for m = 16; no trial count is a multiple of its chunk.
 ORACLE_GRIDS = (
     (GridSpec(m=16, refine_depth=0), 40),
     (GridSpec(m=512, refine_depth=2), 37),
     (GridSpec(m=8192, refine_depth=3), 3),
 )
 ORACLE_TAIL_LENS = (0, 1, 6)
+
+
+def block_points(monkeypatch, points):
+    """Set the _BLOCK_POINTS of every module that sizes falsify's arrays:
+    its coefficient blocks (witnesses), conclusion chunks (checks) and
+    hypothesis grid chunks (bounds)."""
+    for module in ("witnesses", "checks", "bounds"):
+        monkeypatch.setattr(f"diskcheck.{module}._BLOCK_POINTS", points)
+
+
+#: _BLOCK_POINTS that gives 32-row coefficient blocks at n = 2 and tail_len 6.
+POINTS_32_ROWS = 32 * 9
 
 
 class TestFalsifyOracle:
@@ -429,12 +443,26 @@ class TestFalsifyOracle:
 
     @pytest.mark.parametrize("tail_len", [0, 1])
     def test_multiword_seed_and_short_tails(self, tail_len):
-        # a seed of three 32-bit words, and 37 trials at 32 rows a block
+        # a seed of three 32-bit words, and 37 trials scanned 32 rows a chunk
         spec = GridSpec(m=512, refine_depth=2)
         cfg = FalsifyConfig(trials=37, seed=2**70 + 1, tail_len=tail_len)
         for theorem in (Theorem.THM1, Theorem.THM2, Theorem.LEM12):
             params = _params(theorem, 0.25, 0.5j)
             assert falsify(theorem, 2, params, cfg, spec) == per_trial_falsify(theorem, 2, params, cfg, spec)
+
+    @pytest.mark.parametrize("points", [64, 512, None])
+    @pytest.mark.parametrize("theorem", list(Theorem))
+    def test_summary_does_not_depend_on_block_points(self, theorem, points, monkeypatch):
+        # at 64 and 512 points, coefficient blocks of 7 and 56 rows (n = 2,
+        # tail_len 6) and grids of 1 to 32 rows a chunk; at the default, one
+        # block a call
+        if points is not None:
+            block_points(monkeypatch, points)
+        for alpha, beta in ((0.25, 0j), (0.6, -0.5 + 0.5j)):
+            params = _params(theorem, alpha, beta)
+            for spec, trials in ORACLE_GRIDS:
+                cfg = FalsifyConfig(trials=trials, seed=29)
+                assert falsify(theorem, 2, params, cfg, spec) == per_trial_falsify(theorem, 2, params, cfg, spec)
 
     @pytest.mark.parametrize("theorem", [Theorem.THM2, Theorem.THM1])
     def test_every_trial_past_its_bound_is_rechecked_and_recorded(self, theorem, monkeypatch):
@@ -490,7 +518,9 @@ class TestFalsifyOracle:
         assert reports[1].verdict.conclusion_margin is None
 
         # a margin and r_max this close to 1 leave the coefficient sums no room
-        # below the threshold, so the bracket decides every hypothesis
+        # below the threshold, so the bracket decides every hypothesis, from
+        # grids of at most 16384 values a call: all 5 rows at m = 512, two
+        # rows at a time at m = 8192
         bracketed = []
         real_sup_rows = diskcheck.bounds._sup_rows
 
@@ -501,10 +531,11 @@ class TestFalsifyOracle:
         monkeypatch.setattr("diskcheck.bounds._sup_rows", counting_sup_rows)
         monkeypatch.setattr("diskcheck.witnesses.check", lambda *args: pytest.fail("only a Fails row goes to check"))
         cfg = FalsifyConfig(trials=5, seed=1, margin=1.0 - 1e-12, r_max=1.0 - 1e-12)
-        got = falsify(Theorem.THM2, 2, params, cfg, spec)
-        assert bracketed == [5]
+        grids = (spec, GridSpec(m=8192, refine_depth=3))
+        got = [falsify(Theorem.THM2, 2, params, cfg, grid) for grid in grids]
+        assert bracketed == [5, 2, 2, 1]
         monkeypatch.undo()
-        assert got == per_trial_falsify(Theorem.THM2, 2, params, cfg, spec)
+        assert got == [per_trial_falsify(Theorem.THM2, 2, params, cfg, grid) for grid in grids]
 
     @pytest.mark.parametrize("theorem", [Theorem.THM1, Theorem.COR1, Theorem.THM2])
     def test_sum_shortcut_decides_as_the_bracket(self, theorem, rng):
@@ -558,6 +589,7 @@ class TestFalsifySerial:
         # with a conclusion bound of 1e-3, Fails rows fall in all three blocks
         # of 70 trials, 0-31, 32-63 and 64-69
         monkeypatch.setattr("diskcheck.checks._conclusion_bound", lambda theorem, params: 1e-3)
+        monkeypatch.setattr("diskcheck.witnesses._BLOCK_POINTS", POINTS_32_ROWS)
         params = Params(alpha=0.25)
         cfg = FalsifyConfig(trials=70, seed=4)
         spec = GridSpec(m=512, refine_depth=2)
@@ -573,6 +605,7 @@ class TestFalsifySerial:
         # 130 trials are blocks of 32; the block of trials 96-127 raises after
         # every earlier trial was recorded Fails and re-checked, in trial order
         monkeypatch.setattr("diskcheck.checks._conclusion_bound", lambda theorem, params: 1e-3)
+        monkeypatch.setattr("diskcheck.witnesses._BLOCK_POINTS", POINTS_32_ROWS)
         params = Params(alpha=0.25)
         cfg = FalsifyConfig(trials=130, seed=4)
         spec = GridSpec(m=512, refine_depth=2)
@@ -593,10 +626,12 @@ class TestFalsifySerial:
 
     def test_floating_point_errors_follow_the_callers_errstate(self, monkeypatch):
         # numpy's error state is context-local, and every block is decided in
-        # the caller's context: an overflow while the second block is drawn
-        # raises under the caller's over="raise", and warns under numpy's default
+        # the caller's context: an overflow while the second of three 32-row
+        # blocks is drawn raises under the caller's over="raise", and warns
+        # under numpy's default
+        monkeypatch.setattr("diskcheck.witnesses._BLOCK_POINTS", POINTS_32_ROWS)
         params = Params(alpha=0.25)
-        cfg = FalsifyConfig(trials=64, seed=4)
+        cfg = FalsifyConfig(trials=96, seed=4)
         spec = GridSpec(m=512, refine_depth=2)
         states = []
         real_check_rows = diskcheck.witnesses._check_rows
@@ -617,7 +652,7 @@ class TestFalsifySerial:
         assert states == [caller]
         with pytest.warns(RuntimeWarning, match="overflow"):
             got = falsify(Theorem.THM1, 2, params, cfg, spec)
-        assert states[1:] == [np.geterr()] * 2
+        assert states[1:] == [np.geterr()] * 3
         monkeypatch.undo()
         assert got == falsify(Theorem.THM1, 2, params, cfg, spec)
 
@@ -625,8 +660,9 @@ class TestFalsifySerial:
 class TestFalsifyPruning:
     @pytest.mark.parametrize("theorem", list(Theorem))
     def test_summary_equals_the_unpruned_rule(self, theorem, monkeypatch):
-        # every ORACLE_GRIDS grid runs at least three blocks, so later blocks
-        # are pruned against the margins of earlier ones; the last parameter
+        # every ORACLE_GRIDS grid runs at least three blocks, of four chunks at
+        # m = 16 and 512 and of two at m = 8192, so rows are pruned against the
+        # margins of earlier blocks and of earlier chunks; the last parameter
         # set puts beta 1e-9 inside its strip, so the threshold, the tails and
         # the conclusion values are all near 0
         edge = 2 + _RULES[theorem][1] - 1e-9
@@ -638,6 +674,7 @@ class TestFalsifyPruning:
             return real_rows(conclusion, a, *args)
 
         monkeypatch.setattr("diskcheck.checks._conclusion_rows", counting_rows)
+        monkeypatch.setattr("diskcheck.checks._BLOCK_POINTS", 4096)
         got = {}
         for prune in (True, False):
             scanned.append(0)
@@ -651,6 +688,7 @@ class TestFalsifyPruning:
                     for spec, trials in ORACLE_GRIDS:
                         for tail_len in (0, 1, 6, 40):
                             rows = 16384 // max(spec.m, 3 + tail_len)
+                            patch.setattr("diskcheck.witnesses._BLOCK_POINTS", rows * (3 + tail_len))
                             cfg = FalsifyConfig(trials=2 * rows + trials, seed=23, tail_len=tail_len)
                             got[prune].append(falsify(theorem, 2, params, cfg, spec))
         assert got[True] == got[False]
@@ -676,28 +714,122 @@ class TestFalsifyPruning:
         assert (margins <= want_margins).all()
 
     @pytest.mark.parametrize("theorem", list(Theorem))
+    def test_chunks_come_in_ascending_cap_margin(self, theorem, monkeypatch):
+        # a default 1000-trial call is one block, scanned 32 rows a chunk in
+        # ascending order of cap margin; it scans fewer rows than blocks of
+        # 32 trials, each one chunk pruned only against earlier blocks
+        params = _params(theorem, 0.25, 0j)
+        bound = _conclusion_bound(theorem, params)
+        conclusion = _RULES[theorem][2]
+        cfg = FalsifyConfig(trials=1000, seed=0)
+        chunks = []
+        real_rows = diskcheck.checks._conclusion_rows
+
+        def recording_rows(conclusion, a, *args):
+            chunks.append(a)
+            return real_rows(conclusion, a, *args)
+
+        monkeypatch.setattr("diskcheck.checks._conclusion_rows", recording_rows)
+        got = falsify(theorem, 2, params, cfg)
+        margins = [bound - _conclusion_caps(conclusion, a, bound, cfg.r_max) for a in chunks]
+        assert [len(m) for m in margins[:-1]] == [32] * (len(margins) - 1)
+        assert (np.diff(np.concatenate(margins)) >= 0).all()
+        scanned = sum(map(len, margins))
+        chunks.clear()
+        monkeypatch.setattr("diskcheck.witnesses._BLOCK_POINTS", POINTS_32_ROWS)
+        assert falsify(theorem, 2, params, cfg) == got
+        assert scanned < sum(map(len, chunks))
+
+    @pytest.mark.parametrize("floor", [math.nan, 0.0, 1e-4, 1.0])
+    @pytest.mark.parametrize("theorem", list(Theorem))
+    def test_rows_at_the_bound_are_always_scanned(self, theorem, floor, monkeypatch, rng):
+        # as in test_rows_at_the_bound_fail_under_a_negative_floor, drawn rows
+        # reach a bound of 1e-3 and rows scaled down by 1e-6 stay below it
+        # (but for thm3, whose 1/f' center is then 1e-3); at the other floors
+        # and one row a chunk, so that floor falls between chunks, every row
+        # whose cap margin is at most 0 is scanned and comes back Fails, as
+        # the unpruned rule has it
+        monkeypatch.setattr("diskcheck.checks._conclusion_bound", lambda theorem, params: 1e-3)
+        block_points(monkeypatch, 512)
+        params = _params(theorem, 0.25, 0j)
+        thr = threshold(theorem, params, 2)
+        spec = GridSpec(m=512, refine_depth=2)
+        a = _sample_rows(theorem, 2, params, 0.9 * thr, rng.uniform(-1.0, 1.0, (16, 6, 2)))
+        a[1::2, 3:] *= 1e-6
+        at_bound = np.flatnonzero(_conclusion_caps(_RULES[theorem][2], a, 1e-3, 0.999) >= 1e-3)
+        want_states, want_margins = _check_rows(theorem, a, params, thr, spec, 0.999, math.nan)
+        scanned = []
+        real_rows = diskcheck.checks._conclusion_rows
+
+        def recording_rows(conclusion, rows, *args):
+            scanned.extend(map(bytes, rows))
+            return real_rows(conclusion, rows, *args)
+
+        monkeypatch.setattr("diskcheck.checks._conclusion_rows", recording_rows)
+        states, margins = _check_rows(theorem, a, params, thr, spec, 0.999, floor)
+        assert set(range(0, 16, 2)) <= set(at_bound.tolist())
+        assert {bytes(a[i]) for i in at_bound} <= set(scanned)
+        assert (states[at_bound] == _FAILS).all() and (want_states[at_bound] == _FAILS).all()
+        assert states.tolist() == want_states.tolist()
+        assert margins[at_bound].tolist() == want_margins[at_bound].tolist()
+
+    def test_fails_rows_do_not_lower_the_floor(self, monkeypatch):
+        # trial 0 has a pole halfway between two points of the m = 64 grid:
+        # it fails there, but its 16x dense re-check meets the pole and has no
+        # margin, so its grid margin must not prune the trials after it (one
+        # row a chunk; hypotheses out of the way)
+        spec, r = GridSpec(m=64, refine_depth=0), 0.999
+        pole = math.pi + math.pi / spec.m
+        tails = [[(1.0 - 5e-13) / r * np.exp(1j * (math.pi - pole)), 0.0], [0.05, 0.02j], [0.08, -0.03], [0.1j, 0.04]]
+        rows = _tail_coeffs(1, np.array(tails))
+        monkeypatch.setattr("diskcheck.witnesses._sample_rows", lambda theorem, n, params, target, box: rows)
+        for module in ("checks", "witnesses"):
+            monkeypatch.setattr(f"diskcheck.{module}.threshold", lambda theorem, params, n: 1e9)
+        block_points(monkeypatch, 64)
+        cfg = FalsifyConfig(trials=4, tail_len=2, r_max=r)
+        got = falsify(Theorem.THM1, 1, Params(alpha=0.25), cfg, spec)
+        assert _check_rows(Theorem.THM1, rows, Params(alpha=0.25), 1e9, spec, r, math.nan)[0][0] == _FAILS
+        assert (got.holds, got.inconclusive, got.fails) == (3, 1, 0)
+        monkeypatch.setattr("diskcheck.checks._conclusion_caps", lambda conclusion, a, bound, r: np.full(len(a), np.inf))
+        assert got == falsify(Theorem.THM1, 1, Params(alpha=0.25), cfg, spec)
+
+    @pytest.mark.parametrize("theorem", list(Theorem))
     def test_caps_bound_the_grid_values(self, theorem, rng):
         # drawn rows of seven scales at n = 1 and 2, on every grid up to
         # m = 8192; every eighth row is a monomial z + c z^(n+1) with c > 0,
         # whose conclusion meets its cap at the grid point of angle pi / n
         # (at alpha = 0.6, where the 1/f' center 1/(2 alpha) is below 1)
-        params = _params(theorem, 0.6, 0j)
-        bound = _conclusion_bound(theorem, params)
-        conclusion = _RULES[theorem][2]
-        for n in (1, 2):
-            a = _tail_coeffs(n, rng.uniform(-1.0, 1.0, (56, 6)) + 1j * rng.uniform(-1.0, 1.0, (56, 6)))
-            a[:, n + 1:] *= np.repeat([1e-12, 1e-6, 1e-3, 0.03, 0.1, 0.3, 1e6], 8)[:, None]
-            a[::8, n + 2:] = 0.0
-            a[::8, n + 1] = np.abs(a[::8, n + 1])
-            caps = _conclusion_caps(conclusion, a, bound, 0.999)
-            assert np.isfinite(caps).sum() >= 24
-            for m in (16, 512, 8192):
-                _, lower, _ = _conclusion_rows(conclusion, a, bound, 0.999, GridSpec(m=m), _NO_ROWS)
-                known = ~np.isnan(lower)
-                assert known[np.isfinite(caps)].all()
-                assert (caps[known] >= lower[known]).all(), (n, m)
-                tight = np.isfinite(caps[::8])
-                np.testing.assert_allclose(lower[::8][tight], caps[::8][tight], rtol=2**-19, atol=2**-39)
+        assert_caps_bound_the_grid_values(theorem, 0.6, rng)
+
+    def test_thm3_caps_bound_the_grid_values_above_center_one(self, rng):
+        # at alpha = 0.25 the 1/f' center c = 2 is above the center
+        # 1/(1 - g^2) of the disk that 1/f' lies in, so the cap
+        # c - 1/(1 + g) is met by a monomial at the grid point of angle 0
+        assert_caps_bound_the_grid_values(Theorem.THM3, 0.25, rng)
+
+
+def assert_caps_bound_the_grid_values(theorem, alpha, rng):
+    """The caps of drawn rows of seven scales at n = 1 and 2 are at least
+    their grid values at m = 16, 512 and 8192, and on every eighth row, a
+    monomial z + c z^(n+1) with c > 0, they equal its grid maximum to
+    rounding."""
+    params = _params(theorem, alpha, 0j)
+    bound = _conclusion_bound(theorem, params)
+    conclusion = _RULES[theorem][2]
+    for n in (1, 2):
+        a = _tail_coeffs(n, rng.uniform(-1.0, 1.0, (56, 6)) + 1j * rng.uniform(-1.0, 1.0, (56, 6)))
+        a[:, n + 1:] *= np.repeat([1e-12, 1e-6, 1e-3, 0.03, 0.1, 0.3, 1e6], 8)[:, None]
+        a[::8, n + 2:] = 0.0
+        a[::8, n + 1] = np.abs(a[::8, n + 1])
+        caps = _conclusion_caps(conclusion, a, bound, 0.999)
+        assert np.isfinite(caps).sum() >= 24
+        for m in (16, 512, 8192):
+            _, lower, _ = _conclusion_rows(conclusion, a, bound, 0.999, GridSpec(m=m), _NO_ROWS)
+            known = ~np.isnan(lower)
+            assert known[np.isfinite(caps)].all()
+            assert (caps[known] >= lower[known]).all(), (n, m)
+            tight = np.isfinite(caps[::8])
+            np.testing.assert_allclose(lower[::8][tight], caps[::8][tight], rtol=2**-19, atol=2**-39)
 
 
 class TestRadiusOfValidity:

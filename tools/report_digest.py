@@ -10,9 +10,11 @@ every corpus file and theorem, membership for every class at `--rmax` 0.6,
 falsify (50 trials, n = 2, the second parameter set) for each theorem at
 --seed 1, 2^32 and 2^70 + 1, seeds of one, two and three 32-bit words, and
 at --tail-len 0, 1 and 40, and falsify (1000 trials, n = 2) for each
-theorem and parameter set at the default grid and at --grid-m 64. Those
-calls run 32 and 4 blocks, so falsify's pruning of conclusion scans against
-the margins of earlier blocks is covered. A fourth set passes out-of-range
+theorem and parameter set at the default grid and at --grid-m 64, once at
+the default tail length and once at --tail-len 40. The first are one block
+of trials scanned in 32 and 256 rows a chunk; the second are 3 blocks of
+at most 381 trials, so the floor that falsify carries from block to block when it
+prunes conclusion scans is covered too. A fourth set passes out-of-range
 and non-finite arguments (--rmax, --alpha, --beta, --rho, --margin, --n) to
 every command, so that each argument error the CLI can print is covered.
 Each line is the argv, the exit code and the sha256 of stdout + stderr.
@@ -86,10 +88,11 @@ def runs():
                    ["--tail-len", "0"], ["--tail-len", "1"], ["--tail-len", "40"]):
         for thm in THEOREMS:
             yield ["falsify", "--n", "2", "--trials", "50"] + theorem_args(thm, *PARAMS[1]) + stream
-    for grid in ([], coarse):
-        for thm in THEOREMS:
-            for alpha, beta in PARAMS:
-                yield ["falsify", "--n", "2", "--trials", "1000"] + theorem_args(thm, alpha, beta) + grid
+    for tail in ([], ["--tail-len", "40"]):
+        for grid in ([], coarse):
+            for thm in THEOREMS:
+                for alpha, beta in PARAMS:
+                    yield ["falsify", "--n", "2", "--trials", "1000"] + theorem_args(thm, alpha, beta) + grid + tail
     yield from bad_argument_runs("tests/corpus/halfdisk.json")
 
 
