@@ -8,19 +8,24 @@ FFT over all of its rows, stacked by _stacked (a guard that its coefficient
 sum cannot certify takes one more), and every bracket takes its lower bound
 from the grid maximum alone (_circle_argopt); golden-section
 refinement (_golden_argmax, GridSpec.refine_depth steps) serves only
-circle_argmax, which locates a point. For a polynomial p with a
-coefficient row of length K + 1, so of degree at most K, three certified
-upper bounds follow from that grid maximum: the coefficient-modulus sum,
-the grid maximum padded by a derivative Lipschitz bound over half the arc
-gap between samples, and, for K < m, the sampling inequality
+circle_argmax, which locates a point. For a polynomial p whose last nonzero
+coefficient is c_K, so of degree K, three certified upper bounds follow
+from that grid maximum: the coefficient-modulus sum, the grid maximum
+padded by a derivative Lipschitz bound over half the arc gap between
+samples, and, for K < m, the sampling inequality
 
     max_{|z| = r} |p(z)| <= sec(pi K / (2 m)) * max_{0 <= j < m} |p(r e^{2 pi i j / m})|
 
 (Frappier, Rahman & Ruscheweyh, "New inequalities for polynomials", Trans.
 AMS 288 (1985); for trigonometric polynomials Ehlich & Zeller, Math. Z. 86
-(1964)), applied to p(r z), whose coefficients are c_k r^k. sec grows with
-K, so a row padded with zeros keeps a valid bound. Rational functionals only
-get the grid lower bound.
+(1964)), applied to p(r z), whose coefficients are c_k r^k. Rational
+functionals only get the grid lower bound.
+
+GridSpec.m is the first grid. A hypothesis or guard row that it leaves
+undecided, lower < bound <= upper, is refined once (_refine): it goes
+straight to the smallest grid m 2^j whose sec factor would decide it, at
+most max(m, 8 (K + 1)) and _MAX_GRID_M, built from twisted copies of the
+row on grids of m points (_sub_grids), whose first is the first grid.
 """
 
 from __future__ import annotations
@@ -169,10 +174,27 @@ def circle_argmax(g, r: float, spec: GridSpec | None = None):
     return val, _circle_point(r, t)
 
 
+class _Radius(float):
+    """A radius r that carries its powers r^k for k < n, so that a check or
+    membership call computes them once for all of its rows."""
+
+    __slots__ = ("powers",)
+
+    def __new__(cls, r: float, n: int):
+        radius = super().__new__(cls, r)
+        radius.powers = np.float64(r) ** np.arange(n)
+        return radius
+
+
+def _powers(r: float, n: int) -> np.ndarray:
+    """r^k for k < n, bitwise the same whether r is a _Radius or not."""
+    return r.powers[:n] if isinstance(r, _Radius) else np.float64(r) ** np.arange(n)
+
+
 @np.errstate(all="ignore")
 def _coeff_sums(c: np.ndarray, r: float):
     """sum_k |c[..., k]| r^k for every polynomial row of c."""
-    return np.sum(np.abs(c) * np.float64(r) ** np.arange(c.shape[-1]), axis=-1)
+    return np.sum(np.abs(c) * _powers(r, c.shape[-1]), axis=-1)
 
 
 def _circle_rows(c: np.ndarray, r: float, m: int) -> np.ndarray:
@@ -185,13 +207,29 @@ def _circle_rows(c: np.ndarray, r: float, m: int) -> np.ndarray:
     values are then m * ifft along the last axis, one unnormalized inverse
     FFT (Cooley & Tukey, Math. Comp. 19 (1965)).
     """
-    c = c * np.float64(r) ** np.arange(c.shape[-1])
+    c = c * _powers(r, c.shape[-1])
     if c.shape[-1] > m:
         q = c.shape[-1] // m
         folded = c[:, : q * m].reshape(len(c), q, m).sum(axis=1)
         folded[:, : c.shape[-1] - q * m] += c[:, q * m :]
         c = folded
     return np.fft.ifft(c, n=m, axis=-1, norm="forward")
+
+
+def _sub_grids(c: np.ndarray, r: float, m: int, fine: int, first: int) -> np.ndarray:
+    """Values of the polynomial row c (shape (K+1,)) on the fine-point grid,
+    fine = m 2^j, as its sub-grids s = first .. d - 1 of b = max(m, fine / 8)
+    points (d = fine / b): row s holds the values at r e^{2 pi i (s + d t) /
+    fine}, t < b, the _circle_rows grid at b of the twisted row
+    c_k e^{2 pi i k s / fine}. Sub-grid 0 at b = m is c's own m-point grid,
+    bitwise. Shape (d - first, b), from grids of at most _BLOCK_POINTS values
+    (or one row) at a time."""
+    b = max(m, fine // 8)
+    s, k = np.arange(first, fine // b), np.arange(c.shape[-1])
+    step = max(1, _BLOCK_POINTS // max(b, c.shape[-1]))
+    grids = [_circle_rows(c * np.take(_unit_circle(fine), np.outer(s[i : i + step], k), mode="wrap"), r, b)
+             for i in range(0, len(s), step)]
+    return grids[0] if len(grids) == 1 else np.concatenate(grids)
 
 
 def _stacked(*parts) -> np.ndarray:
@@ -216,10 +254,28 @@ def _sup_rows(c: np.ndarray, r: float, spec: GridSpec):
     return _circle_argopt(np.abs(_circle_rows(c, r, spec.m)))
 
 
+def _degrees(moduli: np.ndarray):
+    """The last nonzero index K of every row of moduli (shape (rows, L), the
+    moduli of coefficient rows), so the row's degree: one int, L - 1, when
+    no row ends in zero, else an array; a zero row, whose every bound is 0,
+    gets L - 1."""
+    if moduli[:, -1].all():
+        return moduli.shape[-1] - 1
+    return moduli.shape[-1] - 1 - np.argmax(moduli[:, ::-1] > 0, axis=-1)
+
+
+def _sec_bound(lower, degree, m: int):
+    """sec(pi K / (2 m)) * lower where the degree K (an int, or one per row)
+    is below m, inf elsewhere."""
+    if isinstance(degree, int):
+        return lower / math.cos(math.pi * degree / (2 * m)) if degree < m else math.inf
+    return np.where(degree < m, lower / np.cos(np.pi * degree / (2 * m)), np.inf)
+
+
 @np.errstate(all="ignore")
 def _sup_upper(c: np.ndarray, r: float, lower, spec: GridSpec) -> np.ndarray:
     """Certified upper bounds on sup |p| over |z| <= r for the polynomial rows
-    p of c (shape (rows, K+1)), given their _sup_rows grid maxima lower: the
+    p of c (shape (rows, L)), given their _sup_rows grid maxima lower: the
     smallest of the coefficient sum, lower padded by a derivative Lipschitz
     bound over half the arc gap pi r / m, and, when K < m,
     sec(pi K / (2 m)) * lower, from the sampling inequality
@@ -227,19 +283,39 @@ def _sup_upper(c: np.ndarray, r: float, lower, spec: GridSpec) -> np.ndarray:
         max_{|z| = r} |p| <= sec(pi K / (2 m)) * max_j |p(r e^{2 pi i j / m})|
 
     for deg p <= K < m (Frappier, Rahman & Ruscheweyh, Trans. AMS 288
-    (1985); grid by FFT, Cooley & Tukey, Math. Comp. 19 (1965)). K, the row
-    length minus 1, is at least the degree. The bound is at least lower (the
-    sum can round below it). InputError when one overflows.
+    (1985); grid by FFT, Cooley & Tukey, Math. Comp. 19 (1965)). K is the
+    row's last nonzero index, so trailing zeros do not loosen the bound. The
+    bound is at least lower (the sum can round below it). InputError when
+    one overflows.
     """
     lower = np.asarray(lower, dtype=np.float64)
     moduli = np.abs(c)
-    powers = np.float64(r) ** np.arange(c.shape[-1])
+    powers = _powers(r, c.shape[-1])
     lip = np.sum(np.arange(1, c.shape[-1]) * moduli[:, 1:] * powers[:-1], axis=-1)
     upper = np.minimum(np.sum(moduli * powers, axis=-1), lower + lip * math.pi * r / spec.m)
-    degree = c.shape[-1] - 1
-    if degree < spec.m:
-        upper = np.minimum(upper, lower / math.cos(math.pi * degree / (2 * spec.m)))
+    upper = np.minimum(upper, _sec_bound(lower, _degrees(moduli), spec.m))
     return require_finite(np.maximum(lower, upper), f"the sup on |z| = {r}")
+
+
+def _refine(c: np.ndarray, r: float, lower: float, upper: float, bound: float, m: int):
+    """The bracket lower <= sup <= upper of the polynomial row c (shape
+    (K+1,)) over |z| <= r, which its m-point grid leaves undecided,
+    lower < bound <= upper, after one refinement. The row goes straight to
+    the smallest grid fine = m 2^j whose sec bound would decide its first
+    lower, sec(pi K / (2 fine)) * lower < bound (K its last nonzero index),
+    at most max(m, 8 (K + 1)) and _MAX_GRID_M; past that cap the bracket
+    stays as it is. The new lower is the largest of the first lower and the
+    row's _sub_grids values on the fine grid, where sub-grid 0 at m is the
+    first grid, so it never falls; the new upper is the smaller of the first
+    upper and sec(pi K / (2 fine)) times the new lower. Two floats."""
+    degree = int(np.flatnonzero(c)[-1])
+    fine, cap = 2 * m, min(_MAX_GRID_M, max(m, 8 * (degree + 1)))
+    while fine <= cap and not _sec_bound(lower, degree, fine) < bound:
+        fine *= 2
+    if fine > cap:
+        return lower, upper
+    lower = max(lower, float(np.abs(_sub_grids(c, r, m, fine, int(fine <= 8 * m))).max()))
+    return lower, max(lower, min(upper, float(_sec_bound(lower, degree, fine))))
 
 
 #: Relative room a coefficient sum must leave below a bound for _below to
@@ -251,13 +327,18 @@ _SUM_SLACK = 2.0**-20
 
 def _below(c: np.ndarray, r: float, bound: float, spec: GridSpec) -> np.ndarray:
     """Whether the certified sup of every polynomial row of c over |z| <= r
-    lies strictly below bound: the decision of the _sup_upper bound, taken
-    from the coefficient sum alone when that leaves _SUM_SLACK of room, else
-    from grids of at most _BLOCK_POINTS values (or one row) at a time."""
+    lies strictly below bound: the decision of the _sup_upper bound, after
+    _refine where the grid leaves it undecided, taken from the coefficient
+    sum alone when that leaves _SUM_SLACK of room, else from grids of at
+    most _BLOCK_POINTS values (or one row) at a time."""
     ok = _coeff_sums(c, r) < bound * (1.0 - _SUM_SLACK)
     rest, step = (~ok).nonzero()[0], max(1, _BLOCK_POINTS // max(spec.m, c.shape[-1]))
     for part in (rest[i : i + step] for i in range(0, len(rest), step)):
-        ok[part] = _sup_upper(c[part], r, _sup_rows(c[part], r, spec)[0], spec) < bound
+        lower = _sup_rows(c[part], r, spec)[0]
+        upper = _sup_upper(c[part], r, lower, spec)
+        for i in ((lower < bound) & (bound <= upper)).nonzero()[0]:
+            upper[i] = _refine(c[part[i]], r, lower[i], upper[i], bound, spec.m)[1]
+        ok[part] = upper < bound
     return ok
 
 
@@ -267,7 +348,7 @@ def poly_sup(p: PolySeries, r: float, spec: GridSpec | None = None) -> SupBracke
     The lower bound is the largest grid value; the upper bound is the
     smallest of the coefficient-sum bound, the grid maximum padded
     by a derivative Lipschitz bound over half the arc gap pi r / m, and, for
-    K = p.order < m, the sampling inequality
+    K < m, K the last nonzero index of p, the sampling inequality
 
         max_{|z| = r} |p| <= sec(pi K / (2 m)) * max_j |p(r e^{2 pi i j / m})|
 

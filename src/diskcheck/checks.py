@@ -35,8 +35,9 @@ import numpy as np
 
 # poly_sup is not called here, but diskcheck.checks.poly_sup stays importable:
 # bench/tracer.py wraps that name and bench/test_bench.py deletes it.
-from .bounds import _BLOCK_POINTS, _SUM_SLACK, GridSpec, SupBracket, BracketKind, _below, _circle_argopt, \
-    _circle_point, _circle_rows, _coeff_sums, _stacked, _sup_rows, _sup_upper, _unit_circle, poly_sup  # noqa: F401
+from .bounds import _BLOCK_POINTS, _MAX_GRID_M, _SUM_SLACK, GridSpec, SupBracket, BracketKind, _below, \
+    _circle_argopt, _circle_point, _circle_rows, _coeff_sums, _Radius, _refine, _stacked, _sub_grids, _sup_rows, \
+    _sup_upper, _unit_circle, poly_sup  # noqa: F401
 from .errors import InputError, ParameterError, require_complex, require_finite, require_int, require_real
 from .functionals import DEFAULT_DENOM_FLOOR, Functional, _polynomial_coeffs, _require_nonsingular
 from .series import PolySeries, SeriesA, _derivative_coeffs
@@ -333,8 +334,11 @@ def check(theorem: Theorem, f: SeriesA, params: Params, spec: GridSpec | None = 
     sup |f/z - 1| < 1 for the starlike quotient, certified sup |f' - 1| < 1
     for the quotients over f'); a failed guard yields Inconclusive, never
     Fails. Holds additionally demands the certified hypothesis upper bound
-    strictly below the threshold. InputError when a derived coefficient or
-    value overflows the float range.
+    strictly below the threshold. Every row is scanned on the spec.m-point
+    grid; a hypothesis (or guard) bracket that grid leaves undecided,
+    lower < threshold <= upper, is refined once by _refine, and the
+    conclusion stays a spec.m grid value. InputError when a derived
+    coefficient or value overflows the float range.
     """
     spec = spec if spec is not None else GridSpec()
     r_max = require_real(r_max, lambda r: 0.0 < r < 1.0, "r_max must lie in (0, 1)", InputError)
@@ -342,12 +346,14 @@ def check(theorem: Theorem, f: SeriesA, params: Params, spec: GridSpec | None = 
     thr = threshold(theorem, params, n)
     bound = _conclusion_bound(theorem, params)
     hyp_fun, _, conclusion = _RULES[theorem]
-    a = f.body.coeffs[None]
+    a, r = f.body.coeffs[None], _Radius(r_max, f.body.coeffs.size)
     hyp_rows = _polynomial_coeffs(hyp_fun, a, complex(params.beta))
-    polys, values, points = _conclusion_rows(conclusion, a, bound, r_max, spec, hyp_rows)
+    polys, values, points = _conclusion_rows(conclusion, a, bound, r, spec, hyp_rows)
     # rows: the hypothesis, then the conclusion; the bound rejects a non-finite grid
-    uppers = _sup_upper(polys, r_max, values[: len(polys)], spec).tolist()
+    uppers = _sup_upper(polys, r, values[: len(polys)], spec).tolist()
     (hyp_lower, lower), z = values.tolist(), points[1].item()
+    if hyp_lower < thr <= uppers[0]:  # undecided on the first grid
+        hyp_lower, uppers[0] = _refine(polys[0], r, hyp_lower, uppers[0], thr, spec.m)
     hyp = SupBracket(hyp_lower, uppers[0], r_max, BracketKind.CERTIFIED)
     concl = None
     if lower == lower:  # nan for a failed guard or a singular point
@@ -459,7 +465,8 @@ def membership(which: FunctionClass, f: SeriesA, alpha: float, spec: GridSpec | 
     if not isinstance(which, FunctionClass):
         raise InputError(f"unknown function class {which!r}")
     a = f.body.coeffs[None]
-    values, points = _quotient_rows(_Quotient[which.name], a, r_max, spec, lambda q: -q.real, _NO_ROWS)
+    values, points = _quotient_rows(_Quotient[which.name], a, _Radius(r_max, a.shape[-1]), spec, lambda q: -q.real,
+                                    _NO_ROWS)
     return _verdict(True, values.item(), points.item(), -alpha, None)
 
 
@@ -481,6 +488,10 @@ class JackReport:
 
 #: Newton steps jack_probe takes at most in each basin.
 _POLISH_STEPS = 12
+#: Highest degree that _polish_basins evaluates as one block. A first step
+#: from 3 points took 18 us as one block and 21 us by blocks at K = 512, and
+#: 28 against 24 us at K = 1024 (timeit, 2-CPU VM).
+_BLOCKS_FROM = 768
 
 
 @np.errstate(all="ignore")
@@ -488,7 +499,10 @@ def _polish_basins(rows: np.ndarray, r: float, starts: list, dt: float) -> list:
     """Safeguarded Newton steps on Im(z w'/w) = 0, the stationarity condition
     of log |w| along |z| = r, from all start angles in lockstep; each step
     evaluates rows, the coefficients of w, w' and w'' (shape (3, K+1)), at
-    the moving points by one matrix product against their powers z^k. Each
+    the moving points by blocks of b coefficients,
+    c_0 + sum_j (z^b)^j sum_(0 < i <= b) c_(bj+i) z^i: one block of b = K up
+    to _BLOCKS_FROM, else b = isqrt(K) + 1, so the cumulative products of z^i
+    and z^(bj) take about 2b sequential steps instead of K. Each
     basin keeps an angle bracket, at first its start +- dt, and closes it at
     each point on the side that |w| falls towards. A step that is not the
     Newton step of a maximum inside the bracket is replaced by the bracket's
@@ -497,11 +511,21 @@ def _polish_basins(rows: np.ndarray, r: float, starts: list, dt: float) -> list:
     w'') at each basin's last point."""
     ends, brackets, thetas = [None] * len(starts), [[t - dt, t + dt] for t in starts], list(starts)
     live, step = list(range(len(starts))), 0
+    K = rows.shape[-1] - 1
+    b = K if K <= _BLOCKS_FROM else math.isqrt(K) + 1
+    blocks = np.zeros((len(rows), -(-K // b) * b), dtype=np.complex128)
+    blocks[:, :K] = rows[:, 1:]
+    blocks = blocks.reshape(len(rows), -1, b)  # c_(bj+i) at [:, j, i - 1]
     while live:
         zs = [_circle_point(r, thetas[i]) for i in live]
-        powers = np.cumprod(np.repeat(np.array(zs)[:, None], rows.shape[-1] - 1, axis=1), axis=1)
+        powers = np.cumprod(np.repeat(np.array(zs)[:, None], b, axis=1), axis=1)  # z^i, 0 < i <= b
+        sums = blocks @ powers.T
+        values = rows[:, :1] + sums[:, 0]
+        if blocks.shape[1] > 1:  # the blocks j > 0 times z^(bj)
+            high = np.cumprod(np.repeat(powers[:, -1:], blocks.shape[1] - 1, axis=1), axis=1)
+            values += (sums[:, 1:] * high.T).sum(axis=1)
         moving = []
-        for i, z, (w0, v1, v2) in zip(live, zs, (rows[:, 0] + powers @ rows[:, 1:].T).tolist()):
+        for i, z, (w0, v1, v2) in zip(live, zs, values.T.tolist()):
             t, bracket, ends[i] = thetas[i], brackets[i], (abs(w0), z, w0, v1, v2)
             ratio = z * v1 / w0 if abs(w0) >= 1e-280 else 0j
             if step == _POLISH_STEPS or abs(ratio.imag) <= 1e-15 * (1.0 + abs(ratio)):
@@ -520,12 +544,14 @@ def jack_probe(w: PolySeries, n: int, r: float, spec: GridSpec | None = None) ->
     """Locate the argmax of |w| on |z| = r and report the boundary ratios.
 
     Requires w(0) = 0 with leading index (first nonzero coefficient) at
-    least n, and w not identically zero. Of one m-point grid of |w|, the 3
-    best samples, each at least 3 samples from those before, that are grid
-    peaks are polished by _polish_basins, and the point of largest |w| is
-    reported, so its ratio is real to roundoff. Each basin stays within one
-    grid step of its sample, so on an aliased grid (K >= m) that misses the
-    highest peak a lower local maximum is reported. refine_depth plays no part.
+    least n, and w not identically zero. |w| is scanned on the smallest grid
+    m 2^j > 2 (K + 1), K the degree of w, at most _MAX_GRID_M, by
+    _sub_grids. Of that grid, the 3 best samples, each at least 3
+    samples from those before, that are grid peaks are polished by
+    _polish_basins, and the point of largest |w| is reported, so its ratio is
+    real to roundoff. Each basin stays within one grid step of its sample; a
+    grid that is not aliased keeps the highest peak in reach. refine_depth
+    plays no part.
     """
     spec = spec if spec is not None else GridSpec()
     r = require_real(r, lambda v: 0.0 < v < 1.0, "probe radius must lie in (0, 1)", InputError)
@@ -541,14 +567,18 @@ def jack_probe(w: PolySeries, n: int, r: float, spec: GridSpec | None = None) ->
     with np.errstate(all="ignore"):
         d1 = require_finite(_derivative_coeffs(c), "the derivative of w")
         d2 = require_finite(_derivative_coeffs(d1), "the second derivative of w")
-    vals, starts = np.abs(_circle_rows(c[None], r, spec.m)[0]), []
-    peaks = ~(vals < np.maximum(np.roll(vals, 1), np.roll(vals, -1)))
+    m = spec.m
+    while m <= 2 * nonzero[-1] + 2 and 2 * m <= _MAX_GRID_M:
+        m *= 2
+    vals, starts = np.abs(_sub_grids(c, r, spec.m, m, 0)).T.ravel(), []
+    grid = vals.copy()
     for _ in range(3):
         starts.append(int(vals.argmax()))
         np.put(vals, range(starts[-1] - 2, starts[-1] + 3), -np.inf, mode="wrap")
-    dt = 2.0 * math.pi / spec.m
+    dt = 2.0 * math.pi / m
+    peaks = [dt * i for i in starts if not grid[i] < np.maximum(grid[i - 1], grid[(i + 1) % m])]
     rows = _stacked(c[None], d1[None], d2[None])
-    _, z0, w0, v1, v2 = max(_polish_basins(rows, r, [dt * i for i in starts if peaks[i]], dt), key=lambda p: p[0])
+    _, z0, w0, v1, v2 = max(_polish_basins(rows, r, peaks, dt), key=lambda p: p[0])
     _require_nonsingular(z0, w0, DEFAULT_DENOM_FLOOR)
     _require_nonsingular(z0, v1, DEFAULT_DENOM_FLOOR)
     return JackReport(r=r, z0=z0, ratio=z0 * v1 / w0, n=n, curvature_check=(z0 * v2 / v1).real + 1.0)

@@ -14,7 +14,9 @@ from diskcheck import (
     circle_argmax,
     poly_sup,
 )
-from diskcheck.bounds import _circle_rows, _coeff_sums, _golden_argmax, _stacked, _sup_rows, _sup_upper, _unit_circle
+import diskcheck.bounds
+from diskcheck.bounds import _Radius, _circle_rows, _coeff_sums, _golden_argmax, _refine, _stacked, \
+    _sub_grids, _sup_rows, _sup_upper, _unit_circle
 from diskcheck.series import _horner_rows
 
 from conftest import random_series
@@ -245,3 +247,107 @@ def test_sup_upper_without_the_sampling_bound_when_K_reaches_m(rng):
         pad = lower + lip * math.pi * r / spec.m
         expect = np.maximum(lower, np.minimum(np.sum(np.abs(c) * powers, axis=-1), pad))
         assert np.array_equal(_sup_upper(c, r, lower, spec), expect)
+
+
+def test_trailing_zeros_do_not_loosen_the_bound(rng):
+    # K is each row's last nonzero index: a row padded with zeros past m
+    # keeps the sec bound of its degree, and stacked rows of one length keep
+    # their own
+    spec, r = GridSpec(m=128, refine_depth=2), 0.95
+    c = _random_rows(rng, 3, 65)
+    padded = np.concatenate([c, np.zeros((3, 100))], axis=1)
+    padded[1, 40:] = 0.0
+    lower = _sup_rows(padded, r, spec)[0]
+    upper = _sup_upper(padded, r, lower, spec)
+    sec = lower / np.cos(np.pi * np.array([64, 39, 64]) / (2 * spec.m))
+    assert np.all(upper <= sec) and np.all(upper >= lower)
+    assert np.array_equal(upper[[0, 2]], _sup_upper(c[[0, 2]], r, lower[[0, 2]], spec))
+
+
+def test_radius_powers_are_bitwise_the_computed_ones(rng):
+    # a _Radius carries r^k once for a call; every kernel reads the same bits
+    # from it as it computes from the float
+    c, spec = _random_rows(rng, 2, 300), GridSpec(m=256, refine_depth=2)
+    radius = _Radius(0.999, 400)
+    assert radius == 0.999 and f"{radius}" == "0.999"
+    lower = _sup_rows(c, 0.999, spec)[0]
+    assert np.array_equal(_sup_rows(c, radius, spec)[0], lower)
+    assert np.array_equal(_coeff_sums(c, radius), _coeff_sums(c, 0.999))
+    assert np.array_equal(_sup_upper(c, radius, lower, spec), _sup_upper(c, 0.999, lower, spec))
+
+
+@pytest.mark.parametrize("K, m, fine", [(8, 16, 64), (15, 16, 32), (40, 16, 128), (300, 16, 256), (2048, 4096, 16384)])
+def test_sub_grids_interleave_to_the_fine_grid(rng, K, m, fine):
+    # sub-grid s of b = max(m, fine / 8) points holds the fine grid's samples
+    # s, s + d, s + 2d, ... (d = fine / b); sub-grid 0 at b = m is the first
+    # grid bitwise. Horner on the fine grid is the reference, with the FFT
+    # tolerance of test_circle_rows_equal_horner_on_the_grid plus the twist
+    c, r = _random_rows(rng, 1, K + 1)[0], 0.95
+    b = max(m, fine // 8)
+    grids = _sub_grids(c, r, m, fine, 0)
+    assert grids.shape == (fine // b, b)
+    if b == m:
+        assert np.array_equal(grids[0], _circle_rows(c[None], r, m)[0])
+        assert np.array_equal(_sub_grids(c, r, m, fine, 1), grids[1:])
+    horner = _horner_rows(c[None], r * _unit_circle(fine))[0]
+    weight = np.sum(np.abs(c) * r ** np.arange(K + 1))
+    tol = 16 * np.finfo(float).eps * (math.log2(b) + math.ceil((K + 1) / b)) * weight
+    assert np.abs(grids.T.ravel() - horner).max() <= tol
+
+
+def _undecided_rows(rng, K, m, rows, r, ratio):
+    """Flat-spectrum rows of degree K whose m-point bracket straddles a
+    bound: each with the bound ratio times its grid maximum, at most its
+    upper."""
+    c = _random_rows(rng, rows, K + 1)
+    spec = GridSpec(m=m, refine_depth=2)
+    lower = _sup_rows(c, r, spec)[0]
+    upper = _sup_upper(c, r, lower, spec)
+    bound = ratio * lower
+    assert np.all(bound <= upper)
+    return c, lower, upper, bound
+
+
+@pytest.mark.parametrize("K, m", [(200, 256), (63, 64), (100, 64), (40, 16)])
+def test_refined_bracket_encloses_the_dense_grid(rng, K, m):
+    # a refined row's lower never falls below its first-grid lower and is a
+    # value |p| takes; its upper dominates Horner on a grid 8 times the
+    # finest grid refinement may build, max(m, 8 (K + 1)) rounded up
+    r = 0.999
+    c, lower, upper, bound = _undecided_rows(rng, K, m, 6, r, 1.05)
+    dense_m = 8 * m * 2 ** math.ceil(math.log2(max(m, 8 * (K + 1)) / m))
+    dense = np.abs(_horner_rows(c, r * _unit_circle(dense_m))).max(axis=-1)
+    for i in range(len(c)):
+        lo, up = _refine(c[i], r, lower[i], upper[i], bound[i], m)
+        assert lower[i] <= lo <= up <= upper[i]
+        assert lo <= dense[i] * (1 + 1e-12) and up * (1 + 1e-12) >= dense[i]
+
+
+def test_refinement_goes_straight_to_the_smallest_deciding_grid(rng, monkeypatch):
+    # one grid per refined row: the smallest m 2^j at which sec times the
+    # first lower is below the bound, built from its sub-grids s >= 1 at m
+    built = []
+    real = diskcheck.bounds._sub_grids
+
+    def recording(c, r, m, fine, first):
+        built.append((fine, first))
+        return real(c, r, m, fine, first)
+
+    monkeypatch.setattr("diskcheck.bounds._sub_grids", recording)
+    K, m, r = 200, 256, 0.999
+    c, lower, upper, bound = _undecided_rows(rng, K, m, 4, r, 1.05)
+    for i in range(len(c)):
+        built.clear()
+        _refine(c[i], r, lower[i], upper[i], bound[i], m)
+        fine = next(m * 2**j for j in range(1, 20) if lower[i] / math.cos(math.pi * K / (2 * m * 2**j)) < bound[i])
+        assert built == [(fine, 1)]
+
+
+def test_a_grid_past_the_cap_is_never_built(rng, monkeypatch):
+    # a bound 1e-9 above the grid maximum needs a grid past max(m, 8 (K + 1)):
+    # the bracket stays as it is and no grid is built
+    monkeypatch.setattr("diskcheck.bounds._sub_grids", lambda *args: pytest.fail("built a grid past the cap"))
+    for K, m in ((200, 256), (10, 4096), (3000, 16)):
+        c, lower, upper, bound = _undecided_rows(rng, K, m, 3, 0.999, 1 + 1e-9)
+        for i in range(len(c)):
+            assert _refine(c[i], 0.999, lower[i], upper[i], bound[i], m) == (lower[i], upper[i])

@@ -426,6 +426,91 @@ def test_one_circle_pass_per_call(rng, monkeypatch):
         assert calls == [want], which
 
 
+def _scaled_tail(theorem, params, n, K, scale, m=4096, r=0.999, seed=21):
+    """z + a seeded tail of K terms with 1/k^3 decay, rescaled so that its
+    hypothesis grid maximum at m points on |z| = r is scale times the
+    threshold; and that hypothesis row with its first-grid bracket."""
+    rng = np.random.default_rng(seed)
+    k = np.arange(n + 1, n + 1 + K)
+    tail = (rng.uniform(-1, 1, K) + 1j * rng.uniform(-1, 1, K)) / k**3
+    hyp = _polynomial_coeffs(_RULES[theorem][0], SeriesA.from_tail(n, tail).body.coeffs[None], complex(params.beta))
+    tail *= scale * threshold(theorem, params, n) / _sup_rows(hyp, r, GridSpec(m=m))[0][0]
+    f = SeriesA.from_tail(n, tail)
+    hyp = _polynomial_coeffs(_RULES[theorem][0], f.body.coeffs[None], complex(params.beta))
+    lower = _sup_rows(hyp, r, GridSpec(m=m))[0]
+    return f, lower[0], _sup_upper(hyp, r, lower, GridSpec(m=m))[0]
+
+
+@pytest.mark.parametrize("theorem", [Theorem.LEM11, Theorem.THM2, Theorem.THM1])
+def test_high_degree_hypothesis_near_the_threshold_is_refined(theorem):
+    # K = 2048 at m = 4096: the first grid's sec factor, 1.41, leaves a
+    # hypothesis sampled at 0.97 times the threshold undecided; refinement on
+    # the 16384-point grid certifies it, from a lower no smaller than the
+    # first grid's
+    params, spec = _params(theorem, 0.25, 0.5 + 0j), GridSpec(m=4096)
+    f, lower, upper = _scaled_tail(theorem, params, 2, 2048, 0.97)
+    thr = threshold(theorem, params, 2)
+    assert lower < thr <= upper
+    rep = check(theorem, f, params, spec)
+    assert rep.verdict.state is VerdictState.HOLDS
+    assert lower <= rep.hyp.lower <= rep.hyp.upper < thr
+    assert rep.hyp.upper == rep.hyp.lower / math.cos(math.pi * (f.body.coeffs.size - 2) / (2 * 16384))
+
+
+def test_refinement_makes_one_more_circle_pass_only_when_it_can_decide(monkeypatch):
+    # the stacked pass decides a hypothesis sampled at 0.5 or 1.05 times the
+    # threshold (at 1.05 no grid can certify it); at 0.97 one more
+    # _circle_rows call evaluates the 3 new sub-grids of the 16384-point
+    # grid; at 0.99999 the grid it needs is past max(m, 8 (K + 1)) and the
+    # check stays inconclusive without one
+    real_rows = diskcheck.bounds._circle_rows
+    calls = []
+
+    def counting_rows(c, r, m):
+        calls.append((len(c), m))
+        return real_rows(c, r, m)
+
+    monkeypatch.setattr("diskcheck.bounds._circle_rows", counting_rows)
+    monkeypatch.setattr("diskcheck.checks._circle_rows", counting_rows)
+    params, spec = Params(alpha=0.25, beta=0.5), GridSpec(m=4096)
+    for scale, state, refined in ((0.5, VerdictState.HOLDS, []), (0.97, VerdictState.HOLDS, [(3, 4096)]),
+                                  (1.05, VerdictState.INCONCLUSIVE, []), (0.99999, VerdictState.INCONCLUSIVE, [])):
+        f, lower, _ = _scaled_tail(Theorem.THM2, params, 2, 2048, scale)
+        calls.clear()
+        rep = check(Theorem.THM2, f, params, spec)
+        assert calls == [(2, 4096)] + refined, scale
+        assert rep.verdict.state is state, scale
+        assert rep.hyp.lower >= lower, scale
+
+
+def test_a_sample_at_the_threshold_is_never_refined(monkeypatch):
+    # no grid can certify sup < thr when a sample already equals thr, so
+    # neither check nor _below refines it
+    params, spec = Params(alpha=0.25, beta=0.5), GridSpec(m=4096)
+    f, lower, upper = _scaled_tail(Theorem.THM2, params, 2, 2048, 1.0)
+    assert lower < upper
+    monkeypatch.setattr("diskcheck.checks._refine", lambda *args: pytest.fail("refined a sample at the threshold"))
+    monkeypatch.setattr("diskcheck.bounds._refine", lambda *args: pytest.fail("refined a sample at the threshold"))
+    monkeypatch.setattr("diskcheck.checks.threshold", lambda theorem, params, n: lower)
+    rep = check(Theorem.THM2, f, params, spec)
+    assert (rep.hyp.lower, rep.hyp.upper, rep.verdict.state) == (lower, upper, VerdictState.INCONCLUSIVE)
+    hyp = _polynomial_coeffs(Functional.TURN_TEST, f.body.coeffs[None], 0.5 + 0j)
+    assert not diskcheck.bounds._below(hyp, 0.999, lower, spec)[0]
+
+
+@pytest.mark.parametrize("K", [64, 2048])
+def test_reports_decided_on_the_first_grid_never_refine(monkeypatch, K):
+    # a hypothesis sampled at half the threshold is decided by the first
+    # grid for every theorem, so its report is the unrefined one, bitwise
+    monkeypatch.setattr("diskcheck.checks._refine", lambda *args: pytest.fail("refined a decided row"))
+    for theorem in Theorem:
+        params = _params(theorem, 0.25, 0.5 + 0j)
+        f, lower, upper = _scaled_tail(theorem, params, 2, K, 0.5)
+        rep = check(theorem, f, params, GridSpec(m=4096))
+        assert (rep.hyp.lower, rep.hyp.upper) == (lower, upper), theorem
+        assert rep.verdict.state is VerdictState.HOLDS, theorem
+
+
 @pytest.mark.parametrize("offset", [0.0])
 def test_denominator_floor_gives_the_singular_point(offset):
     # f/z = 1 + a z with |a| r = 1 - 5e-13: the guard sup |f/z - 1| < 1 holds,
@@ -636,6 +721,33 @@ class TestJackProbe:
         assert z_top == 0.9 and top == pytest.approx(1.305, rel=1e-15)
         assert dt <= cmath.phase(z_side) <= 2 * dt
         assert side < top
+
+    def test_aliased_draw_finds_the_highest_peak(self):
+        # a flat-spectrum draw of degree 30 whose highest peak the 16-point
+        # grid misses (draw 138 of seed 0): the probe scans 64 points, more
+        # than 2 (K + 1), and reports a point above every 16-point sample
+        # and at the 2^16-point grid's maximum
+        rng = np.random.default_rng(0)
+        for _ in range(139):
+            c = np.concatenate([[0], rng.uniform(-1, 1, 30) + 1j * rng.uniform(-1, 1, 30)])
+        w = PolySeries(c)
+        rep = jack_probe(w, 1, 0.9, GridSpec(m=16))
+        grid = np.abs(_circle_rows(c[None], 0.9, 16)).max()
+        dense = np.abs(_circle_rows(c[None], 0.9, 2**16)).max()
+        assert abs(w.eval(rep.z0)) >= grid
+        assert abs(w.eval(rep.z0)) == pytest.approx(dense, rel=1e-6)
+        assert abs(rep.ratio.imag) <= 1e-12 * (1 + abs(rep.ratio))
+
+    def test_block_evaluation_matches_horner(self, rng):
+        # above _BLOCKS_FROM the polish evaluates w, w', w'' by blocks of
+        # powers; at each basin's end they agree with scalar Horner
+        c = np.concatenate([[0, 1], (rng.uniform(-1, 1, 3000) + 1j * rng.uniform(-1, 1, 3000)) / 3000])
+        w = PolySeries(c)
+        rows = np.stack([c, np.append(w.derivative().coeffs, 0), np.append(w.derivative().derivative().coeffs, [0, 0])])
+        dt = 2 * math.pi / 8192
+        for _, z, *values in _polish_basins(rows, 0.95, [0.3, 2.0, 4.5], dt):
+            for value, p in zip(values, (w, w.derivative(), w.derivative().derivative())):
+                assert value == pytest.approx(p.eval(z), rel=1e-12, abs=1e-15)
 
     def test_coarse_grid_peaks_are_polished(self, rng):
         # flat-spectrum degree-48 polynomials on a 64-point grid: a best grid
