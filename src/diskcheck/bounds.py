@@ -25,7 +25,8 @@ GridSpec.m is the first grid. A hypothesis or guard row that it leaves
 undecided, lower < bound <= upper, is refined once (_refine): it goes
 straight to the smallest grid m 2^j whose sec factor would decide it, at
 most max(m, 8 (K + 1)) and _MAX_GRID_M, built from twisted copies of the
-row on grids of m points (_sub_grids), whose first is the first grid.
+row on grids of max(m, fine / 8) points (_sub_grids), less the first grid.
+jack_probe scans its one grid m 2^j > 2 (K + 1) by one _circle_rows call.
 """
 
 from __future__ import annotations
@@ -174,21 +175,19 @@ def circle_argmax(g, r: float, spec: GridSpec | None = None):
     return val, _circle_point(r, t)
 
 
-class _Radius(float):
-    """A radius r that carries its powers r^k for k < n, so that a check or
-    membership call computes them once for all of its rows."""
-
-    __slots__ = ("powers",)
-
-    def __new__(cls, r: float, n: int):
-        radius = super().__new__(cls, r)
-        radius.powers = np.float64(r) ** np.arange(n)
-        return radius
-
-
+@lru_cache(maxsize=32)
 def _powers(r: float, n: int) -> np.ndarray:
-    """r^k for k < n, bitwise the same whether r is a _Radius or not."""
-    return r.powers[:n] if isinstance(r, _Radius) else np.float64(r) ** np.arange(n)
+    """r^k for k < n, read-only and cached, so every call on one radius shares it."""
+    powers = np.float64(r) ** np.arange(n)
+    powers.setflags(write=False)
+    return powers
+
+
+def _chunks(items, width: int):
+    """items in runs of max(1, _BLOCK_POINTS // width): rows of width values
+    each, at most _BLOCK_POINTS values (or one row) a run."""
+    step = max(1, _BLOCK_POINTS // width)
+    return (items[i : i + step] for i in range(0, len(items), step))
 
 
 @np.errstate(all="ignore")
@@ -216,19 +215,16 @@ def _circle_rows(c: np.ndarray, r: float, m: int) -> np.ndarray:
     return np.fft.ifft(c, n=m, axis=-1, norm="forward")
 
 
-def _sub_grids(c: np.ndarray, r: float, m: int, fine: int, first: int) -> np.ndarray:
+def _sub_grids(c: np.ndarray, r: float, m: int, fine: int) -> np.ndarray:
     """Values of the polynomial row c (shape (K+1,)) on the fine-point grid,
-    fine = m 2^j, as its sub-grids s = first .. d - 1 of b = max(m, fine / 8)
-    points (d = fine / b): row s holds the values at r e^{2 pi i (s + d t) /
-    fine}, t < b, the _circle_rows grid at b of the twisted row
-    c_k e^{2 pi i k s / fine}. Sub-grid 0 at b = m is c's own m-point grid,
-    bitwise. Shape (d - first, b), from grids of at most _BLOCK_POINTS values
-    (or one row) at a time."""
-    b = max(m, fine // 8)
-    s, k = np.arange(first, fine // b), np.arange(c.shape[-1])
-    step = max(1, _BLOCK_POINTS // max(b, c.shape[-1]))
-    grids = [_circle_rows(c * np.take(_unit_circle(fine), np.outer(s[i : i + step], k), mode="wrap"), r, b)
-             for i in range(0, len(s), step)]
+    fine = m 2^j > m, as its sub-grids s < d = fine / b of b = max(m, fine / 8)
+    points: sub-grid s holds the values at r e^{2 pi i (s + d t) / fine}, t < b,
+    the _circle_rows grid at b of the twisted row c_k e^{2 pi i k s / fine}.
+    Sub-grid 0 is skipped exactly when b = m, as it is then c's own m-point
+    grid. Built by _chunks of sub-grids."""
+    b, k = max(m, fine // 8), np.arange(c.shape[-1])
+    grids = [_circle_rows(c * np.take(_unit_circle(fine), np.outer(s, k), mode="wrap"), r, b)
+             for s in _chunks(np.arange(int(b == m), fine // b), max(b, c.shape[-1]))]
     return grids[0] if len(grids) == 1 else np.concatenate(grids)
 
 
@@ -254,21 +250,16 @@ def _sup_rows(c: np.ndarray, r: float, spec: GridSpec):
     return _circle_argopt(np.abs(_circle_rows(c, r, spec.m)))
 
 
-def _degrees(moduli: np.ndarray):
+def _degrees(moduli: np.ndarray) -> np.ndarray:
     """The last nonzero index K of every row of moduli (shape (rows, L), the
-    moduli of coefficient rows), so the row's degree: one int, L - 1, when
-    no row ends in zero, else an array; a zero row, whose every bound is 0,
-    gets L - 1."""
-    if moduli[:, -1].all():
-        return moduli.shape[-1] - 1
+    moduli of coefficient rows), so the row's degree; a zero row, whose
+    every bound is 0, gets L - 1."""
     return moduli.shape[-1] - 1 - np.argmax(moduli[:, ::-1] > 0, axis=-1)
 
 
 def _sec_bound(lower, degree, m: int):
-    """sec(pi K / (2 m)) * lower where the degree K (an int, or one per row)
-    is below m, inf elsewhere."""
-    if isinstance(degree, int):
-        return lower / math.cos(math.pi * degree / (2 * m)) if degree < m else math.inf
+    """sec(pi K / (2 m)) * lower where the degree K (one per row, or one for
+    all) is below m, inf elsewhere."""
     return np.where(degree < m, lower / np.cos(np.pi * degree / (2 * m)), np.inf)
 
 
@@ -305,16 +296,16 @@ def _refine(c: np.ndarray, r: float, lower: float, upper: float, bound: float, m
     lower, sec(pi K / (2 fine)) * lower < bound (K its last nonzero index),
     at most max(m, 8 (K + 1)) and _MAX_GRID_M; past that cap the bracket
     stays as it is. The new lower is the largest of the first lower and the
-    row's _sub_grids values on the fine grid, where sub-grid 0 at m is the
-    first grid, so it never falls; the new upper is the smaller of the first
-    upper and sec(pi K / (2 fine)) times the new lower. Two floats."""
+    row's _sub_grids values, every fine-grid value outside the first grid,
+    so it never falls; the new upper is the smaller of the first upper and
+    sec(pi K / (2 fine)) times the new lower. Two floats."""
     degree = int(np.flatnonzero(c)[-1])
     fine, cap = 2 * m, min(_MAX_GRID_M, max(m, 8 * (degree + 1)))
     while fine <= cap and not _sec_bound(lower, degree, fine) < bound:
         fine *= 2
     if fine > cap:
         return lower, upper
-    lower = max(lower, float(np.abs(_sub_grids(c, r, m, fine, int(fine <= 8 * m))).max()))
+    lower = max(lower, float(np.abs(_sub_grids(c, r, m, fine)).max()))
     return lower, max(lower, min(upper, float(_sec_bound(lower, degree, fine))))
 
 
@@ -332,8 +323,7 @@ def _below(c: np.ndarray, r: float, bound: float, spec: GridSpec) -> np.ndarray:
     sum alone when that leaves _SUM_SLACK of room, else from grids of at
     most _BLOCK_POINTS values (or one row) at a time."""
     ok = _coeff_sums(c, r) < bound * (1.0 - _SUM_SLACK)
-    rest, step = (~ok).nonzero()[0], max(1, _BLOCK_POINTS // max(spec.m, c.shape[-1]))
-    for part in (rest[i : i + step] for i in range(0, len(rest), step)):
+    for part in _chunks((~ok).nonzero()[0], max(spec.m, c.shape[-1])):
         lower = _sup_rows(c[part], r, spec)[0]
         upper = _sup_upper(c[part], r, lower, spec)
         for i in ((lower < bound) & (bound <= upper)).nonzero()[0]:

@@ -35,9 +35,9 @@ import numpy as np
 
 # poly_sup is not called here, but diskcheck.checks.poly_sup stays importable:
 # bench/tracer.py wraps that name and bench/test_bench.py deletes it.
-from .bounds import _BLOCK_POINTS, _MAX_GRID_M, _SUM_SLACK, GridSpec, SupBracket, BracketKind, _below, \
-    _circle_argopt, _circle_point, _circle_rows, _coeff_sums, _Radius, _refine, _stacked, _sub_grids, _sup_rows, \
-    _sup_upper, _unit_circle, poly_sup  # noqa: F401
+from .bounds import _MAX_GRID_M, _SUM_SLACK, GridSpec, SupBracket, BracketKind, _below, _chunks, _circle_argopt, \
+    _circle_point, _circle_rows, _coeff_sums, _refine, _stacked, _sup_rows, _sup_upper, _unit_circle, \
+    poly_sup  # noqa: F401
 from .errors import InputError, ParameterError, require_complex, require_finite, require_int, require_real
 from .functionals import DEFAULT_DENOM_FLOOR, Functional, _polynomial_coeffs, _require_nonsingular
 from .series import PolySeries, SeriesA, _derivative_coeffs
@@ -346,14 +346,14 @@ def check(theorem: Theorem, f: SeriesA, params: Params, spec: GridSpec | None = 
     thr = threshold(theorem, params, n)
     bound = _conclusion_bound(theorem, params)
     hyp_fun, _, conclusion = _RULES[theorem]
-    a, r = f.body.coeffs[None], _Radius(r_max, f.body.coeffs.size)
+    a = f.body.coeffs[None]
     hyp_rows = _polynomial_coeffs(hyp_fun, a, complex(params.beta))
-    polys, values, points = _conclusion_rows(conclusion, a, bound, r, spec, hyp_rows)
+    polys, values, points = _conclusion_rows(conclusion, a, bound, r_max, spec, hyp_rows)
     # rows: the hypothesis, then the conclusion; the bound rejects a non-finite grid
-    uppers = _sup_upper(polys, r, values[: len(polys)], spec).tolist()
+    uppers = _sup_upper(polys, r_max, values[: len(polys)], spec).tolist()
     (hyp_lower, lower), z = values.tolist(), points[1].item()
     if hyp_lower < thr <= uppers[0]:  # undecided on the first grid
-        hyp_lower, uppers[0] = _refine(polys[0], r, hyp_lower, uppers[0], thr, spec.m)
+        hyp_lower, uppers[0] = _refine(polys[0], r_max, hyp_lower, uppers[0], thr, spec.m)
     hyp = SupBracket(hyp_lower, uppers[0], r_max, BracketKind.CERTIFIED)
     concl = None
     if lower == lower:  # nan for a failed guard or a singular point
@@ -410,8 +410,8 @@ def _check_rows(theorem: Theorem, a: np.ndarray, params: Params, thr: float, spe
     whose lower bound is not below the bound, a non-finite one included, is
     a Fails, which check re-decides and where an overflow raises.
 
-    Rows are scanned max(1, _BLOCK_POINTS // max(m, row length)) a chunk,
-    in ascending order of the margin bound - cap of their _conclusion_caps
+    Rows are scanned in _chunks of width max(m, row length), in ascending
+    order of the margin bound - cap of their _conclusion_caps
     cap (a stable sort). floor, the caller's smallest margin (nan before
     any), takes each chunk's smallest margin outside its Fails rows, whose
     margins check re-decides. The scan stops at the first row whose cap
@@ -424,8 +424,7 @@ def _check_rows(theorem: Theorem, a: np.ndarray, params: Params, thr: float, spe
     hyp_fun, _, conclusion = _RULES[theorem]
     hyp_ok = _below(_polynomial_coeffs(hyp_fun, a, complex(params.beta)), r_max, thr, spec)
     lower = _conclusion_caps(conclusion, a, bound, r_max)
-    order, step = np.argsort(bound - lower, kind="stable"), max(1, _BLOCK_POINTS // max(spec.m, a.shape[-1]))
-    for rows in (order[i : i + step] for i in range(0, len(a), step)):
+    for rows in _chunks(np.argsort(bound - lower, kind="stable"), max(spec.m, a.shape[-1])):
         rows = rows[bound - lower[rows] <= (math.inf if math.isnan(floor) else max(floor, 0.0))]
         if not rows.size:
             break
@@ -465,8 +464,7 @@ def membership(which: FunctionClass, f: SeriesA, alpha: float, spec: GridSpec | 
     if not isinstance(which, FunctionClass):
         raise InputError(f"unknown function class {which!r}")
     a = f.body.coeffs[None]
-    values, points = _quotient_rows(_Quotient[which.name], a, _Radius(r_max, a.shape[-1]), spec, lambda q: -q.real,
-                                    _NO_ROWS)
+    values, points = _quotient_rows(_Quotient[which.name], a, r_max, spec, lambda q: -q.real, _NO_ROWS)
     return _verdict(True, values.item(), points.item(), -alpha, None)
 
 
@@ -545,8 +543,8 @@ def jack_probe(w: PolySeries, n: int, r: float, spec: GridSpec | None = None) ->
 
     Requires w(0) = 0 with leading index (first nonzero coefficient) at
     least n, and w not identically zero. |w| is scanned on the smallest grid
-    m 2^j > 2 (K + 1), K the degree of w, at most _MAX_GRID_M, by
-    _sub_grids. Of that grid, the 3 best samples, each at least 3
+    m 2^j > 2 (K + 1), K the degree of w, at most _MAX_GRID_M, by one
+    _circle_rows call. Of that grid, the 3 best samples, each at least 3
     samples from those before, that are grid peaks are polished by
     _polish_basins, and the point of largest |w| is reported, so its ratio is
     real to roundoff. Each basin stays within one grid step of its sample; a
@@ -570,7 +568,7 @@ def jack_probe(w: PolySeries, n: int, r: float, spec: GridSpec | None = None) ->
     m = spec.m
     while m <= 2 * nonzero[-1] + 2 and 2 * m <= _MAX_GRID_M:
         m *= 2
-    vals, starts = np.abs(_sub_grids(c, r, spec.m, m, 0)).T.ravel(), []
+    vals, starts = np.abs(_circle_rows(c[None], r, m)[0]), []
     grid = vals.copy()
     for _ in range(3):
         starts.append(int(vals.argmax()))

@@ -15,8 +15,8 @@ from diskcheck import (
     poly_sup,
 )
 import diskcheck.bounds
-from diskcheck.bounds import _Radius, _circle_rows, _coeff_sums, _golden_argmax, _refine, _stacked, \
-    _sub_grids, _sup_rows, _sup_upper, _unit_circle
+from diskcheck.bounds import _circle_rows, _coeff_sums, _golden_argmax, _powers, _refine, _stacked, _sub_grids, \
+    _sup_rows, _sup_upper, _unit_circle
 from diskcheck.series import _horner_rows
 
 from conftest import random_series
@@ -265,30 +265,35 @@ def test_trailing_zeros_do_not_loosen_the_bound(rng):
 
 
 def test_radius_powers_are_bitwise_the_computed_ones(rng):
-    # a _Radius carries r^k once for a call; every kernel reads the same bits
-    # from it as it computes from the float
+    # r^k is computed once for a radius and length and cannot be written to;
+    # every kernel reads the same bits, whatever the row length that asked
+    # first, as r^k computed from the float
     c, spec = _random_rows(rng, 2, 300), GridSpec(m=256, refine_depth=2)
-    radius = _Radius(0.999, 400)
-    assert radius == 0.999 and f"{radius}" == "0.999"
+    powers = _powers(0.999, 400)
+    assert _powers(0.999, 400) is powers and not powers.flags.writeable
+    with pytest.raises(ValueError):
+        powers[0] = 2.0
+    assert np.array_equal(powers, np.float64(0.999) ** np.arange(400))
+    assert np.array_equal(_powers(0.999, 300), powers[:300])
+    assert np.array_equal(_coeff_sums(c, 0.999), np.sum(np.abs(c) * np.float64(0.999) ** np.arange(300), axis=-1))
     lower = _sup_rows(c, 0.999, spec)[0]
-    assert np.array_equal(_sup_rows(c, radius, spec)[0], lower)
-    assert np.array_equal(_coeff_sums(c, radius), _coeff_sums(c, 0.999))
-    assert np.array_equal(_sup_upper(c, radius, lower, spec), _sup_upper(c, 0.999, lower, spec))
+    _powers.cache_clear()
+    assert np.array_equal(_sup_rows(c, 0.999, spec)[0], lower)
+    assert np.array_equal(_sup_upper(c, 0.999, lower, spec), _sup_upper(c, np.float64(0.999), lower, spec))
 
 
 @pytest.mark.parametrize("K, m, fine", [(8, 16, 64), (15, 16, 32), (40, 16, 128), (300, 16, 256), (2048, 4096, 16384)])
 def test_sub_grids_interleave_to_the_fine_grid(rng, K, m, fine):
     # sub-grid s of b = max(m, fine / 8) points holds the fine grid's samples
-    # s, s + d, s + 2d, ... (d = fine / b); sub-grid 0 at b = m is the first
-    # grid bitwise. Horner on the fine grid is the reference, with the FFT
-    # tolerance of test_circle_rows_equal_horner_on_the_grid plus the twist
+    # s, s + d, s + 2d, ... (d = fine / b); at b = m sub-grid 0, the first
+    # grid, is left out. Horner on the fine grid is the reference, with the
+    # FFT tolerance of test_circle_rows_equal_horner_on_the_grid plus the twist
     c, r = _random_rows(rng, 1, K + 1)[0], 0.95
     b = max(m, fine // 8)
-    grids = _sub_grids(c, r, m, fine, 0)
-    assert grids.shape == (fine // b, b)
+    grids = _sub_grids(c, r, m, fine)
+    assert grids.shape == (fine // b - (b == m), b)
     if b == m:
-        assert np.array_equal(grids[0], _circle_rows(c[None], r, m)[0])
-        assert np.array_equal(_sub_grids(c, r, m, fine, 1), grids[1:])
+        grids = np.concatenate([_circle_rows(c[None], r, m), grids])
     horner = _horner_rows(c[None], r * _unit_circle(fine))[0]
     weight = np.sum(np.abs(c) * r ** np.arange(K + 1))
     tol = 16 * np.finfo(float).eps * (math.log2(b) + math.ceil((K + 1) / b)) * weight
@@ -325,13 +330,13 @@ def test_refined_bracket_encloses_the_dense_grid(rng, K, m):
 
 def test_refinement_goes_straight_to_the_smallest_deciding_grid(rng, monkeypatch):
     # one grid per refined row: the smallest m 2^j at which sec times the
-    # first lower is below the bound, built from its sub-grids s >= 1 at m
+    # first lower is below the bound
     built = []
     real = diskcheck.bounds._sub_grids
 
-    def recording(c, r, m, fine, first):
-        built.append((fine, first))
-        return real(c, r, m, fine, first)
+    def recording(c, r, m, fine):
+        built.append(fine)
+        return real(c, r, m, fine)
 
     monkeypatch.setattr("diskcheck.bounds._sub_grids", recording)
     K, m, r = 200, 256, 0.999
@@ -340,7 +345,7 @@ def test_refinement_goes_straight_to_the_smallest_deciding_grid(rng, monkeypatch
         built.clear()
         _refine(c[i], r, lower[i], upper[i], bound[i], m)
         fine = next(m * 2**j for j in range(1, 20) if lower[i] / math.cos(math.pi * K / (2 * m * 2**j)) < bound[i])
-        assert built == [(fine, 1)]
+        assert built == [fine]
 
 
 def test_a_grid_past_the_cap_is_never_built(rng, monkeypatch):

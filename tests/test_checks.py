@@ -2,6 +2,7 @@
 
 import cmath
 import math
+import pathlib
 import warnings
 
 import numpy as np
@@ -28,6 +29,7 @@ from diskcheck import (
     eval_functional,
     falsify,
     jack_probe,
+    load_function,
     make_witness,
     membership,
     poly_sup,
@@ -613,6 +615,62 @@ class TestMembership:
             membership(FunctionClass.STARLIKE, f, 0.0, SPEC, r_max=1.0)
 
 
+ORACLE_ALPHAS = (0.0, 0.25, 0.5, 0.75)
+ORACLE_BETAS = (0j, 0.5 + 0j, 2j)
+
+
+def _oracle_functions():
+    """The loadable corpus files, then 30 seeded tails of 1 to 40 terms with
+    1/k^3 decay and scales from 0.05 to 2, so that their hypotheses fall on
+    both sides of the thresholds."""
+    functions = []
+    for path in sorted((pathlib.Path(__file__).parent / "corpus").glob("*.json")):
+        try:
+            functions.append(load_function(str(path)))
+        except InputError:
+            pass
+    rng = np.random.default_rng(18)
+    for i in range(30):
+        n, size = 1 + i % 3, int(rng.integers(1, 41))
+        k = np.arange(n + 1, n + 1 + size)
+        tail = rng.uniform(-1, 1, size) + 1j * rng.uniform(-1, 1, size)
+        functions.append(SeriesA.from_tail(n, 10 ** rng.uniform(math.log10(0.05), math.log10(2)) * tail / k**3))
+    return functions
+
+
+class TestOracles:
+    # relations between checks that hold by the theorems' encoding, on the
+    # corpus and on random tails; each compares whole reports, so any drift
+    # of a kernel's bits between two calls (cached radius powers, stacked
+    # rows) shows
+    FUNCTIONS = _oracle_functions()
+
+    @pytest.mark.parametrize("alpha", ORACLE_ALPHAS)
+    def test_lem3_at_rho_one_minus_alpha_is_thm2(self, alpha):
+        # both bound |turn test| < (1 - alpha) |n - beta| and conclude
+        # |f' - 1| < 1 - alpha: equal states, brackets and verdicts
+        def decided(rep):
+            return rep.hyp, rep.hyp_threshold, rep.concl, rep.concl_bound, rep.verdict
+
+        states = set()
+        for f in self.FUNCTIONS:
+            for beta in ORACLE_BETAS:
+                thm2 = check(Theorem.THM2, f, Params(alpha=alpha, beta=beta))
+                lem3 = check(Theorem.LEM3, f, Params(beta=beta, rho=1.0 - alpha))
+                assert decided(lem3) == decided(thm2), (f.body.coeffs, beta)
+                states.add(thm2.verdict.state)
+        assert {VerdictState.HOLDS, VerdictState.INCONCLUSIVE} <= states
+
+    @pytest.mark.parametrize("alpha", ORACLE_ALPHAS)
+    def test_lem11_lem12_and_thm1_share_their_hypothesis_bracket(self, alpha):
+        # all three bound the star test, z f'' - beta (f' - f/z)
+        for f in self.FUNCTIONS:
+            for beta in ORACLE_BETAS:
+                thm1 = check(Theorem.THM1, f, Params(alpha=alpha, beta=beta)).hyp
+                for theorem in (Theorem.LEM11, Theorem.LEM12):
+                    assert check(theorem, f, Params(beta=beta, rho=1.0 - alpha)).hyp == thm1, (f.body.coeffs, beta)
+
+
 class TestDuality:
     # convexity of f and starlikeness of z f' are the same quotient reached by
     # two algebraic routes, so the two membership states must agree
@@ -691,8 +749,9 @@ class TestJackProbe:
         assert abs(rep.ratio.imag) <= 1e-12 * (1 + abs(rep.ratio))
 
     def test_one_grid_pass_and_no_scalar_evaluation(self, monkeypatch):
-        # one _circle_rows call on w's row; the polish evaluates by matrix
-        # products, never by scalar Horner or golden section
+        # one _circle_rows call on w's row, and no sub-grids; the polish
+        # evaluates by matrix products, never by scalar Horner or golden
+        # section
         real_rows = diskcheck.bounds._circle_rows
         calls = []
 
@@ -707,6 +766,7 @@ class TestJackProbe:
         monkeypatch.setattr("diskcheck.checks._circle_rows", counting_rows)
         monkeypatch.setattr("diskcheck.series._horner", forbidden)
         monkeypatch.setattr("diskcheck.bounds._golden_argmax", forbidden)
+        monkeypatch.setattr("diskcheck.bounds._sub_grids", forbidden)
         rep = jack_probe(PolySeries(np.array([0, 1, 0.5j, 0.25], dtype=complex)), 1, 0.9, SPEC)
         assert calls == [1]
         assert abs(rep.ratio.imag) <= 1e-12 * (1 + abs(rep.ratio))

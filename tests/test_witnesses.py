@@ -418,9 +418,9 @@ ORACLE_TAIL_LENS = (0, 1, 6)
 
 def block_points(monkeypatch, points):
     """Set the _BLOCK_POINTS of every module that sizes falsify's arrays:
-    its coefficient blocks (witnesses), conclusion chunks (checks) and
-    hypothesis grid chunks (bounds)."""
-    for module in ("witnesses", "checks", "bounds"):
+    its coefficient blocks (witnesses), and its hypothesis grid and
+    conclusion chunks (bounds._chunks)."""
+    for module in ("witnesses", "bounds"):
         monkeypatch.setattr(f"diskcheck.{module}._BLOCK_POINTS", points)
 
 
@@ -674,7 +674,7 @@ class TestFalsifyPruning:
             return real_rows(conclusion, a, *args)
 
         monkeypatch.setattr("diskcheck.checks._conclusion_rows", counting_rows)
-        monkeypatch.setattr("diskcheck.checks._BLOCK_POINTS", 4096)
+        monkeypatch.setattr("diskcheck.bounds._BLOCK_POINTS", 4096)
         got = {}
         for prune in (True, False):
             scanned.append(0)
@@ -806,6 +806,33 @@ class TestFalsifyPruning:
         # 1/(1 - g^2) of the disk that 1/f' lies in, so the cap
         # c - 1/(1 + g) is met by a monomial at the grid point of angle 0
         assert_caps_bound_the_grid_values(Theorem.THM3, 0.25, rng)
+
+    @pytest.mark.parametrize("theorem", list(Theorem))
+    def test_the_monomial_vertex_cap_is_the_bound(self, theorem, rng):
+        # falsify draws from the simplex sum_k w_k |a_k| <= thr of hypothesis
+        # coefficient sums at r = 1, and every cap is largest at its vertex
+        # z + c z^(n+1), c > 0 with sum thr: there the cap is the conclusion
+        # bound, so no draw with margin < 1 can fail. thm3 at alpha < 1/2 is
+        # the exception, as thm2's threshold dominates its own: its cap is
+        # |1/(1 - a^2) - 1/(2a)| + a/(1 - a^2), 0.6 of the bound at a = 0.25.
+        # Rows drawn onto the simplex's face never pass the vertex's cap.
+        hyp_fun, _, conclusion = _RULES[theorem]
+        for n in (1, 2, 3):
+            for alpha in (0.0, 0.25, 0.5, 0.75):
+                if theorem is Theorem.THM3 and alpha == 0.0:
+                    continue
+                for beta in (0j, 0.5 + 0j, -1 + 0j, 2j):
+                    params = _params(theorem, alpha, beta)
+                    thr, bound = threshold(theorem, params, n), _conclusion_bound(theorem, params)
+                    a = SeriesA.from_tail(n, [1.0]).body.coeffs[None].copy()
+                    a[:, n + 1] = thr / _coeff_sums(_polynomial_coeffs(hyp_fun, a, beta), 1.0)
+                    cap = _conclusion_caps(conclusion, a, bound, 1.0)[0]
+                    want = bound
+                    if theorem is Theorem.THM3 and alpha < 0.5:
+                        want = abs(1 / (1 - alpha**2) - bound) + alpha / (1 - alpha**2)
+                    assert cap == pytest.approx(want, rel=2**-19), (n, alpha, beta)
+                    drawn = _sample_rows(theorem, n, params, thr, rng.uniform(-1.0, 1.0, (64, 6, 2)))
+                    assert (_conclusion_caps(conclusion, drawn, bound, 1.0) <= cap * (1 + 2**-19)).all()
 
 
 def assert_caps_bound_the_grid_values(theorem, alpha, rng):
