@@ -8,40 +8,12 @@ class of given order. Suprema are reported as certified brackets, the
 sharp boundary examples are available as witnesses, and a seeded
 randomized search plus a boundary maximum-principle probe round out the
 tooling.
+
+The exports load on first use: `import diskcheck` imports no numeric
+module, so a command-line run can reject bad input before numpy loads.
 """
 
 __version__ = "0.1.0"
-
-from .bounds import BracketKind, GridSpec, SupBracket, circle_argmax, poly_sup
-from .checks import (
-    CheckReport,
-    FunctionClass,
-    JackReport,
-    Params,
-    Theorem,
-    Verdict,
-    VerdictState,
-    check,
-    jack_probe,
-    membership,
-    threshold,
-)
-from .errors import InputError, ParameterError, SingularDenominatorError
-from .funcspec import function_from_dict, function_to_dict, load_function
-from .functionals import Functional, eval_functional
-from .series import PolySeries, SeriesA
-from .witnesses import (
-    FalsifyConfig,
-    FalsifySummary,
-    RadiusReport,
-    Witness,
-    WitnessForms,
-    falsify,
-    make_witness,
-    radius_of_validity,
-    sample_satisfying,
-    witness_closed_forms,
-)
 
 __all__ = [
     "__version__",
@@ -82,3 +54,17 @@ __all__ = [
     "threshold",
     "witness_closed_forms",
 ]
+
+
+def __getattr__(name):
+    """Load every export on the first use of any (PEP 562), bind them as
+    plain attributes, and retire this hook."""
+    if name not in __all__:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from . import bounds, checks, errors, funcspec, functionals, series, witnesses
+
+    g = globals()
+    for module in (bounds, checks, errors, funcspec, functionals, series, witnesses):
+        g.update((k, getattr(module, k)) for k in module.__all__ if k in __all__)
+    g.pop("__getattr__", None)  # a second thread may have retired it already
+    return g[name]

@@ -38,8 +38,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import InputError, require_finite, require_int, require_real
-from .series import PolySeries
+from .errors import InputError, require_int, require_real
+from .series import PolySeries, require_finite
 
 __all__ = [
     "GridSpec",

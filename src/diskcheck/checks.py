@@ -38,9 +38,9 @@ import numpy as np
 from .bounds import _MAX_GRID_M, _SUM_SLACK, GridSpec, SupBracket, BracketKind, _below, _chunks, _circle_argopt, \
     _circle_point, _circle_rows, _coeff_sums, _refine, _stacked, _sup_rows, _sup_upper, _unit_circle, \
     poly_sup  # noqa: F401
-from .errors import InputError, ParameterError, require_complex, require_finite, require_int, require_real
+from .errors import InputError, ParameterError, require_complex, require_int, require_real
 from .functionals import DEFAULT_DENOM_FLOOR, Functional, _polynomial_coeffs, _require_nonsingular
-from .series import PolySeries, SeriesA, _derivative_coeffs
+from .series import PolySeries, SeriesA, _derivative_coeffs, require_finite
 
 __all__ = [
     "Theorem",

@@ -6,6 +6,8 @@ an internal error, so that a crash never reads as a verdict.
 Every report envelope carries the tool version, a schema version and every
 option of the subcommand in parser order, `beta` parsed; `example` instead
 prints a bare function spec file so it can be piped straight back into `check`.
+Each subcommand imports the numeric modules it needs only after its input
+file and `--beta` are validated, so bad input exits before numpy loads.
 """
 
 from __future__ import annotations
@@ -14,30 +16,12 @@ import argparse
 import cmath
 import json
 import math
+import re
 import sys
 
 from . import __version__
-from .bounds import GridSpec, SupBracket
-from .checks import (
-    CheckReport,
-    FunctionClass,
-    Params,
-    Theorem,
-    Verdict,
-    check,
-    membership,
-)
 from .errors import InputError, require_complex
 from .funcspec import function_to_dict, load_function
-from .witnesses import (
-    FalsifyConfig,
-    FalsifySummary,
-    RadiusReport,
-    Witness,
-    falsify,
-    make_witness,
-    radius_of_validity,
-)
 
 __all__ = ["main", "parse_beta"]
 
@@ -46,12 +30,17 @@ SCHEMA_VERSION = 1
 EXIT_ERROR = 3
 
 _STATE_EXIT = {"holds": 0, "fails": 1, "inconclusive": 2}
-_THEOREM_CHOICES = [t.value for t in Theorem]
+# checks.Theorem, checks.FunctionClass and witnesses.Witness, spelled out so
+# that parsing arguments loads no numeric module
+_THEOREM_CHOICES = ["lem11", "lem12", "thm1", "cor1", "thm2", "lem3", "thm3"]
+_CLASS_CHOICES = ["star", "c", "k"]
+_WITNESS_CHOICES = ["ex1", "ex2", "ex3"]
 
 
 def parse_beta(text: str) -> complex:
-    """Parse complex literals like '0.5', '-1', '2i', '1+2i', '1.5-0.25i'."""
-    cleaned = text.strip().replace(" ", "").lower().replace("i", "j")
+    """Parse complex literals like '0.5', '-1', '2i', '1+2i', '1.5-0.25i'; only
+    a final i (the imaginary unit) reads as j, so 'inf' stays infinite."""
+    cleaned = re.sub(r"i(?=[)\s]*$)", "j", text.strip().replace(" ", "").lower())
     if not cleaned:
         raise InputError("empty beta literal")
     value = require_complex(cleaned, None, f"cannot parse beta literal {text!r}", InputError)
@@ -68,7 +57,7 @@ def _finite_or_none(x: float | None):
     return x
 
 
-def _bracket_dict(b: SupBracket | None):
+def _bracket_dict(b):
     if b is None:
         return None
     return {
@@ -79,7 +68,7 @@ def _bracket_dict(b: SupBracket | None):
     }
 
 
-def _verdict_dict(v: Verdict) -> dict:
+def _verdict_dict(v) -> dict:
     return {
         "state": v.state.value,
         "hypothesis_margin": v.hypothesis_margin,
@@ -88,7 +77,7 @@ def _verdict_dict(v: Verdict) -> dict:
     }
 
 
-def _check_report_dict(rep: CheckReport) -> dict:
+def _check_report_dict(rep) -> dict:
     return {
         "theorem": rep.theorem.value,
         "n": rep.n,
@@ -105,7 +94,7 @@ def _check_report_dict(rep: CheckReport) -> dict:
     }
 
 
-def _falsify_dict(s: FalsifySummary) -> dict:
+def _falsify_dict(s) -> dict:
     return {
         "theorem": s.theorem.value,
         "n": s.n,
@@ -125,7 +114,7 @@ def _falsify_dict(s: FalsifySummary) -> dict:
     }
 
 
-def _radius_dict(rep: RadiusReport) -> dict:
+def _radius_dict(rep) -> dict:
     return {
         "theorem": rep.theorem.value,
         "r_star": rep.r_star,
@@ -163,6 +152,9 @@ def _emit(obj) -> None:
 def _cmd_check(args) -> int:
     f = load_function(args.input)
     beta = parse_beta(args.beta)
+    from .bounds import GridSpec
+    from .checks import Params, Theorem, check
+
     params = Params(alpha=args.alpha, beta=beta, rho=args.rho)
     spec = GridSpec(m=args.grid_m)
     rep = check(Theorem(args.theorem), f, params, spec, args.rmax)
@@ -172,6 +164,9 @@ def _cmd_check(args) -> int:
 
 def _cmd_membership(args) -> int:
     f = load_function(args.input)
+    from .bounds import GridSpec
+    from .checks import FunctionClass, membership
+
     spec = GridSpec(m=args.grid_m)
     parameters = _parameters(args)
     verdict = membership(FunctionClass(parameters["class"]), f, args.alpha, spec, args.rmax)
@@ -186,6 +181,8 @@ def _cmd_membership(args) -> int:
 
 
 def _cmd_example(args) -> int:
+    from .witnesses import Witness, make_witness
+
     witness = make_witness(Witness(args.id), args.n, args.alpha)
     _emit(function_to_dict(witness))
     return 0
@@ -193,6 +190,10 @@ def _cmd_example(args) -> int:
 
 def _cmd_falsify(args) -> int:
     beta = parse_beta(args.beta)
+    from .bounds import GridSpec
+    from .checks import Params, Theorem
+    from .witnesses import FalsifyConfig, falsify
+
     params = Params(alpha=args.alpha, beta=beta, rho=args.rho)
     cfg = FalsifyConfig(
         trials=args.trials,
@@ -210,6 +211,9 @@ def _cmd_falsify(args) -> int:
 def _cmd_radius(args) -> int:
     f = load_function(args.input)
     beta = parse_beta(args.beta)
+    from .checks import Params, Theorem
+    from .witnesses import radius_of_validity
+
     params = Params(alpha=args.alpha, beta=beta, rho=args.rho)
     rep = radius_of_validity(Theorem(args.theorem), f, params)
     _emit(_envelope("radius", _parameters(args), _radius_dict(rep)))
@@ -237,7 +241,7 @@ def _build_parser() -> _Parser:
     pc.set_defaults(func=_cmd_check)
 
     pm = sub.add_parser("membership", help="grid membership verdict")
-    pm.add_argument("--class", required=True, choices=[c.value for c in FunctionClass], dest="class")
+    pm.add_argument("--class", required=True, choices=_CLASS_CHOICES, dest="class")
     pm.add_argument("--alpha", type=float, default=0.0)
     pm.add_argument("--input", required=True)
     pm.add_argument("--rmax", type=float, default=0.999)
@@ -245,7 +249,7 @@ def _build_parser() -> _Parser:
     pm.set_defaults(func=_cmd_membership)
 
     pe = sub.add_parser("example", help="emit a sharp witness as a function spec")
-    pe.add_argument("--id", required=True, choices=[w.value for w in Witness])
+    pe.add_argument("--id", required=True, choices=_WITNESS_CHOICES)
     pe.add_argument("--n", type=int, default=1)
     pe.add_argument("--alpha", type=float, default=0.0)
     pe.set_defaults(func=_cmd_example)

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-import numpy as np
+import numbers
 
 __all__ = [
     "InputError",
@@ -29,7 +29,7 @@ class SingularDenominatorError(ArithmeticError):
 
 def require_int(x, minimum: int, message: str, exc: type = InputError) -> int:
     """Return int(x) for a non-bool integer x >= minimum; else raise exc(message)."""
-    if isinstance(x, bool) or not isinstance(x, (int, np.integer)) or x < minimum:
+    if isinstance(x, bool) or not isinstance(x, numbers.Integral) or x < minimum:
         raise exc(message)
     return int(x)
 
@@ -56,11 +56,3 @@ def require_complex(x, ok, message: str, exc: type) -> complex:
     if ok is not None and not ok(v):
         raise exc(message)
     return v
-
-
-def require_finite(x, what: str):
-    """Return x when every entry of it is finite; else raise InputError naming
-    the overflow in what (inputs are finite, so a non-finite value overflowed)."""
-    if not np.isfinite(x).all():
-        raise InputError(f"float overflow in {what}")
-    return x

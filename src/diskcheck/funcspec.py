@@ -11,12 +11,11 @@ import json
 import math
 
 from .errors import InputError
-from .series import SeriesA
 
 __all__ = ["function_to_dict", "function_from_dict", "load_function"]
 
 
-def function_to_dict(f: SeriesA) -> dict:
+def function_to_dict(f) -> dict:
     return {
         "n": f.n,
         "coeffs": [[float(c.real), float(c.imag)] for c in f.tail],
@@ -35,8 +34,9 @@ def _real_number(value, where: str) -> float:
     return value
 
 
-def function_from_dict(obj) -> SeriesA:
-    """Build a normalized series, naming the offending field on bad input."""
+def function_from_dict(obj):
+    """Build a normalized SeriesA, naming the offending field on bad input;
+    every field is checked before the numeric modules load."""
     if not isinstance(obj, dict):
         raise InputError("function spec must be a JSON object")
     if "n" not in obj:
@@ -56,10 +56,12 @@ def function_from_dict(obj) -> SeriesA:
         re = _real_number(pair[0], f"coeffs[{i}][0]")
         im = _real_number(pair[1], f"coeffs[{i}][1]")
         tail.append(complex(re, im))
+    from .series import SeriesA
+
     return SeriesA.from_tail(n, tail)
 
 
-def load_function(path) -> SeriesA:
+def load_function(path):
     """Parse a function spec file; JSON and field errors become InputError."""
     try:
         with open(path, "r", encoding="utf-8") as fh:

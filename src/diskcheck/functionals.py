@@ -16,8 +16,8 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import InputError, SingularDenominatorError, require_complex, require_finite
-from .series import SeriesA, _points
+from .errors import InputError, SingularDenominatorError, require_complex
+from .series import SeriesA, _points, require_finite
 
 __all__ = [
     "Functional",

@@ -29,6 +29,14 @@ def _points(z) -> np.ndarray:
         raise InputError("evaluation point not interpretable as complex numbers") from None
 
 
+def require_finite(x, what: str):
+    """Return x when every entry of it is finite; else raise InputError naming
+    the overflow in what (inputs are finite, so a non-finite value overflowed)."""
+    if not np.isfinite(x).all():
+        raise InputError(f"float overflow in {what}")
+    return x
+
+
 def _horner(coeffs, z: complex) -> complex:
     """Horner recursion in plain complex arithmetic; coeffs lowest degree first."""
     acc = coeffs[-1]

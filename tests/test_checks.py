@@ -617,6 +617,15 @@ class TestMembership:
 
 ORACLE_ALPHAS = (0.0, 0.25, 0.5, 0.75)
 ORACLE_BETAS = (0j, 0.5 + 0j, 2j)
+ORACLE_REAL_BETAS = (0j, 0.5 + 0j)
+
+# Relative tolerances of the symmetry oracles, from their largest moves on
+# the oracle functions: certified brackets moved by at most 3.5 ulps, and
+# grid-only (rational) conclusions by up to 500 ulps under rotation, where a
+# derivative near 1e-3 in the denominator amplifies the rounding of the
+# rotated coefficients.
+CERTIFIED_REL = 8 * np.finfo(float).eps
+GRID_ONLY_REL = 1e-12
 
 
 def _oracle_functions():
@@ -636,6 +645,30 @@ def _oracle_functions():
         tail = rng.uniform(-1, 1, size) + 1j * rng.uniform(-1, 1, size)
         functions.append(SeriesA.from_tail(n, 10 ** rng.uniform(math.log10(0.05), math.log10(2)) * tail / k**3))
     return functions
+
+
+def _oracle_pair(theorem, f, g, alpha, beta):
+    """check() reports of f and g at alpha and beta, or None when the
+    parameters are not admissible for the theorem."""
+    rho_form = theorem in (Theorem.LEM11, Theorem.LEM12, Theorem.LEM3)
+    params = Params(beta=beta, rho=1.0 - alpha) if rho_form else Params(alpha=alpha, beta=beta)
+    try:
+        return check(theorem, f, params), check(theorem, g, params)
+    except ParameterError:
+        return None
+
+
+def _assert_same_up_to_rounding(rep, other, where):
+    """Equal states, thresholds, radii and kinds; bracket ends equal within
+    CERTIFIED_REL, or GRID_ONLY_REL for a grid-only bracket."""
+    assert rep.verdict.state is other.verdict.state, where
+    assert (rep.hyp_threshold, rep.concl_bound) == (other.hyp_threshold, other.concl_bound), where
+    assert (rep.concl is None) == (other.concl is None), where
+    for b, c in [(rep.hyp, other.hyp)] + ([(rep.concl, other.concl)] if rep.concl else []):
+        assert (b.r, b.kind) == (c.r, c.kind), where
+        rel = CERTIFIED_REL if b.kind is BracketKind.CERTIFIED else GRID_ONLY_REL
+        assert c.lower == pytest.approx(b.lower, rel=rel, abs=0), where
+        assert c.upper == pytest.approx(b.upper, rel=rel, abs=0), where
 
 
 class TestOracles:
@@ -669,6 +702,41 @@ class TestOracles:
                 thm1 = check(Theorem.THM1, f, Params(alpha=alpha, beta=beta)).hyp
                 for theorem in (Theorem.LEM11, Theorem.LEM12):
                     assert check(theorem, f, Params(beta=beta, rho=1.0 - alpha)).hyp == thm1, (f.body.coeffs, beta)
+
+    @pytest.mark.parametrize("alpha", ORACLE_ALPHAS)
+    def test_conjugation_for_real_beta(self, alpha):
+        # conj f(conj z) has the coefficients conj a_k; for real beta each of
+        # its functionals is the conjugate of f's at conj z, and conjugation
+        # maps every circle grid onto itself
+        states = set()
+        for f in self.FUNCTIONS:
+            g = SeriesA.from_tail(f.n, np.conj(f.tail))
+            for beta in ORACLE_REAL_BETAS:
+                for theorem in Theorem:
+                    pair = _oracle_pair(theorem, f, g, alpha, beta)
+                    if pair is not None:
+                        _assert_same_up_to_rounding(*pair, (theorem, f.body.coeffs, beta))
+                        states.add(pair[0].verdict.state)
+        assert {VerdictState.HOLDS, VerdictState.INCONCLUSIVE} <= states
+
+    @pytest.mark.parametrize("alpha", ORACLE_ALPHAS)
+    def test_rotation_by_whole_grid_steps(self, alpha):
+        # e^{-i theta} f(e^{i theta} z) multiplies a_k by e^{i (k - 1) theta},
+        # and each of its functionals at z is f's at e^{i theta} z; at
+        # theta = 2 pi j / m that shifts every grid of m points, or of a
+        # multiple of m, by whole steps
+        m, j = GridSpec().m, 3
+        states = set()
+        for f in self.FUNCTIONS:
+            k = np.arange(f.n + 1, f.n + 1 + f.tail.size)
+            g = SeriesA.from_tail(f.n, f.tail * np.exp(2j * np.pi * ((k - 1) * j % m) / m))
+            for beta in ORACLE_BETAS:
+                for theorem in Theorem:
+                    pair = _oracle_pair(theorem, f, g, alpha, beta)
+                    if pair is not None:
+                        _assert_same_up_to_rounding(*pair, (theorem, f.body.coeffs, beta))
+                        states.add(pair[0].verdict.state)
+        assert {VerdictState.HOLDS, VerdictState.INCONCLUSIVE} <= states
 
 
 class TestDuality:

@@ -1,6 +1,7 @@
 """Command line: exit codes, report envelopes, corpus of function files."""
 
 import json
+import os
 import pathlib
 import shutil
 import subprocess
@@ -48,6 +49,26 @@ INVALID_FILES = {
 }
 
 
+# runs that must fail on their input before any numeric module loads: each
+# malformed file through each command that reads one, a bad flag, and a bad
+# --beta where no function file is read first
+NUMPY_FREE_ERRORS = [
+    [command, *flags, "--input", f"tests/corpus/{name}"]
+    for name in sorted(INVALID_FILES)
+    for command, flags in (("check", ["--theorem", "thm1"]), ("membership", ["--class", "star"]),
+                           ("radius", ["--theorem", "thm1"]))
+] + [["check", "--bogus"], ["falsify", "--theorem", "thm1", "--beta", "zz"]]
+
+
+def _child(code, *argv):
+    """Run python code with argv in a fresh interpreter at the repo root,
+    importing the package from src/."""
+    root = CORPUS.parents[1]
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    return subprocess.run([sys.executable, "-c", code, *argv], cwd=root, env=env,
+                          capture_output=True, text=True, timeout=60)
+
+
 def run_cli(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr().out
@@ -70,11 +91,39 @@ class TestParseBeta:
         assert parse_beta("-0.5i") == -0.5j
         assert parse_beta("2j") == 2j
         assert parse_beta(" 1 + 2I ") == 1 + 2j
+        assert parse_beta("i") == 1j
+        assert parse_beta("(1+2i)") == 1 + 2j
+        assert parse_beta("( 0.5 - i )") == 0.5 - 1j
 
     def test_rejected_literals(self):
         for bad in ("zzz", "", "1+", "1+2i+3", "inf", "nan+1i"):
             with pytest.raises(InputError):
                 parse_beta(bad)
+
+    @pytest.mark.parametrize("literal, message", [
+        ("zz", "cannot parse beta literal 'zz'"),
+        ("1i+2", "cannot parse beta literal '1i+2'"),
+        ("", "empty beta literal"),
+        # only a final i is the imaginary unit, so these read as infinite
+        ("inf", "beta must be finite, got 'inf'"),
+        ("-inf", "beta must be finite, got '-inf'"),
+        ("infinity", "beta must be finite, got 'infinity'"),
+        ("1+infi", "beta must be finite, got '1+infi'"),
+        ("nan", "beta must be finite, got 'nan'"),
+        ("1e400", "beta must be finite, got '1e400'"),
+    ])
+    def test_rejection_messages(self, literal, message):
+        with pytest.raises(InputError) as info:
+            parse_beta(literal)
+        assert str(info.value) == message
+
+
+def test_parser_choices_are_the_enum_values():
+    # cli spells these out so that parsing loads no numeric module
+    cli = diskcheck.cli
+    assert cli._THEOREM_CHOICES == [t.value for t in diskcheck.Theorem]
+    assert cli._CLASS_CHOICES == [c.value for c in diskcheck.FunctionClass]
+    assert cli._WITNESS_CHOICES == [w.value for w in diskcheck.Witness]
 
 
 class TestFunctionFiles:
@@ -230,7 +279,7 @@ class TestExitCodes:
             def crash(*args, **kwargs):
                 raise exc
 
-            monkeypatch.setattr("diskcheck.cli.check", crash)
+            monkeypatch.setattr("diskcheck.checks.check", crash)
             code = main(["check", "--theorem", "thm1", "--input", str(CORPUS / "halfdisk.json")])
             captured = capsys.readouterr()
             assert code == 3
@@ -387,6 +436,36 @@ class TestProcessInvocation:
             assert out.returncode == 0, f"{exe}: {out.stderr}"
             # whole words: the program name "diskcheck" contains "check"
             assert {"check", "falsify"} <= set(out.stdout.split()), exe
+
+    @pytest.mark.parametrize("argv", NUMPY_FREE_ERRORS, ids=" ".join)
+    def test_input_errors_exit_before_numpy_loads(self, argv):
+        out = _child(
+            "import sys\n"
+            "from diskcheck.cli import main\n"
+            "code = main(sys.argv[1:])\n"
+            "print('numpy' in sys.modules, file=sys.stderr)\n"
+            "sys.exit(code)\n",
+            *argv,
+        )
+        assert out.returncode == 3, out.stderr
+        assert out.stdout == ""
+        *diagnostics, numpy_loaded = out.stderr.splitlines()
+        assert ": error: " in diagnostics[-1]
+        assert numpy_loaded == "False"
+
+    def test_package_import_is_numpy_free_until_an_export_is_used(self):
+        out = _child(
+            "import sys\n"
+            "import diskcheck\n"
+            "assert 'numpy' not in sys.modules\n"
+            "from diskcheck import *\n"
+            "assert 'numpy' in sys.modules and '__getattr__' not in vars(diskcheck)\n"
+            "missing = [n for n in diskcheck.__all__ if globals().get(n) is not getattr(diskcheck, n)]\n"
+            "assert not missing and len(diskcheck.__all__) == 37, missing\n"
+            "del diskcheck.check\n"
+            "assert not hasattr(diskcheck, 'check') and getattr(diskcheck, 'coeff_bound', None) is None\n"
+        )
+        assert out.returncode == 0, out.stderr
 
     def test_bad_flag_exits_three_in_subprocess(self):
         out = subprocess.run(
