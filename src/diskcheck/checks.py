@@ -370,9 +370,10 @@ _CAP_ROOM = 2.0**-40
 
 
 @np.errstate(all="ignore")
-def _conclusion_caps(conclusion, a: np.ndarray, bound: float, r: float) -> np.ndarray:
+def _conclusion_caps(conclusion, a: np.ndarray, bound: float, r: float, sums) -> np.ndarray:
     """Certified upper bounds on the conclusion value of every row a[i] of
-    series coefficients over |z| <= r, from coefficient sums S(p) at r alone:
+    series coefficients over |z| <= r, from bounds S(p) = sums(p, r) on
+    sup |p| over |z| <= r (_coeff_sums, or _sup_upper on a coarse grid):
 
         polynomial p   S(p)
         z f'/f         S(f' - f/z) / (1 - g),   g = S(f/z - 1)
@@ -381,17 +382,17 @@ def _conclusion_caps(conclusion, a: np.ndarray, bound: float, r: float) -> np.nd
 
     each bounding |q - 1| (|q - c| for 1/f'), as the guard polynomial has
     modulus at most g < 1 (1/(1 + u) with |u| <= g lies in the disk of center
-    1/(1 - g^2) and radius g/(1 - g^2)); inf where g > 1/2. Every cap gets
-    _SUM_SLACK relative and _CAP_ROOM absolute room, so that it also bounds
-    the rounded grid values of _conclusion_rows."""
+    1/(1 - g^2) and radius g/(1 - g^2)); inf where g > 1/2. Caps grow with
+    every S. Every cap gets _SUM_SLACK relative and _CAP_ROOM absolute room,
+    so that it also bounds the rounded grid values of _conclusion_rows."""
     if isinstance(conclusion, Functional):
-        cap = _coeff_sums(_polynomial_coeffs(conclusion, a, 0j), r)
+        cap = sums(_polynomial_coeffs(conclusion, a, 0j), r)
     else:
-        g = _coeff_sums(_polynomial_coeffs(_GUARD[conclusion], a, 0j), r)
+        g = sums(_polynomial_coeffs(_GUARD[conclusion], a, 0j), r)
         if conclusion is _Quotient.STARLIKE:
-            cap = _coeff_sums(_polynomial_coeffs(Functional.DERIV_DEFECT, a, 0j), r) / (1.0 - g)
+            cap = sums(_polynomial_coeffs(Functional.DERIV_DEFECT, a, 0j), r) / (1.0 - g)
         elif conclusion is _Quotient.CONVEX:
-            cap = r * _coeff_sums(_derivative_coeffs(_derivative_coeffs(a)), r) / (1.0 - g)
+            cap = r * sums(_derivative_coeffs(_derivative_coeffs(a)), r) / (1.0 - g)
         else:
             cap = np.abs(1.0 / (1.0 - g * g) - bound) + g / (1.0 - g * g)
         cap = np.where(g <= 0.5, cap, np.inf)
@@ -410,28 +411,44 @@ def _check_rows(theorem: Theorem, a: np.ndarray, params: Params, thr: float, spe
     whose lower bound is not below the bound, a non-finite one included, is
     a Fails, which check re-decides and where an overflow raises.
 
-    Rows are scanned in _chunks of width max(m, row length), in ascending
-    order of the margin bound - cap of their _conclusion_caps
-    cap (a stable sort). floor, the caller's smallest margin (nan before
-    any), takes each chunk's smallest margin outside its Fails rows, whose
-    margins check re-decides. The scan stops at the first row whose cap
-    margin is above max(floor, 0): it and the rows after it keep cap as
-    their value, so each holds where its hypothesis is certified and is
-    Inconclusive elsewhere, as check decides it, and its margin, at most
+    Every row first gets its _conclusion_caps cap from coefficient sums, and
+    the rows are ordered by the cap margin bound - cap (a stable sort). The
+    first _chunks chunk of width max(m, row length) is scanned on the m-point
+    grid. The rows after it whose cap margin is at most max(floor, 0) then
+    get the smaller of that cap and a coarse one, from the _sup_upper bounds
+    on the m'-point grid, m' the smallest power of two at least
+    max(16, 4 row length) (when m' < m only), are stably re-sorted by the new
+    margin and scanned chunk by chunk. floor, the caller's smallest margin
+    (nan before any), takes each chunk's smallest margin outside its Fails
+    rows, whose margins check re-decides. The scan stops at the first row
+    whose cap margin is above max(floor, 0): it and the rows after it keep
+    cap as their value, so each holds where its hypothesis is certified and
+    is Inconclusive elsewhere, as check decides it, and its margin, at most
     check's but above floor, is never the smallest. The 0 keeps a row that
     may reach the bound scanned when an uncertified row made floor negative."""
     bound = _conclusion_bound(theorem, params)
     hyp_fun, _, conclusion = _RULES[theorem]
     hyp_ok = _below(_polynomial_coeffs(hyp_fun, a, complex(params.beta)), r_max, thr, spec)
-    lower = _conclusion_caps(conclusion, a, bound, r_max)
-    for rows in _chunks(np.argsort(bound - lower, kind="stable"), max(spec.m, a.shape[-1])):
-        rows = rows[bound - lower[rows] <= (math.inf if math.isnan(floor) else max(floor, 0.0))]
-        if not rows.size:
-            break
-        values = _conclusion_rows(conclusion, a[rows], bound, r_max, spec, _NO_ROWS)[1]
-        lower[rows] = np.where(np.isnan(values), np.inf, values) if isinstance(conclusion, Functional) else values
-        fails = _decide(hyp_ok[rows], lower[rows], bound) == _FAILS
-        floor = np.fmin.reduce(np.where(fails, np.nan, bound - lower[rows]), initial=floor)
+    lower = _conclusion_caps(conclusion, a, bound, r_max, _coeff_sums)
+    width, coarse = max(spec.m, a.shape[-1]), GridSpec(m=1 << max(4, (4 * a.shape[-1] - 1).bit_length()))
+    sums = lambda c, r: _sup_upper(c, r, _sup_rows(c, r, coarse)[0], coarse)  # noqa: E731
+    kept = lambda rows: rows[bound - lower[rows] <= (math.inf if math.isnan(floor) else max(floor, 0.0))]  # noqa: E731
+    order = np.argsort(bound - lower, kind="stable")
+    head = len(next(_chunks(order, width), order))
+    for part, tighten in ((order[:head], False), (order[head:], coarse.m < spec.m)):
+        part = kept(part)
+        if tighten:  # coarse caps, then the order of their margins
+            for rows in _chunks(part, max(coarse.m, a.shape[-1])):
+                lower[rows] = np.fmin(lower[rows], _conclusion_caps(conclusion, a[rows], bound, r_max, sums))
+            part = part[np.argsort(bound - lower[part], kind="stable")]
+        for rows in _chunks(part, width):
+            rows = kept(rows)
+            if not rows.size:
+                break
+            values = _conclusion_rows(conclusion, a[rows], bound, r_max, spec, _NO_ROWS)[1]
+            lower[rows] = np.where(np.isnan(values), np.inf, values) if isinstance(conclusion, Functional) else values
+            fails = _decide(hyp_ok[rows], lower[rows], bound) == _FAILS
+            floor = np.fmin.reduce(np.where(fails, np.nan, bound - lower[rows]), initial=floor)
     return _decide(hyp_ok, lower, bound), bound - lower
 
 

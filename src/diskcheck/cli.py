@@ -7,7 +7,8 @@ Every report envelope carries the tool version, a schema version and every
 option of the subcommand in parser order, `beta` parsed; `example` instead
 prints a bare function spec file so it can be piped straight back into `check`.
 Each subcommand imports the numeric modules it needs only after its input
-file and `--beta` are validated, so bad input exits before numpy loads.
+file and `--beta` are validated, so bad input exits before numpy loads;
+`example` loads none.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ import sys
 
 from . import __version__
 from .errors import InputError, require_complex
-from .funcspec import function_to_dict, load_function
+from .funcspec import Witness, _witness_dict, load_function
 
 __all__ = ["main", "parse_beta"]
 
@@ -30,11 +31,11 @@ SCHEMA_VERSION = 1
 EXIT_ERROR = 3
 
 _STATE_EXIT = {"holds": 0, "fails": 1, "inconclusive": 2}
-# checks.Theorem, checks.FunctionClass and witnesses.Witness, spelled out so
-# that parsing arguments loads no numeric module
+# checks.Theorem and checks.FunctionClass, spelled out so that parsing
+# arguments loads no numeric module
 _THEOREM_CHOICES = ["lem11", "lem12", "thm1", "cor1", "thm2", "lem3", "thm3"]
 _CLASS_CHOICES = ["star", "c", "k"]
-_WITNESS_CHOICES = ["ex1", "ex2", "ex3"]
+_WITNESS_CHOICES = [w.value for w in Witness]
 
 
 def parse_beta(text: str) -> complex:
@@ -181,10 +182,7 @@ def _cmd_membership(args) -> int:
 
 
 def _cmd_example(args) -> int:
-    from .witnesses import Witness, make_witness
-
-    witness = make_witness(Witness(args.id), args.n, args.alpha)
-    _emit(function_to_dict(witness))
+    _emit(_witness_dict(Witness(args.id), args.n, args.alpha))
     return 0
 
 

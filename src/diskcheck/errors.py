@@ -27,6 +27,17 @@ class SingularDenominatorError(ArithmeticError):
         super().__init__(f"denominator modulus below floor near z = {self.z}")
 
 
+#: Highest degree of a normalized series built from a class index and a tail.
+_MAX_DEGREE = 2**16
+
+
+def _require_degree(n: int, tail_len: int) -> None:
+    """InputError when the degree n + tail_len of a normalized series exceeds
+    _MAX_DEGREE."""
+    if n + tail_len > _MAX_DEGREE:
+        raise InputError(f"series degree must be at most {_MAX_DEGREE}, got {n + tail_len}")
+
+
 def require_int(x, minimum: int, message: str, exc: type = InputError) -> int:
     """Return int(x) for a non-bool integer x >= minimum; else raise exc(message)."""
     if isinstance(x, bool) or not isinstance(x, numbers.Integral) or x < minimum:

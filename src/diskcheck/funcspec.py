@@ -1,4 +1,5 @@
-"""Read and write the JSON function files the command line accepts.
+"""Read and write the JSON function files the command line accepts, those
+of the witnesses (witnesses.py) among them; only SeriesA loads numpy.
 
 Format: {"n": 1, "coeffs": [[re, im], ...]} where coeffs lists the tail
 a_{n+1}, a_{n+2}, ... of f(z) = z + a_{n+1} z^{n+1} + ... An empty coeffs
@@ -9,10 +10,44 @@ from __future__ import annotations
 
 import json
 import math
+from enum import Enum
+from types import SimpleNamespace
 
-from .errors import InputError
+from .errors import InputError, ParameterError, _require_degree, require_int, require_real
 
 __all__ = ["function_to_dict", "function_from_dict", "load_function"]
+
+
+class Witness(Enum):
+    EX1 = "ex1"
+    EX2 = "ex2"
+    EX3 = "ex3"
+
+
+def _witness_coefficient(which: Witness, n: int, alpha: float) -> float:
+    require_int(n, 1, "class index n must be a positive integer", ParameterError)
+    alpha = require_real(alpha, math.isfinite, "alpha must be finite", ParameterError)
+    if which is Witness.EX1:
+        if not (0.0 <= alpha < 1.0):
+            raise ParameterError(f"ex1 needs 0 <= alpha < 1, got {alpha}")
+        return (1.0 - alpha) / (n + 1 - alpha)
+    if which is Witness.EX2:
+        if not (0.0 <= alpha < 1.0):
+            raise ParameterError(f"ex2 needs 0 <= alpha < 1, got {alpha}")
+        return (1.0 - alpha) / (n + 1)
+    if which is Witness.EX3:
+        if not (0.0 < alpha <= 0.5):
+            raise ParameterError(f"ex3 needs 0 < alpha <= 1/2, got {alpha}")
+        return alpha / (n + 1)
+    raise InputError(f"unknown witness {which!r}")
+
+
+def _witness_dict(which: Witness, n: int, alpha: float) -> dict:
+    """function_to_dict of make_witness(which, n, alpha), with the same
+    checks and messages, built without numpy."""
+    tail = [complex(_witness_coefficient(which, n, alpha))]
+    _require_degree(n, len(tail))
+    return function_to_dict(SimpleNamespace(n=int(n), tail=tail))
 
 
 def function_to_dict(f) -> dict:

@@ -13,12 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InputError, require_complex, require_int
+from .errors import InputError, _require_degree, require_complex, require_int
 
 __all__ = ["PolySeries", "SeriesA"]
-
-#: Highest degree of a normalized series built from a class index and a tail.
-_MAX_DEGREE = 2**16
 
 
 def _points(z) -> np.ndarray:
@@ -62,13 +59,6 @@ def _derivative_coeffs(c: np.ndarray) -> np.ndarray:
     if c.shape[-1] == 1:
         return np.zeros(c.shape, dtype=np.complex128)
     return c[..., 1:] * np.arange(1, c.shape[-1])
-
-
-def _require_degree(n: int, tail_len: int) -> None:
-    """InputError when the degree n + tail_len of a normalized series exceeds
-    _MAX_DEGREE."""
-    if n + tail_len > _MAX_DEGREE:
-        raise InputError(f"series degree must be at most {_MAX_DEGREE}, got {n + tail_len}")
 
 
 def _tail_coeffs(n: int, tail: np.ndarray) -> np.ndarray:

@@ -18,7 +18,6 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
@@ -36,10 +35,10 @@ from .checks import (
     check,
     threshold,
 )
-from .errors import InputError, ParameterError, require_complex, require_int, require_real
-from .funcspec import function_to_dict
+from .errors import _MAX_DEGREE, InputError, _require_degree, require_complex, require_int, require_real
+from .funcspec import Witness, _witness_coefficient, function_to_dict
 from .functionals import _polynomial_coeffs
-from .series import _MAX_DEGREE, PolySeries, SeriesA, _require_degree, _tail_coeffs
+from .series import PolySeries, SeriesA, _tail_coeffs
 
 __all__ = [
     "Witness",
@@ -57,30 +56,6 @@ __all__ = [
 
 #: Most trials one falsify call may run.
 _MAX_TRIALS = 10**6
-
-
-class Witness(Enum):
-    EX1 = "ex1"
-    EX2 = "ex2"
-    EX3 = "ex3"
-
-
-def _witness_coefficient(which: Witness, n: int, alpha: float) -> float:
-    require_int(n, 1, "class index n must be a positive integer", ParameterError)
-    alpha = require_real(alpha, math.isfinite, "alpha must be finite", ParameterError)
-    if which is Witness.EX1:
-        if not (0.0 <= alpha < 1.0):
-            raise ParameterError(f"ex1 needs 0 <= alpha < 1, got {alpha}")
-        return (1.0 - alpha) / (n + 1 - alpha)
-    if which is Witness.EX2:
-        if not (0.0 <= alpha < 1.0):
-            raise ParameterError(f"ex2 needs 0 <= alpha < 1, got {alpha}")
-        return (1.0 - alpha) / (n + 1)
-    if which is Witness.EX3:
-        if not (0.0 < alpha <= 0.5):
-            raise ParameterError(f"ex3 needs 0 < alpha <= 1/2, got {alpha}")
-        return alpha / (n + 1)
-    raise InputError(f"unknown witness {which!r}")
 
 
 def make_witness(which: Witness, n: int, alpha: float) -> SeriesA:
@@ -245,13 +220,14 @@ def falsify(
     grid artifacts. Zero fails is the expected outcome for a sound checker.
 
     _check_rows gets the smallest margin seen so far and scans its rows in
-    ascending order of their certified conclusion caps, up to the first row
-    whose cap keeps its margin above that margin and above 0; the rest are
-    decided by their caps, which leaves the summary unchanged. Blocks are
-    decided one after another on the calling thread, and each block's Fails
-    rows are re-checked before the next block is drawn, so counterexamples
-    are in trial order and an error is raised after the re-checks of the
-    earlier blocks' trials.
+    ascending order of their certified conclusion caps, from coefficient
+    sums and, after the first chunk, from a coarse grid's sup bounds, up to
+    the first row whose cap keeps its margin above that margin and above 0;
+    the rest are decided by their caps, which leaves the summary unchanged.
+    Blocks are decided one after another on the calling thread, and each
+    block's Fails rows are re-checked before the next block is drawn, so
+    counterexamples are in trial order and an error is raised after the
+    re-checks of the earlier blocks' trials.
     """
     thr = threshold(theorem, params, n)
     _require_degree(n, cfg.tail_len)

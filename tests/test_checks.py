@@ -626,6 +626,10 @@ ORACLE_REAL_BETAS = (0j, 0.5 + 0j)
 # rotated coefficients.
 CERTIFIED_REL = 8 * np.finfo(float).eps
 GRID_ONLY_REL = 1e-12
+#: Relative tolerance of the scaling oracle, whose scaled coefficients round
+#: apart from the scaled radius powers: its largest move on the oracle
+#: functions was 2.9 ulps.
+SCALING_REL = CERTIFIED_REL
 
 
 def _oracle_functions():
@@ -737,6 +741,46 @@ class TestOracles:
                         _assert_same_up_to_rounding(*pair, (theorem, f.body.coeffs, beta))
                         states.add(pair[0].verdict.state)
         assert {VerdictState.HOLDS, VerdictState.INCONCLUSIVE} <= states
+
+    @pytest.mark.parametrize("alpha", ORACLE_ALPHAS[1:])
+    def test_thm2_holding_implies_thm3_and_membership(self, alpha):
+        # |f' - 1| < 1 - alpha gives Re f' > alpha, which is thm3's
+        # conclusion |1/f' - 1/(2 alpha)| < 1/(2 alpha) and class c of order
+        # alpha; all three read the same grid points, so where thm2 holds
+        # thm3's conclusion grid value (when its guard is certified) is below
+        # its bound and membership c is not fails
+        compared = 0
+        for f in self.FUNCTIONS:
+            for beta in ORACLE_BETAS:
+                params = Params(alpha=alpha, beta=beta)
+                if check(Theorem.THM2, f, params).verdict.state is not VerdictState.HOLDS:
+                    continue
+                thm3 = check(Theorem.THM3, f, params)
+                if thm3.concl is not None:
+                    assert thm3.concl.lower < thm3.concl_bound, (f.body.coeffs, beta)
+                    compared += 1
+                assert membership(FunctionClass.BOUNDED_TURNING, f, alpha).state is not VerdictState.FAILS
+        assert compared >= 20
+
+    @pytest.mark.parametrize("s", [0.3, 0.7, 0.95])
+    def test_scaling_moves_the_hypothesis_radius(self, s):
+        # f(s z)/s has the coefficients a_k s^(k-1), so each hypothesis
+        # polynomial P of it is P_f(s z), and its bracket at r is f's at s r:
+        # the coefficient sum, the Lipschitz pad and the sec bound are all
+        # unchanged by the substitution. The powers s^k r^k and (s r)^k
+        # round apart, so the ends agree within SCALING_REL, not bitwise.
+        r, states = 0.999, set()
+        for f in self.FUNCTIONS:
+            k = np.arange(f.n + 1, f.n + 1 + f.tail.size)
+            g = SeriesA.from_tail(f.n, f.tail * s ** (k - 1.0))
+            for beta in ORACLE_BETAS:
+                for theorem in (Theorem.LEM11, Theorem.COR1, Theorem.THM2):  # the three hypothesis functionals
+                    params = Params(alpha=0.25, beta=beta, rho=None if theorem is not Theorem.LEM11 else 0.75)
+                    rep, want = check(theorem, g, params, r_max=r), check(theorem, f, params, r_max=s * r)
+                    assert rep.hyp.lower == pytest.approx(want.hyp.lower, rel=SCALING_REL, abs=0), (f.body.coeffs, beta)
+                    assert rep.hyp.upper == pytest.approx(want.hyp.upper, rel=SCALING_REL, abs=0), (f.body.coeffs, beta)
+                    states.add(rep.hyp.upper < rep.hyp_threshold)
+        assert states == {True, False}
 
 
 class TestDuality:

@@ -13,7 +13,7 @@ import jsonschema
 import pytest
 
 import diskcheck
-from diskcheck import InputError, function_from_dict, function_to_dict, load_function
+from diskcheck import InputError, Witness, function_from_dict, function_to_dict, load_function, make_witness
 from diskcheck.cli import main, parse_beta
 
 CORPUS = pathlib.Path(__file__).parent / "corpus"
@@ -57,7 +57,8 @@ NUMPY_FREE_ERRORS = [
     for name in sorted(INVALID_FILES)
     for command, flags in (("check", ["--theorem", "thm1"]), ("membership", ["--class", "star"]),
                            ("radius", ["--theorem", "thm1"]))
-] + [["check", "--bogus"], ["falsify", "--theorem", "thm1", "--beta", "zz"]]
+] + [["check", "--bogus"], ["falsify", "--theorem", "thm1", "--beta", "zz"],
+      ["example", "--id", "ex3", "--alpha", "0.0"], ["example", "--id", "ex1", "--n", "65536"]]
 
 
 def _child(code, *argv):
@@ -452,6 +453,21 @@ class TestProcessInvocation:
         *diagnostics, numpy_loaded = out.stderr.splitlines()
         assert ": error: " in diagnostics[-1]
         assert numpy_loaded == "False"
+
+    @pytest.mark.parametrize("wid, n, alpha", [("ex1", 1, 0.0), ("ex2", 3, 0.7), ("ex3", 65535, 0.1)])
+    def test_example_runs_without_numpy(self, wid, n, alpha):
+        # the witness file comes from the one coefficient formula and the
+        # one serializer that make_witness and function_to_dict use
+        out = _child(
+            "import sys\n"
+            "from diskcheck.cli import main\n"
+            "code = main(sys.argv[1:])\n"
+            "print('numpy' in sys.modules, file=sys.stderr)\n"
+            "sys.exit(code)\n",
+            "example", "--id", wid, "--n", str(n), "--alpha", str(alpha),
+        )
+        assert (out.returncode, out.stderr) == (0, "False\n")
+        assert json.loads(out.stdout) == function_to_dict(make_witness(Witness(wid), n, alpha))
 
     def test_package_import_is_numpy_free_until_an_export_is_used(self):
         out = _child(

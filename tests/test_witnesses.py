@@ -34,7 +34,7 @@ from diskcheck import (
     threshold,
     witness_closed_forms,
 )
-from diskcheck.bounds import _below, _coeff_sums
+from diskcheck.bounds import _below, _coeff_sums, _sup_rows, _sup_upper
 from diskcheck.checks import _FAILS, _RULES, _STATES, HYPOTHESIS_FUNCTIONAL, _check_rows, _conclusion_bound, \
     _NO_ROWS, _conclusion_caps, _conclusion_rows
 from diskcheck.funcspec import function_to_dict, load_function
@@ -681,7 +681,7 @@ class TestFalsifyPruning:
             with monkeypatch.context() as patch:
                 if not prune:  # infinite caps: every row is scanned whatever its floor
                     patch.setattr("diskcheck.checks._conclusion_caps",
-                                  lambda conclusion, a, bound, r: np.full(len(a), np.inf))
+                                  lambda conclusion, a, bound, r, sums: np.full(len(a), np.inf))
                 got[prune] = []
                 for alpha, beta in ((0.25, 0j), (0.6, -0.5 + 0.5j), (0.25, edge)):
                     params = _params(theorem, alpha, beta)
@@ -693,6 +693,49 @@ class TestFalsifyPruning:
                             got[prune].append(falsify(theorem, 2, params, cfg, spec))
         assert got[True] == got[False]
         assert scanned[0] < scanned[1]
+
+    @pytest.mark.parametrize("theorem", [Theorem.THM1, Theorem.COR1, Theorem.THM3])
+    def test_coarse_caps_scan_at_most_two_chunks(self, theorem, monkeypatch):
+        # calls that scanned many rows on coefficient-sum caps alone (493
+        # for thm1, 310 for cor1, 332 for thm3 at m = 512): the m' = 64 caps
+        # leave at most two 32-row chunks to scan, and the summary is that
+        # of infinite caps, which scan every row
+        params, cfg = Params(alpha=0.25, beta=0.5), FalsifyConfig(trials=1000, seed=1073741829)
+        scanned = []
+        real_rows = diskcheck.checks._conclusion_rows
+
+        def counting_rows(conclusion, a, *args):
+            scanned[-1] += len(a)
+            return real_rows(conclusion, a, *args)
+
+        monkeypatch.setattr("diskcheck.checks._conclusion_rows", counting_rows)
+        scanned.append(0)
+        got = falsify(theorem, 2, params, cfg)
+        assert got.fails == 0 and scanned[-1] <= 64
+        monkeypatch.setattr("diskcheck.checks._conclusion_caps",
+                            lambda conclusion, a, bound, r, sums: np.full(len(a), np.inf))
+        scanned.append(0)
+        assert falsify(theorem, 2, params, cfg) == got
+        assert scanned[-1] == 1000
+
+    @pytest.mark.parametrize("m, tail_len, coarse", [(512, 6, True), (64, 6, False), (512, 128, False)])
+    def test_coarse_caps_only_below_the_grid(self, m, tail_len, coarse, monkeypatch):
+        # m' = 64 at n = 2 and tail_len 6 is below the default m = 512 but
+        # not below --grid-m 64, and m' = 1024 for 128-term tails is above
+        # 512: there every cap comes from coefficient sums, although both
+        # calls scan past their first chunk (510 and 1000 rows)
+        sums = []
+        real_caps = diskcheck.checks._conclusion_caps
+
+        def recording_caps(conclusion, a, bound, r, how):
+            sums.append(how)
+            return real_caps(conclusion, a, bound, r, how)
+
+        monkeypatch.setattr("diskcheck.checks._conclusion_caps", recording_caps)
+        cfg = FalsifyConfig(trials=1000, seed=1073741829, tail_len=tail_len)
+        falsify(Theorem.THM1, 2, Params(alpha=0.25, beta=0.5), cfg, GridSpec(m=m))
+        assert sums[0] is _coeff_sums
+        assert any(how is not _coeff_sums for how in sums) == coarse
 
     @pytest.mark.parametrize("theorem", list(Theorem))
     def test_rows_at_the_bound_fail_under_a_negative_floor(self, theorem, monkeypatch, rng):
@@ -713,15 +756,19 @@ class TestFalsifyPruning:
         assert margins[failed].tolist() == want_margins[failed].tolist()
         assert (margins <= want_margins).all()
 
+    @pytest.mark.parametrize("seed", [0, 1073741829])
     @pytest.mark.parametrize("theorem", list(Theorem))
-    def test_chunks_come_in_ascending_cap_margin(self, theorem, monkeypatch):
+    def test_chunks_come_in_ascending_cap_margin(self, theorem, seed, monkeypatch):
         # a default 1000-trial call is one block, scanned 32 rows a chunk in
-        # ascending order of cap margin; it scans fewer rows than blocks of
-        # 32 trials, each one chunk pruned only against earlier blocks
+        # ascending order of cap margin: coefficient-sum caps in the first
+        # chunk, the smaller of those and the m' = 64 caps after it (seed 0
+        # mostly scans one chunk, 1073741829 several); it scans fewer rows
+        # than blocks of 32 trials, each one chunk pruned only against
+        # earlier blocks
         params = _params(theorem, 0.25, 0j)
         bound = _conclusion_bound(theorem, params)
         conclusion = _RULES[theorem][2]
-        cfg = FalsifyConfig(trials=1000, seed=0)
+        cfg = FalsifyConfig(trials=1000, seed=seed)
         chunks = []
         real_rows = diskcheck.checks._conclusion_rows
 
@@ -731,7 +778,10 @@ class TestFalsifyPruning:
 
         monkeypatch.setattr("diskcheck.checks._conclusion_rows", recording_rows)
         got = falsify(theorem, 2, params, cfg)
-        margins = [bound - _conclusion_caps(conclusion, a, bound, cfg.r_max) for a in chunks]
+        caps = [_conclusion_caps(conclusion, a, bound, cfg.r_max, _coeff_sums) for a in chunks]
+        caps[1:] = [np.fmin(cap, _conclusion_caps(conclusion, a, bound, cfg.r_max, coarse_sums(64)))
+                    for cap, a in zip(caps[1:], chunks[1:])]
+        margins = [bound - cap for cap in caps]
         assert [len(m) for m in margins[:-1]] == [32] * (len(margins) - 1)
         assert (np.diff(np.concatenate(margins)) >= 0).all()
         scanned = sum(map(len, margins))
@@ -756,7 +806,7 @@ class TestFalsifyPruning:
         spec = GridSpec(m=512, refine_depth=2)
         a = _sample_rows(theorem, 2, params, 0.9 * thr, rng.uniform(-1.0, 1.0, (16, 6, 2)))
         a[1::2, 3:] *= 1e-6
-        at_bound = np.flatnonzero(_conclusion_caps(_RULES[theorem][2], a, 1e-3, 0.999) >= 1e-3)
+        at_bound = np.flatnonzero(_conclusion_caps(_RULES[theorem][2], a, 1e-3, 0.999, _coeff_sums) >= 1e-3)
         want_states, want_margins = _check_rows(theorem, a, params, thr, spec, 0.999, math.nan)
         scanned = []
         real_rows = diskcheck.checks._conclusion_rows
@@ -790,7 +840,8 @@ class TestFalsifyPruning:
         got = falsify(Theorem.THM1, 1, Params(alpha=0.25), cfg, spec)
         assert _check_rows(Theorem.THM1, rows, Params(alpha=0.25), 1e9, spec, r, math.nan)[0][0] == _FAILS
         assert (got.holds, got.inconclusive, got.fails) == (3, 1, 0)
-        monkeypatch.setattr("diskcheck.checks._conclusion_caps", lambda conclusion, a, bound, r: np.full(len(a), np.inf))
+        monkeypatch.setattr("diskcheck.checks._conclusion_caps",
+                            lambda conclusion, a, bound, r, sums: np.full(len(a), np.inf))
         assert got == falsify(Theorem.THM1, 1, Params(alpha=0.25), cfg, spec)
 
     @pytest.mark.parametrize("theorem", list(Theorem))
@@ -826,20 +877,28 @@ class TestFalsifyPruning:
                     thr, bound = threshold(theorem, params, n), _conclusion_bound(theorem, params)
                     a = SeriesA.from_tail(n, [1.0]).body.coeffs[None].copy()
                     a[:, n + 1] = thr / _coeff_sums(_polynomial_coeffs(hyp_fun, a, beta), 1.0)
-                    cap = _conclusion_caps(conclusion, a, bound, 1.0)[0]
+                    cap = _conclusion_caps(conclusion, a, bound, 1.0, _coeff_sums)[0]
                     want = bound
                     if theorem is Theorem.THM3 and alpha < 0.5:
                         want = abs(1 / (1 - alpha**2) - bound) + alpha / (1 - alpha**2)
                     assert cap == pytest.approx(want, rel=2**-19), (n, alpha, beta)
                     drawn = _sample_rows(theorem, n, params, thr, rng.uniform(-1.0, 1.0, (64, 6, 2)))
-                    assert (_conclusion_caps(conclusion, drawn, bound, 1.0) <= cap * (1 + 2**-19)).all()
+                    assert (_conclusion_caps(conclusion, drawn, bound, 1.0, _coeff_sums) <= cap * (1 + 2**-19)).all()
+
+
+def coarse_sums(m):
+    """The certified sup bounds of _check_rows' coarse caps, on the m-point grid."""
+    grid = GridSpec(m=m)
+    return lambda c, r: _sup_upper(c, r, _sup_rows(c, r, grid)[0], grid)
 
 
 def assert_caps_bound_the_grid_values(theorem, alpha, rng):
-    """The caps of drawn rows of seven scales at n = 1 and 2 are at least
-    their grid values at m = 16, 512 and 8192, and on every eighth row, a
-    monomial z + c z^(n+1) with c > 0, they equal its grid maximum to
-    rounding."""
+    """The caps of drawn rows of seven scales at n = 1 and 2, from
+    coefficient sums and from the sup bounds on coarse grids of m' = 16, 32
+    and 64 points, are at least their grid values at m = 16, 512 and 8192,
+    and each coarse cap is at most its sum cap, to rounding; on every eighth
+    row, a monomial z + c z^(n+1) with c > 0, the sum caps equal its grid
+    maximum to rounding."""
     params = _params(theorem, alpha, 0j)
     bound = _conclusion_bound(theorem, params)
     conclusion = _RULES[theorem][2]
@@ -848,13 +907,17 @@ def assert_caps_bound_the_grid_values(theorem, alpha, rng):
         a[:, n + 1:] *= np.repeat([1e-12, 1e-6, 1e-3, 0.03, 0.1, 0.3, 1e6], 8)[:, None]
         a[::8, n + 2:] = 0.0
         a[::8, n + 1] = np.abs(a[::8, n + 1])
-        caps = _conclusion_caps(conclusion, a, bound, 0.999)
+        caps = _conclusion_caps(conclusion, a, bound, 0.999, _coeff_sums)
+        coarse = [_conclusion_caps(conclusion, a, bound, 0.999, coarse_sums(m)) for m in (16, 32, 64)]
         assert np.isfinite(caps).sum() >= 24
+        for tighter in coarse:  # a monomial's grid maximum is its sum, and can round a few ulps above it
+            assert (tighter <= caps * (1 + 2**-45)).all(), n
         for m in (16, 512, 8192):
             _, lower, _ = _conclusion_rows(conclusion, a, bound, 0.999, GridSpec(m=m), _NO_ROWS)
             known = ~np.isnan(lower)
             assert known[np.isfinite(caps)].all()
-            assert (caps[known] >= lower[known]).all(), (n, m)
+            for cap in [caps, *coarse]:
+                assert (cap[known] >= lower[known]).all(), (n, m)
             tight = np.isfinite(caps[::8])
             np.testing.assert_allclose(lower[::8][tight], caps[::8][tight], rtol=2**-19, atol=2**-39)
 
