@@ -53,9 +53,9 @@ _INV_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 _TWO_PI = 2.0 * math.pi
 #: Most angular samples a grid may have: one grid row then takes 16 MB.
 _MAX_GRID_M = 2**20
-#: Values one coefficient or grid array of falsify may hold, or one row (the
-#: block and chunk rules of falsify, _check_rows and _below): fewer numpy
-#: calls are faster, and 32768 would break the memory bound of long tails.
+#: Values one coefficient or grid array may hold, or one row (the block rule
+#: of falsify and the _chunks of _below and _sub_grids): fewer numpy calls
+#: are faster, and 32768 would break the memory bound of long tails.
 _BLOCK_POINTS = 16384
 
 

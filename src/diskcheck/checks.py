@@ -35,7 +35,7 @@ import numpy as np
 
 # poly_sup is not called here, but diskcheck.checks.poly_sup stays importable:
 # bench/tracer.py wraps that name and bench/test_bench.py deletes it.
-from .bounds import _MAX_GRID_M, _SUM_SLACK, GridSpec, SupBracket, BracketKind, _below, _chunks, _circle_argopt, \
+from .bounds import _MAX_GRID_M, _SUM_SLACK, GridSpec, SupBracket, BracketKind, _below, _circle_argopt, \
     _circle_point, _circle_rows, _coeff_sums, _refine, _stacked, _sup_rows, _sup_upper, _unit_circle, \
     poly_sup  # noqa: F401
 from .errors import InputError, ParameterError, require_complex, require_int, require_real
@@ -201,29 +201,18 @@ class CheckReport:
     verdict: Verdict
 
 
-#: Verdict states by their code in _decide's arrays, and the codes by state:
-#: a decided row's code is its Fails flag, so Holds and Fails come first.
-_STATES = (VerdictState.HOLDS, VerdictState.FAILS, VerdictState.INCONCLUSIVE)
-_STATE_CODES = {state: code for code, state in enumerate(_STATES)}
-_FAILS, _INCONCLUSIVE = _STATE_CODES[VerdictState.FAILS], _STATE_CODES[VerdictState.INCONCLUSIVE]
-
-
-def _decide(hyp_ok, lower, bound: float):
-    """check's verdict state codes (indices into _STATES) for rows with a
-    certified hypothesis where hyp_ok and conclusion grid maximum lower, nan
-    where the conclusion is unknown: Inconclusive for either failure, else
-    Holds when lower < bound and Fails when not. Bool arithmetic, so it runs
-    elementwise on row arrays and on check's one row as plain Python."""
-    return _INCONCLUSIVE - (hyp_ok & (lower == lower)) * (_INCONCLUSIVE - (lower >= bound))
-
-
 def _verdict(hyp_ok: bool, lower: float, z: complex, bound: float, hypothesis_margin: float | None) -> Verdict:
-    """The Verdict of one row decided by _decide: conclusion margin
-    bound - lower, None where lower is nan (a failed guard or a singular
-    point). A Fails shows its violating point z, an unknown conclusion its
-    singular point z when it has one."""
-    state = _STATES[_decide(hyp_ok, lower, bound)]
+    """The Verdict of one row with a certified hypothesis where hyp_ok and
+    conclusion grid maximum lower, nan where the conclusion is unknown (a
+    failed guard or a singular point): Inconclusive for either failure, else
+    Holds when lower < bound and Fails when not, with conclusion margin
+    bound - lower, None where lower is nan. A Fails shows its violating
+    point z, an unknown conclusion its singular point z when it has one."""
     known = lower == lower
+    if hyp_ok and known:
+        state = VerdictState.HOLDS if lower < bound else VerdictState.FAILS
+    else:
+        state = VerdictState.INCONCLUSIVE
     witness = z if (state is VerdictState.FAILS or not known) and z == z else None
     return Verdict(state, hypothesis_margin, bound - lower if known else None, witness)
 
@@ -306,8 +295,8 @@ def _quotient_rows(kind: _Quotient, a: np.ndarray, r: float, spec: GridSpec, h, 
 
 
 def _conclusion_rows(conclusion, a: np.ndarray, bound: float, r: float, spec: GridSpec, lead: np.ndarray):
-    """check's scan of the polynomial rows of lead (check's hypothesis; none
-    for falsify) and of the conclusion of every row a[i] of series
+    """check's scan of the polynomial rows of lead (check's hypothesis, or
+    none) and of the conclusion of every row a[i] of series
     coefficients, from one _circle_rows call: the polynomial rows that check
     certifies from above (lead, then a polynomial conclusion's coefficient
     rows), then two arrays over lead's rows and a's, the grid maxima and
@@ -370,10 +359,10 @@ _CAP_ROOM = 2.0**-40
 
 
 @np.errstate(all="ignore")
-def _conclusion_caps(conclusion, a: np.ndarray, bound: float, r: float, sums) -> np.ndarray:
+def _conclusion_caps(conclusion, a: np.ndarray, bound: float, r: float) -> np.ndarray:
     """Certified upper bounds on the conclusion value of every row a[i] of
-    series coefficients over |z| <= r, from bounds S(p) = sums(p, r) on
-    sup |p| over |z| <= r (_coeff_sums, or _sup_upper on a coarse grid):
+    series coefficients over |z| <= r, from the coefficient sums
+    S(p) = _coeff_sums(p, r), which bound sup |p| over |z| <= r:
 
         polynomial p   S(p)
         z f'/f         S(f' - f/z) / (1 - g),   g = S(f/z - 1)
@@ -382,74 +371,38 @@ def _conclusion_caps(conclusion, a: np.ndarray, bound: float, r: float, sums) ->
 
     each bounding |q - 1| (|q - c| for 1/f'), as the guard polynomial has
     modulus at most g < 1 (1/(1 + u) with |u| <= g lies in the disk of center
-    1/(1 - g^2) and radius g/(1 - g^2)); inf where g > 1/2. Caps grow with
-    every S. Every cap gets _SUM_SLACK relative and _CAP_ROOM absolute room,
-    so that it also bounds the rounded grid values of _conclusion_rows."""
+    1/(1 - g^2) and radius g/(1 - g^2)); inf where g > 1/2. Every cap gets
+    _SUM_SLACK relative and _CAP_ROOM absolute room, so that it also bounds
+    the rounded grid values of _conclusion_rows."""
     if isinstance(conclusion, Functional):
-        cap = sums(_polynomial_coeffs(conclusion, a, 0j), r)
+        cap = _coeff_sums(_polynomial_coeffs(conclusion, a, 0j), r)
     else:
-        g = sums(_polynomial_coeffs(_GUARD[conclusion], a, 0j), r)
+        g = _coeff_sums(_polynomial_coeffs(_GUARD[conclusion], a, 0j), r)
         if conclusion is _Quotient.STARLIKE:
-            cap = sums(_polynomial_coeffs(Functional.DERIV_DEFECT, a, 0j), r) / (1.0 - g)
+            cap = _coeff_sums(_polynomial_coeffs(Functional.DERIV_DEFECT, a, 0j), r) / (1.0 - g)
         elif conclusion is _Quotient.CONVEX:
-            cap = r * sums(_derivative_coeffs(_derivative_coeffs(a)), r) / (1.0 - g)
+            cap = r * _coeff_sums(_derivative_coeffs(_derivative_coeffs(a)), r) / (1.0 - g)
         else:
             cap = np.abs(1.0 / (1.0 - g * g) - bound) + g / (1.0 - g * g)
         cap = np.where(g <= 0.5, cap, np.inf)
     return cap * (1.0 + _SUM_SLACK) + _CAP_ROOM
 
 
-def _check_rows(theorem: Theorem, a: np.ndarray, params: Params, thr: float, spec: GridSpec, r_max: float,
-                floor: float):
-    """check's verdict state codes (indices into _STATES) and conclusion
-    margins for the functions with series coefficient rows a, as two row
-    arrays by check's rules, with margin nan where check's is None, against
-    the hypothesis threshold thr (threshold's value for the rows' class
-    index, which validates the parameters). The hypothesis is certified by
-    _below, which decides as check's bracket does without a grid when the
-    coefficient sum leaves room. The conclusion needs no upper bound: a row
-    whose lower bound is not below the bound, a non-finite one included, is
-    a Fails, which check re-decides and where an overflow raises.
-
-    Every row first gets its _conclusion_caps cap from coefficient sums, and
-    the rows are ordered by the cap margin bound - cap (a stable sort). The
-    first _chunks chunk of width max(m, row length) is scanned on the m-point
-    grid. The rows after it whose cap margin is at most max(floor, 0) then
-    get the smaller of that cap and a coarse one, from the _sup_upper bounds
-    on the m'-point grid, m' the smallest power of two at least
-    max(16, 4 row length) (when m' < m only), are stably re-sorted by the new
-    margin and scanned chunk by chunk. floor, the caller's smallest margin
-    (nan before any), takes each chunk's smallest margin outside its Fails
-    rows, whose margins check re-decides. The scan stops at the first row
-    whose cap margin is above max(floor, 0): it and the rows after it keep
-    cap as their value, so each holds where its hypothesis is certified and
-    is Inconclusive elsewhere, as check decides it, and its margin, at most
-    check's but above floor, is never the smallest. The 0 keeps a row that
-    may reach the bound scanned when an uncertified row made floor negative."""
+def _certified_rows(theorem: Theorem, a: np.ndarray, params: Params, thr: float, spec: GridSpec, r_max: float):
+    """Which of the functions with series coefficient rows a check certainly
+    decides Holds, and their cap margins bound - cap, as two row arrays,
+    against the hypothesis threshold thr (threshold's value for the rows'
+    class index, which validates the parameters). A row is sure when _below
+    certifies its hypothesis, as check's bracket decides it, and its
+    _conclusion_caps cap is below the bound: the cap bounds every grid value
+    of the conclusion, and a finite quotient cap puts the guard sum at most
+    1/2, so that the guard holds and no denominator nears zero. A sure row's
+    margin is then at most check's on any grid."""
     bound = _conclusion_bound(theorem, params)
     hyp_fun, _, conclusion = _RULES[theorem]
-    hyp_ok = _below(_polynomial_coeffs(hyp_fun, a, complex(params.beta)), r_max, thr, spec)
-    lower = _conclusion_caps(conclusion, a, bound, r_max, _coeff_sums)
-    width, coarse = max(spec.m, a.shape[-1]), GridSpec(m=1 << max(4, (4 * a.shape[-1] - 1).bit_length()))
-    sums = lambda c, r: _sup_upper(c, r, _sup_rows(c, r, coarse)[0], coarse)  # noqa: E731
-    kept = lambda rows: rows[bound - lower[rows] <= (math.inf if math.isnan(floor) else max(floor, 0.0))]  # noqa: E731
-    order = np.argsort(bound - lower, kind="stable")
-    head = len(next(_chunks(order, width), order))
-    for part, tighten in ((order[:head], False), (order[head:], coarse.m < spec.m)):
-        part = kept(part)
-        if tighten:  # coarse caps, then the order of their margins
-            for rows in _chunks(part, max(coarse.m, a.shape[-1])):
-                lower[rows] = np.fmin(lower[rows], _conclusion_caps(conclusion, a[rows], bound, r_max, sums))
-            part = part[np.argsort(bound - lower[part], kind="stable")]
-        for rows in _chunks(part, width):
-            rows = kept(rows)
-            if not rows.size:
-                break
-            values = _conclusion_rows(conclusion, a[rows], bound, r_max, spec, _NO_ROWS)[1]
-            lower[rows] = np.where(np.isnan(values), np.inf, values) if isinstance(conclusion, Functional) else values
-            fails = _decide(hyp_ok[rows], lower[rows], bound) == _FAILS
-            floor = np.fmin.reduce(np.where(fails, np.nan, bound - lower[rows]), initial=floor)
-    return _decide(hyp_ok, lower, bound), bound - lower
+    caps = _conclusion_caps(conclusion, a, bound, r_max)
+    sure = _below(_polynomial_coeffs(hyp_fun, a, complex(params.beta)), r_max, thr, spec) & (caps < bound)
+    return sure, bound - caps
 
 
 class FunctionClass(Enum):

@@ -6,9 +6,9 @@ an internal error, so that a crash never reads as a verdict.
 Every report envelope carries the tool version, a schema version and every
 option of the subcommand in parser order, `beta` parsed; `example` instead
 prints a bare function spec file so it can be piped straight back into `check`.
-Each subcommand imports the numeric modules it needs only after its input
-file and `--beta` are validated, so bad input exits before numpy loads;
-`example` loads none.
+Each subcommand parses `--beta` before it reads its input file, and imports
+the numeric modules it needs only after both are validated, so bad input
+exits before numpy loads; `example` loads none.
 """
 
 from __future__ import annotations
@@ -151,8 +151,8 @@ def _emit(obj) -> None:
 
 
 def _cmd_check(args) -> int:
-    f = load_function(args.input)
     beta = parse_beta(args.beta)
+    f = load_function(args.input)
     from .bounds import GridSpec
     from .checks import Params, Theorem, check
 
@@ -207,8 +207,8 @@ def _cmd_falsify(args) -> int:
 
 
 def _cmd_radius(args) -> int:
-    f = load_function(args.input)
     beta = parse_beta(args.beta)
+    f = load_function(args.input)
     from .checks import Params, Theorem
     from .witnesses import radius_of_validity
 

@@ -23,11 +23,8 @@ import numpy as np
 
 from .bounds import _BLOCK_POINTS, _MAX_GRID_M, GridSpec, _coeff_sums
 from .checks import (
-    _FAILS,
     HYPOTHESIS_FUNCTIONAL,
-    _STATE_CODES,
-    _STATES,
-    _check_rows,
+    _certified_rows,
     CheckReport,
     Params,
     Theorem,
@@ -170,6 +167,10 @@ def _tail_boxes(seed: int, trials: range, tail_len: int, rows: int):
 
 @dataclass(frozen=True)
 class FalsifySummary:
+    """Verdict counts of falsify's trials, the smallest conclusion margin
+    (bound - cap for a cap-certified Holds, check's margin for any other
+    trial; None when no trial has one), and the counterexample records."""
+
     theorem: Theorem
     n: int
     params: Params
@@ -208,58 +209,57 @@ def falsify(
     one trial (_tail_boxes). Trials are decided in blocks of
     max(1, _BLOCK_POINTS // (n + 1 + tail_len)) rows, 1820 at n = 2 and the
     default tail_len 6: the block's tails are rescaled together as
-    sample_satisfying rescales one, and every row gets check's verdict state
-    and conclusion margin from check's own row-wise rules, whatever its
-    verdict, so the counts and smallest margin taken from those arrays are
-    those of a sample_satisfying + check loop. A block's coefficient arrays
-    hold at most _BLOCK_POINTS values, or one row, its grids are scanned in
-    chunks as small (_check_rows), and its draws take 2 tail_len values a
+    sample_satisfying rescales one. A block's coefficient arrays hold at
+    most _BLOCK_POINTS values, or one row, and its draws 2 tail_len values a
     row, so memory stays bounded whatever m, tail_len and the trial count.
-    Only a Fails row goes through check itself: it is re-verified at 16x
-    grid density (at most the grid cap) before being reported, to exclude
-    grid artifacts. Zero fails is the expected outcome for a sound checker.
 
-    _check_rows gets the smallest margin seen so far and scans its rows in
-    ascending order of their certified conclusion caps, from coefficient
-    sums and, after the first chunk, from a coarse grid's sup bounds, up to
-    the first row whose cap keeps its margin above that margin and above 0;
-    the rest are decided by their caps, which leaves the summary unchanged.
+    A row whose hypothesis _below certifies and whose coefficient-sum cap on
+    the conclusion is below the bound is a certified Holds
+    (_certified_rows), with margin bound - cap, at most check's margin on any
+    grid. Every other row goes through check on spec, one at a time, and a
+    Fails is re-checked at 16x grid density (at most the grid cap) before
+    being reported, to exclude grid artifacts. So the counts and
+    counterexamples are those of a sample_satisfying + check loop, and
+    min_conclusion_margin is at most that loop's: a certified lower bound
+    where the caps decide. spec matters only to hypothesis rows whose sum
+    leaves no room below the threshold and to the rows that go through
+    check. Zero fails is the expected outcome for a sound checker.
     Blocks are decided one after another on the calling thread, and each
-    block's Fails rows are re-checked before the next block is drawn, so
+    block's other rows are checked before the next block is drawn, so
     counterexamples are in trial order and an error is raised after the
-    re-checks of the earlier blocks' trials.
+    checks of the earlier blocks' trials.
     """
     thr = threshold(theorem, params, n)
     _require_degree(n, cfg.tail_len)
     spec = spec if spec is not None else GridSpec(m=512)
     dense = GridSpec(m=min(16 * spec.m, _MAX_GRID_M))
     rows = max(1, _BLOCK_POINTS // (n + 1 + cfg.tail_len))
-    counts = np.zeros(len(_STATES), dtype=np.int64)
+    counts = dict.fromkeys(VerdictState, 0)
     min_margin = math.nan
     counterexamples: list[dict] = []
     for start, box in zip(range(0, cfg.trials, rows), _tail_boxes(cfg.seed, range(cfg.trials), cfg.tail_len, rows)):
         a = _sample_rows(theorem, n, params, cfg.margin * thr, box)
-        states, margins = _check_rows(theorem, a, params, thr, spec, cfg.r_max, min_margin)
-        counts += np.bincount(states, minlength=len(_STATES))
-        min_margin = np.fmin.reduce(np.where(states == _FAILS, np.nan, margins), initial=min_margin)
-        for row in np.flatnonzero(states == _FAILS).tolist():
+        sure, margins = _certified_rows(theorem, a, params, thr, spec, cfg.r_max)
+        counts[VerdictState.HOLDS] += int(sure.sum())
+        min_margin = np.fmin.reduce(margins[sure], initial=min_margin)
+        for row in np.flatnonzero(~sure).tolist():
             f = SeriesA(n, PolySeries(a[row]))
-            report = check(theorem, f, params, dense, cfg.r_max)
-            counts[_FAILS] -= 1
-            counts[_STATE_CODES[report.verdict.state]] += 1
+            report = check(theorem, f, params, spec, cfg.r_max)
+            if report.verdict.state is VerdictState.FAILS:
+                report = check(theorem, f, params, dense, cfg.r_max)
+                if report.verdict.state is VerdictState.FAILS:
+                    counterexamples.append(_counterexample_record(start + row, f, report))
+            counts[report.verdict.state] += 1
             if report.verdict.conclusion_margin is not None:
                 min_margin = np.fmin(min_margin, report.verdict.conclusion_margin)
-            if report.verdict.state is VerdictState.FAILS:
-                counterexamples.append(_counterexample_record(start + row, f, report))
-    tally = dict(zip(_STATES, counts.tolist()))
     return FalsifySummary(
         theorem=theorem,
         n=n,
         params=params,
         config=cfg,
-        holds=tally[VerdictState.HOLDS],
-        inconclusive=tally[VerdictState.INCONCLUSIVE],
-        fails=tally[VerdictState.FAILS],
+        holds=counts[VerdictState.HOLDS],
+        inconclusive=counts[VerdictState.INCONCLUSIVE],
+        fails=counts[VerdictState.FAILS],
         min_conclusion_margin=None if math.isnan(min_margin) else float(min_margin),
         counterexamples=tuple(counterexamples),
     )

@@ -37,7 +37,7 @@ from diskcheck import (
     witness_closed_forms,
 )
 from diskcheck.bounds import _circle_rows, _sup_rows, _sup_upper
-from diskcheck.checks import _RULES, _STATES, _check_rows, _decide, _polish_basins
+from diskcheck.checks import _RULES, _polish_basins, _verdict
 from diskcheck.functionals import _polynomial_coeffs
 
 from conftest import polynomial, small_tail_series, zfprime
@@ -206,16 +206,15 @@ def test_non_number_arguments_raise_the_site_error():
 
 
 def decide(hyp_ok, lower, bound):
-    """_decide's state for one row; lower None leaves the conclusion unknown."""
-    [code] = _decide(np.array([hyp_ok]), np.array([np.nan if lower is None else lower]), bound)
-    return _STATES[code]
+    """_verdict's state for one row; lower None leaves the conclusion unknown."""
+    return _verdict(hyp_ok, math.nan if lower is None else lower, complex(math.nan, math.nan), bound, None).state
 
 
 class TestDecide:
     def test_rows_are_decided_together(self):
-        # one call decides every row by the rules the one-row cases below pin
-        codes = _decide(np.array([True, False, True, True]), np.array([np.nan, 0.1, 0.4, 0.6]), 0.5)
-        assert [_STATES[c] for c in codes] == [
+        # the rule on the four cases the one-row cases below pin, side by side
+        cases = [(True, None), (False, 0.1), (True, 0.4), (True, 0.6)]
+        assert [decide(hyp_ok, lower, 0.5) for hyp_ok, lower in cases] == [
             VerdictState.INCONCLUSIVE, VerdictState.INCONCLUSIVE, VerdictState.HOLDS, VerdictState.FAILS]
 
     def test_singular_point_wins(self):
@@ -348,7 +347,7 @@ class TestCheck:
 
 
 def test_conclusion_lower_is_the_grid_maximum(rng):
-    # check and _check_rows take the conclusion's largest value on the FFT
+    # check takes the conclusion's largest value on the FFT
     # grid, which circle_argmax's Horner grid matches to rounding and its golden
     # refinement can only raise
     spec = GridSpec(m=256, refine_depth=3)
@@ -361,7 +360,6 @@ def test_conclusion_lower_is_the_grid_maximum(rng):
         top = np.abs(_circle_rows(p.coeffs[None], r, spec.m)).max()
         lem11 = check(Theorem.LEM11, f, Params(rho=0.5), spec)
         assert lem11.concl.lower == top
-        assert _check_rows(Theorem.LEM11, a, Params(rho=0.5), lem11.hyp_threshold, spec, r, math.nan)[1][0] == 0.5 - top
         assert top == pytest.approx(circle_argmax(p.eval, r, grid)[0], rel=1e-12)
         assert top <= circle_argmax(p.eval, r, spec)[0]
 
@@ -370,7 +368,6 @@ def test_conclusion_lower_is_the_grid_maximum(rng):
         top = np.abs(values - 1.0).max()
         thm1 = check(Theorem.THM1, f, Params(alpha=0.25), spec)
         assert thm1.concl.lower == top
-        assert _check_rows(Theorem.THM1, a, Params(alpha=0.25), thm1.hyp_threshold, spec, r, math.nan)[1][0] == 0.75 - top
         assert top == pytest.approx(circle_argmax(quotient, r, grid)[0], rel=1e-12)
         assert top < circle_argmax(quotient, r, spec)[0]
 
@@ -528,10 +525,6 @@ def test_denominator_floor_gives_the_singular_point(offset):
     assert rep.verdict.witness == pytest.approx(r * cmath.exp(1j * pole), abs=1e-15)
     star = membership(FunctionClass.STARLIKE, f, 0.25, spec, r)
     assert star.state is VerdictState.INCONCLUSIVE and star.witness == rep.verdict.witness
-    states, margins = _check_rows(
-        Theorem.THM1, f.body.coeffs[None], Params(alpha=0.25), rep.hyp_threshold, spec, r, math.nan)
-    assert [_STATES[c] for c in states] == [VerdictState.INCONCLUSIVE]
-    assert np.isnan(margins).all() and len(margins) == 1
 
 
 def test_refine_depth_only_moves_circle_max(rng):

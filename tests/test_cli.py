@@ -51,13 +51,15 @@ INVALID_FILES = {
 
 # runs that must fail on their input before any numeric module loads: each
 # malformed file through each command that reads one, a bad flag, and a bad
-# --beta where no function file is read first
+# --beta, also beside a valid function file, which is read after --beta
 NUMPY_FREE_ERRORS = [
     [command, *flags, "--input", f"tests/corpus/{name}"]
     for name in sorted(INVALID_FILES)
     for command, flags in (("check", ["--theorem", "thm1"]), ("membership", ["--class", "star"]),
                            ("radius", ["--theorem", "thm1"]))
 ] + [["check", "--bogus"], ["falsify", "--theorem", "thm1", "--beta", "zz"],
+      ["check", "--theorem", "thm1", "--beta", "zz", "--input", "tests/corpus/halfdisk.json"],
+      ["radius", "--theorem", "thm1", "--beta", "zz", "--input", "tests/corpus/halfdisk.json"],
       ["example", "--id", "ex3", "--alpha", "0.0"], ["example", "--id", "ex1", "--n", "65536"]]
 
 
@@ -202,6 +204,13 @@ class TestExitCodes:
             code = main(argv)
             capsys.readouterr()
             assert code == 3, argv
+
+    @pytest.mark.parametrize("command", ["check", "radius"])
+    def test_bad_beta_is_reported_before_a_bad_file(self, capsys, command):
+        # --beta is parsed before the function file is read
+        code = main([command, "--theorem", "thm1", "--beta", "zz", "--input", str(CORPUS / "missing.json")])
+        assert code == 3
+        assert capsys.readouterr().err == "diskcheck: error: cannot parse beta literal 'zz'\n"
 
     @pytest.mark.parametrize("command", [
         ["check", "--theorem", "thm1", "--alpha", "0.25"],

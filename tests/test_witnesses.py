@@ -3,6 +3,7 @@
 import math
 import pathlib
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -34,9 +35,9 @@ from diskcheck import (
     threshold,
     witness_closed_forms,
 )
-from diskcheck.bounds import _below, _coeff_sums, _sup_rows, _sup_upper
-from diskcheck.checks import _FAILS, _RULES, _STATES, HYPOTHESIS_FUNCTIONAL, _check_rows, _conclusion_bound, \
-    _NO_ROWS, _conclusion_caps, _conclusion_rows
+from diskcheck.bounds import _below, _coeff_sums
+from diskcheck.checks import _RULES, HYPOTHESIS_FUNCTIONAL, _certified_rows, _conclusion_bound, _NO_ROWS, \
+    _conclusion_caps, _conclusion_rows
 from diskcheck.funcspec import function_to_dict, load_function
 from diskcheck.functionals import _polynomial_coeffs
 from diskcheck.series import _tail_coeffs
@@ -248,8 +249,7 @@ class TestFalsify:
     @pytest.mark.parametrize("theorem", [Theorem.THM1, Theorem.THM2])
     def test_long_tails_keep_memory_bounded(self, theorem):
         # a block's coefficient rows count against its 16384 values: a
-        # 4096-term tail gives 3 rows a block, and its m = 16 grids are
-        # scanned 3 rows a chunk, not 1024
+        # 4096-term tail gives 3 rows a block, not 1024
         cfg = FalsifyConfig(trials=128, seed=4, tail_len=4096)
         spec = GridSpec(m=16)
         tracemalloc.start()
@@ -261,8 +261,8 @@ class TestFalsify:
         assert peak < 4 * 2**20
         assert out.holds + out.inconclusive + out.fails == 128
         small = FalsifyConfig(trials=5, seed=4, tail_len=4096)
-        assert falsify(theorem, 1, Params(alpha=0.25), small, spec) == per_trial_falsify(
-            theorem, 1, Params(alpha=0.25), small, spec)
+        assert_bounds_the_loop(falsify(theorem, 1, Params(alpha=0.25), small, spec),
+                               theorem, 1, Params(alpha=0.25), small, spec)
 
     @pytest.mark.parametrize("n", ["x", None, 0, 1.5])
     def test_bad_class_index_names_itself(self, n):
@@ -399,15 +399,26 @@ def per_trial_falsify(theorem, n, params, cfg, spec):
     )
 
 
+def assert_bounds_the_loop(got, theorem, n, params, cfg, spec):
+    """got, a falsify summary, has the counts and counterexamples of
+    per_trial_falsify on spec, and a smallest conclusion margin at most that
+    loop's on spec and on the 16x denser grid, whose values include spec's."""
+    want = per_trial_falsify(theorem, n, params, cfg, spec)
+    assert replace(got, min_conclusion_margin=None) == replace(want, min_conclusion_margin=None)
+    assert (got.min_conclusion_margin is None) == (want.min_conclusion_margin is None)
+    dense = per_trial_falsify(theorem, n, params, cfg, GridSpec(m=16 * spec.m)).min_conclusion_margin
+    for margin in (want.min_conclusion_margin, dense):
+        assert margin is None or got.min_conclusion_margin <= margin
+
+
 def _params(theorem, alpha, beta):
     if theorem in (Theorem.LEM11, Theorem.LEM12, Theorem.LEM3):
         return Params(beta=beta, rho=1.0 - alpha)
     return Params(alpha=alpha, beta=beta)
 
 
-#: (grid, trials): one block of trials, its conclusions scanned 32 rows a
-#: chunk for m = 512, two rows for m = 8192, and in a single partial chunk
-#: for m = 16; no trial count is a multiple of its chunk.
+#: (grid, trials): one block of trials a call, on a coarse grid, on the
+#: default one and on a fine one.
 ORACLE_GRIDS = (
     (GridSpec(m=16, refine_depth=0), 40),
     (GridSpec(m=512, refine_depth=2), 37),
@@ -418,8 +429,8 @@ ORACLE_TAIL_LENS = (0, 1, 6)
 
 def block_points(monkeypatch, points):
     """Set the _BLOCK_POINTS of every module that sizes falsify's arrays:
-    its coefficient blocks (witnesses), and its hypothesis grid and
-    conclusion chunks (bounds._chunks)."""
+    its coefficient blocks (witnesses), and the hypothesis grid chunks of
+    _below (bounds._chunks)."""
     for module in ("witnesses", "bounds"):
         monkeypatch.setattr(f"diskcheck.{module}._BLOCK_POINTS", points)
 
@@ -430,44 +441,49 @@ POINTS_32_ROWS = 32 * 9
 
 class TestFalsifyOracle:
     @pytest.mark.parametrize("theorem", list(Theorem))
-    def test_summary_equals_per_trial_loop(self, theorem):
-        # every theorem meets every grid with every tail length through n
+    def test_summary_matches_per_trial_loop(self, theorem):
+        # every theorem meets every grid with every tail length through n:
+        # the loop's counts and counterexamples, and a margin no larger
         for n in (1, 2, 3):
             for i, (alpha, beta) in enumerate(((0.25, 0j), (0.6, -0.5 + 0.5j))):
                 params = _params(theorem, alpha, beta)
                 for j, (spec, trials) in enumerate(ORACLE_GRIDS):
                     tail_len = ORACLE_TAIL_LENS[(n + i + j) % 3]
                     cfg = FalsifyConfig(trials=trials, seed=17 + n, tail_len=tail_len)
-                    got = falsify(theorem, n, params, cfg, spec)
-                    assert got == per_trial_falsify(theorem, n, params, cfg, spec), (n, alpha, spec, tail_len)
+                    assert_bounds_the_loop(falsify(theorem, n, params, cfg, spec), theorem, n, params, cfg, spec)
 
     @pytest.mark.parametrize("tail_len", [0, 1])
     def test_multiword_seed_and_short_tails(self, tail_len):
-        # a seed of three 32-bit words, and 37 trials scanned 32 rows a chunk
+        # a seed of three 32-bit words
         spec = GridSpec(m=512, refine_depth=2)
         cfg = FalsifyConfig(trials=37, seed=2**70 + 1, tail_len=tail_len)
         for theorem in (Theorem.THM1, Theorem.THM2, Theorem.LEM12):
             params = _params(theorem, 0.25, 0.5j)
-            assert falsify(theorem, 2, params, cfg, spec) == per_trial_falsify(theorem, 2, params, cfg, spec)
+            assert_bounds_the_loop(falsify(theorem, 2, params, cfg, spec), theorem, 2, params, cfg, spec)
 
     @pytest.mark.parametrize("points", [64, 512, None])
     @pytest.mark.parametrize("theorem", list(Theorem))
     def test_summary_does_not_depend_on_block_points(self, theorem, points, monkeypatch):
         # at 64 and 512 points, coefficient blocks of 7 and 56 rows (n = 2,
-        # tail_len 6) and grids of 1 to 32 rows a chunk; at the default, one
-        # block a call
-        if points is not None:
-            block_points(monkeypatch, points)
+        # tail_len 6) give the summary of one block a call, margin included;
+        # that summary matches the per-trial loop
         for alpha, beta in ((0.25, 0j), (0.6, -0.5 + 0.5j)):
             params = _params(theorem, alpha, beta)
             for spec, trials in ORACLE_GRIDS:
                 cfg = FalsifyConfig(trials=trials, seed=29)
-                assert falsify(theorem, 2, params, cfg, spec) == per_trial_falsify(theorem, 2, params, cfg, spec)
+                want = falsify(theorem, 2, params, cfg, spec)
+                if points is None:
+                    assert_bounds_the_loop(want, theorem, 2, params, cfg, spec)
+                    continue
+                with monkeypatch.context() as patch:
+                    block_points(patch, points)
+                    assert falsify(theorem, 2, params, cfg, spec) == want
 
     @pytest.mark.parametrize("theorem", [Theorem.THM2, Theorem.THM1])
     def test_every_trial_past_its_bound_is_rechecked_and_recorded(self, theorem, monkeypatch):
-        # a conclusion bound of 1e-3 turns every trial whose guard holds into
-        # Fails, at the coarse grid and at the 16x dense re-check
+        # a conclusion bound of 1e-3 is below every cap, so every trial goes
+        # through check, and every trial whose guard holds Fails there and at
+        # the 16x dense re-check
         monkeypatch.setattr("diskcheck.checks._conclusion_bound", lambda theorem, params: 1e-3)
         params = Params(alpha=0.25)
         cfg = FalsifyConfig(trials=6, seed=4)
@@ -485,25 +501,26 @@ class TestFalsifyOracle:
             assert math.hypot(*record["witness"]) == pytest.approx(cfg.r_max, rel=1e-12)
 
     def test_uncertified_rows_are_left_to_check(self, monkeypatch):
-        # each block row gets check's own verdict, uncertified ones included
+        # a row is certified only where check holds, with a margin no larger
+        # than check's; the rest are left to check
         params = Params(alpha=0.25)
         spec = GridSpec(m=512, refine_depth=2)
         r_max = 0.999
 
         def verdicts(theorem, tails):
             thr = diskcheck.checks.threshold(theorem, params, 1)
-            states, margins = _check_rows(
-                theorem, _tail_coeffs(1, np.array(tails, dtype=complex)), params, thr, spec, r_max, math.nan)
+            sure, margins = _certified_rows(
+                theorem, _tail_coeffs(1, np.array(tails, dtype=complex)), params, thr, spec, r_max)
             reports = [check(theorem, SeriesA.from_tail(1, t), params, spec, r_max) for t in tails]
-            assert [(_STATES[s], None if m != m else m) for s, m in zip(states, margins.tolist())] == [
-                (rep.verdict.state, rep.verdict.conclusion_margin) for rep in reports]
+            assert sure.tolist() == [True, False]
+            assert reports[0].verdict.state is VerdictState.HOLDS
+            assert margins[0] <= reports[0].verdict.conclusion_margin
             return reports
 
         thr = threshold(Theorem.THM2, params, 1)
         # the turn test of z + c z^2 is 2 c z, whose coefficient sum at r_max is 2 c r_max
         big = 1.01 * thr / (2.0 * r_max)
-        small_report, big_report = verdicts(Theorem.THM2, [[0.05], [big]])
-        assert small_report.verdict.state is VerdictState.HOLDS
+        big_report = verdicts(Theorem.THM2, [[0.05], [big]])[1]
         assert big_report.verdict.state is VerdictState.INCONCLUSIVE
         assert big_report.verdict.hypothesis_margin < 0
 
@@ -520,7 +537,7 @@ class TestFalsifyOracle:
         # a margin and r_max this close to 1 leave the coefficient sums no room
         # below the threshold, so the bracket decides every hypothesis, from
         # grids of at most 16384 values a call: all 5 rows at m = 512, two
-        # rows at a time at m = 8192
+        # rows at a time at m = 8192; the caps still certify every row
         bracketed = []
         real_sup_rows = diskcheck.bounds._sup_rows
 
@@ -529,13 +546,14 @@ class TestFalsifyOracle:
             return real_sup_rows(c, r, spec)
 
         monkeypatch.setattr("diskcheck.bounds._sup_rows", counting_sup_rows)
-        monkeypatch.setattr("diskcheck.witnesses.check", lambda *args: pytest.fail("only a Fails row goes to check"))
+        monkeypatch.setattr("diskcheck.witnesses.check", lambda *args: pytest.fail("a certified row went to check"))
         cfg = FalsifyConfig(trials=5, seed=1, margin=1.0 - 1e-12, r_max=1.0 - 1e-12)
         grids = (spec, GridSpec(m=8192, refine_depth=3))
         got = [falsify(Theorem.THM2, 2, params, cfg, grid) for grid in grids]
         assert bracketed == [5, 2, 2, 1]
         monkeypatch.undo()
-        assert got == [per_trial_falsify(Theorem.THM2, 2, params, cfg, grid) for grid in grids]
+        for summary, grid in zip(got, grids):
+            assert_bounds_the_loop(summary, Theorem.THM2, 2, params, cfg, grid)
 
     @pytest.mark.parametrize("theorem", [Theorem.THM1, Theorem.COR1, Theorem.THM2])
     def test_sum_shortcut_decides_as_the_bracket(self, theorem, rng):
@@ -603,7 +621,8 @@ class TestFalsifySerial:
     @pytest.mark.parametrize("error", [InputError("injected at trial 96"), FloatingPointError("injected")])
     def test_error_comes_after_the_earlier_rechecks(self, error, monkeypatch):
         # 130 trials are blocks of 32; the block of trials 96-127 raises after
-        # every earlier trial was recorded Fails and re-checked, in trial order
+        # every earlier trial was checked, recorded Fails and re-checked, in
+        # trial order
         monkeypatch.setattr("diskcheck.checks._conclusion_bound", lambda theorem, params: 1e-3)
         monkeypatch.setattr("diskcheck.witnesses._BLOCK_POINTS", POINTS_32_ROWS)
         params = Params(alpha=0.25)
@@ -611,18 +630,20 @@ class TestFalsifySerial:
         spec = GridSpec(m=512, refine_depth=2)
         rechecked = []
 
-        def recording_check(theorem, f, *args):
-            rechecked.append(function_to_dict(f))
-            return check(theorem, f, *args)
+        def recording_check(theorem, f, params, grid, r_max):
+            rechecked.append((function_to_dict(f), grid.m))
+            return check(theorem, f, params, grid, r_max)
 
         monkeypatch.setattr("diskcheck.witnesses.check", recording_check)
         monkeypatch.setattr("diskcheck.witnesses._tail_boxes", failing_boxes(96, raising(error)))
         with pytest.raises(type(error)) as info:
             falsify(Theorem.THM2, 2, params, cfg, spec)
         assert info.value is error
+        # every trial's cap is above the bound: it is checked on the grid, and
+        # re-checked on the 16x dense one
         assert rechecked == [
-            function_to_dict(sample_satisfying(Theorem.THM2, 2, params, cfg, trial_rng(cfg.seed, cfg.tail_len, t)))
-            for t in range(96)]
+            (function_to_dict(sample_satisfying(Theorem.THM2, 2, params, cfg, trial_rng(cfg.seed, cfg.tail_len, t))), m)
+            for t in range(96) for m in (512, 8192)]
 
     def test_floating_point_errors_follow_the_callers_errstate(self, monkeypatch):
         # numpy's error state is context-local, and every block is decided in
@@ -634,16 +655,16 @@ class TestFalsifySerial:
         cfg = FalsifyConfig(trials=96, seed=4)
         spec = GridSpec(m=512, refine_depth=2)
         states = []
-        real_check_rows = diskcheck.witnesses._check_rows
+        real_certified_rows = diskcheck.witnesses._certified_rows
 
-        def recording_check_rows(*args):
+        def recording_certified_rows(*args):
             states.append(np.geterr())
-            return real_check_rows(*args)
+            return real_certified_rows(*args)
 
         def overflow():
             np.float64(1e308) * np.float64(10.0)
 
-        monkeypatch.setattr("diskcheck.witnesses._check_rows", recording_check_rows)
+        monkeypatch.setattr("diskcheck.witnesses._certified_rows", recording_certified_rows)
         monkeypatch.setattr("diskcheck.witnesses._tail_boxes", failing_boxes(32, overflow))
         with np.errstate(over="raise", under="warn"):
             caller = np.geterr()
@@ -658,176 +679,77 @@ class TestFalsifySerial:
 
 
 class TestFalsifyPruning:
+    @pytest.mark.parametrize("tail_len", [6, 40])
+    @pytest.mark.parametrize("spec", [None, GridSpec(m=64)], ids=["m512", "m64"])
+    @pytest.mark.parametrize("n", [1, 2, 3])
     @pytest.mark.parametrize("theorem", list(Theorem))
-    def test_summary_equals_the_unpruned_rule(self, theorem, monkeypatch):
-        # every ORACLE_GRIDS grid runs at least three blocks, of four chunks at
-        # m = 16 and 512 and of two at m = 8192, so rows are pruned against the
-        # margins of earlier blocks and of earlier chunks; the last parameter
-        # set puts beta 1e-9 inside its strip, so the threshold, the tails and
-        # the conclusion values are all near 0
-        edge = 2 + _RULES[theorem][1] - 1e-9
-        scanned = []
-        real_rows = diskcheck.checks._conclusion_rows
+    def test_drawn_rows_are_decided_without_a_grid(self, theorem, n, spec, tail_len, monkeypatch):
+        # on falsify's own draws every hypothesis sum leaves room below its
+        # threshold and every cap is below its bound (the vertex test below):
+        # every trial is a certified holds, with no circle grid and no check
+        calls = []
+        real_rows, real_check = diskcheck.bounds._circle_rows, diskcheck.witnesses.check
 
-        def counting_rows(conclusion, a, *args):
-            scanned[-1] += len(a)
-            return real_rows(conclusion, a, *args)
+        def counting_rows(*args):
+            calls.append("grid")
+            return real_rows(*args)
 
-        monkeypatch.setattr("diskcheck.checks._conclusion_rows", counting_rows)
-        monkeypatch.setattr("diskcheck.bounds._BLOCK_POINTS", 4096)
-        got = {}
-        for prune in (True, False):
-            scanned.append(0)
-            with monkeypatch.context() as patch:
-                if not prune:  # infinite caps: every row is scanned whatever its floor
-                    patch.setattr("diskcheck.checks._conclusion_caps",
-                                  lambda conclusion, a, bound, r, sums: np.full(len(a), np.inf))
-                got[prune] = []
-                for alpha, beta in ((0.25, 0j), (0.6, -0.5 + 0.5j), (0.25, edge)):
-                    params = _params(theorem, alpha, beta)
-                    for spec, trials in ORACLE_GRIDS:
-                        for tail_len in (0, 1, 6, 40):
-                            rows = 16384 // max(spec.m, 3 + tail_len)
-                            patch.setattr("diskcheck.witnesses._BLOCK_POINTS", rows * (3 + tail_len))
-                            cfg = FalsifyConfig(trials=2 * rows + trials, seed=23, tail_len=tail_len)
-                            got[prune].append(falsify(theorem, 2, params, cfg, spec))
-        assert got[True] == got[False]
-        assert scanned[0] < scanned[1]
+        def counting_check(*args):
+            calls.append("check")
+            return real_check(*args)
 
-    @pytest.mark.parametrize("theorem", [Theorem.THM1, Theorem.COR1, Theorem.THM3])
-    def test_coarse_caps_scan_at_most_two_chunks(self, theorem, monkeypatch):
-        # calls that scanned many rows on coefficient-sum caps alone (493
-        # for thm1, 310 for cor1, 332 for thm3 at m = 512): the m' = 64 caps
-        # leave at most two 32-row chunks to scan, and the summary is that
-        # of infinite caps, which scan every row
-        params, cfg = Params(alpha=0.25, beta=0.5), FalsifyConfig(trials=1000, seed=1073741829)
-        scanned = []
-        real_rows = diskcheck.checks._conclusion_rows
+        for module in ("bounds", "checks"):
+            monkeypatch.setattr(f"diskcheck.{module}._circle_rows", counting_rows)
+        monkeypatch.setattr("diskcheck.witnesses.check", counting_check)
+        for alpha, beta in ((0.25, 0j), (0.6, -0.5 + 0.5j)):
+            params = _params(theorem, alpha, beta)
+            for seed in (0, 1073741829):
+                got = falsify(theorem, n, params, FalsifyConfig(seed=seed, tail_len=tail_len), spec)
+                assert got.holds == 1000 and got.min_conclusion_margin > 0
+        assert calls == []
 
-        def counting_rows(conclusion, a, *args):
-            scanned[-1] += len(a)
-            return real_rows(conclusion, a, *args)
-
-        monkeypatch.setattr("diskcheck.checks._conclusion_rows", counting_rows)
-        scanned.append(0)
-        got = falsify(theorem, 2, params, cfg)
-        assert got.fails == 0 and scanned[-1] <= 64
-        monkeypatch.setattr("diskcheck.checks._conclusion_caps",
-                            lambda conclusion, a, bound, r, sums: np.full(len(a), np.inf))
-        scanned.append(0)
-        assert falsify(theorem, 2, params, cfg) == got
-        assert scanned[-1] == 1000
-
-    @pytest.mark.parametrize("m, tail_len, coarse", [(512, 6, True), (64, 6, False), (512, 128, False)])
-    def test_coarse_caps_only_below_the_grid(self, m, tail_len, coarse, monkeypatch):
-        # m' = 64 at n = 2 and tail_len 6 is below the default m = 512 but
-        # not below --grid-m 64, and m' = 1024 for 128-term tails is above
-        # 512: there every cap comes from coefficient sums, although both
-        # calls scan past their first chunk (510 and 1000 rows)
-        sums = []
-        real_caps = diskcheck.checks._conclusion_caps
-
-        def recording_caps(conclusion, a, bound, r, how):
-            sums.append(how)
-            return real_caps(conclusion, a, bound, r, how)
-
-        monkeypatch.setattr("diskcheck.checks._conclusion_caps", recording_caps)
-        cfg = FalsifyConfig(trials=1000, seed=1073741829, tail_len=tail_len)
-        falsify(Theorem.THM1, 2, Params(alpha=0.25, beta=0.5), cfg, GridSpec(m=m))
-        assert sums[0] is _coeff_sums
-        assert any(how is not _coeff_sums for how in sums) == coarse
-
+    @pytest.mark.parametrize("patch", ["infinite caps", "bound 1e-3"])
     @pytest.mark.parametrize("theorem", list(Theorem))
-    def test_rows_at_the_bound_fail_under_a_negative_floor(self, theorem, monkeypatch, rng):
-        # with a conclusion bound of 1e-3, drawn rows reach the bound and the
-        # rows scaled down by 1e-6 stay below it; a floor of -1 may prune only
-        # the latter
-        monkeypatch.setattr("diskcheck.checks._conclusion_bound", lambda theorem, params: 1e-3)
-        params = _params(theorem, 0.25, 0j)
-        thr = threshold(theorem, params, 2)
-        spec = GridSpec(m=512, refine_depth=2)
-        a = _sample_rows(theorem, 2, params, 0.9 * thr, rng.uniform(-1.0, 1.0, (16, 6, 2)))
-        a[8:, 3:] *= 1e-6
-        want_states, want_margins = _check_rows(theorem, a, params, thr, spec, 0.999, math.nan)
-        states, margins = _check_rows(theorem, a, params, thr, spec, 0.999, -1.0)
-        failed = want_states == _FAILS
-        assert failed[:8].all()
-        assert states.tolist() == want_states.tolist()
-        assert margins[failed].tolist() == want_margins[failed].tolist()
-        assert (margins <= want_margins).all()
+    def test_rows_the_caps_leave_go_through_check(self, theorem, patch, monkeypatch):
+        # with infinite caps, or a conclusion bound of 1e-3 below every cap,
+        # no row is certified and every trial goes through check on the grid,
+        # in blocks of 16 trials: the summary is the per-trial loop's, margin
+        # included. With infinite caps, the identity (tail_len 0) and a third
+        # parameter set, which puts beta 1e-9 inside its strip so that the
+        # threshold, the tails and the conclusion values are all near 0, join:
+        # their caps can be below 1e-3
+        sets, tail_lens = [(0.25, 0j), (0.6, -0.5 + 0.5j)], (6, 40)
+        if patch == "infinite caps":
+            sets, tail_lens = sets + [(0.25, 2 + _RULES[theorem][1] - 1e-9)], (0, 6, 40)
+            monkeypatch.setattr("diskcheck.checks._conclusion_caps",
+                                lambda conclusion, a, bound, r: np.full(len(a), np.inf))
+        else:
+            monkeypatch.setattr("diskcheck.checks._conclusion_bound", lambda theorem, params: 1e-3)
+        checked = []
+        real_check = diskcheck.witnesses.check
 
-    @pytest.mark.parametrize("seed", [0, 1073741829])
-    @pytest.mark.parametrize("theorem", list(Theorem))
-    def test_chunks_come_in_ascending_cap_margin(self, theorem, seed, monkeypatch):
-        # a default 1000-trial call is one block, scanned 32 rows a chunk in
-        # ascending order of cap margin: coefficient-sum caps in the first
-        # chunk, the smaller of those and the m' = 64 caps after it (seed 0
-        # mostly scans one chunk, 1073741829 several); it scans fewer rows
-        # than blocks of 32 trials, each one chunk pruned only against
-        # earlier blocks
-        params = _params(theorem, 0.25, 0j)
-        bound = _conclusion_bound(theorem, params)
-        conclusion = _RULES[theorem][2]
-        cfg = FalsifyConfig(trials=1000, seed=seed)
-        chunks = []
-        real_rows = diskcheck.checks._conclusion_rows
+        def counting_check(theorem, f, params, grid, r_max):
+            checked[-1] += grid.m == spec.m
+            return real_check(theorem, f, params, grid, r_max)
 
-        def recording_rows(conclusion, a, *args):
-            chunks.append(a)
-            return real_rows(conclusion, a, *args)
-
-        monkeypatch.setattr("diskcheck.checks._conclusion_rows", recording_rows)
-        got = falsify(theorem, 2, params, cfg)
-        caps = [_conclusion_caps(conclusion, a, bound, cfg.r_max, _coeff_sums) for a in chunks]
-        caps[1:] = [np.fmin(cap, _conclusion_caps(conclusion, a, bound, cfg.r_max, coarse_sums(64)))
-                    for cap, a in zip(caps[1:], chunks[1:])]
-        margins = [bound - cap for cap in caps]
-        assert [len(m) for m in margins[:-1]] == [32] * (len(margins) - 1)
-        assert (np.diff(np.concatenate(margins)) >= 0).all()
-        scanned = sum(map(len, margins))
-        chunks.clear()
-        monkeypatch.setattr("diskcheck.witnesses._BLOCK_POINTS", POINTS_32_ROWS)
-        assert falsify(theorem, 2, params, cfg) == got
-        assert scanned < sum(map(len, chunks))
-
-    @pytest.mark.parametrize("floor", [math.nan, 0.0, 1e-4, 1.0])
-    @pytest.mark.parametrize("theorem", list(Theorem))
-    def test_rows_at_the_bound_are_always_scanned(self, theorem, floor, monkeypatch, rng):
-        # as in test_rows_at_the_bound_fail_under_a_negative_floor, drawn rows
-        # reach a bound of 1e-3 and rows scaled down by 1e-6 stay below it
-        # (but for thm3, whose 1/f' center is then 1e-3); at the other floors
-        # and one row a chunk, so that floor falls between chunks, every row
-        # whose cap margin is at most 0 is scanned and comes back Fails, as
-        # the unpruned rule has it
-        monkeypatch.setattr("diskcheck.checks._conclusion_bound", lambda theorem, params: 1e-3)
-        block_points(monkeypatch, 512)
-        params = _params(theorem, 0.25, 0j)
-        thr = threshold(theorem, params, 2)
-        spec = GridSpec(m=512, refine_depth=2)
-        a = _sample_rows(theorem, 2, params, 0.9 * thr, rng.uniform(-1.0, 1.0, (16, 6, 2)))
-        a[1::2, 3:] *= 1e-6
-        at_bound = np.flatnonzero(_conclusion_caps(_RULES[theorem][2], a, 1e-3, 0.999, _coeff_sums) >= 1e-3)
-        want_states, want_margins = _check_rows(theorem, a, params, thr, spec, 0.999, math.nan)
-        scanned = []
-        real_rows = diskcheck.checks._conclusion_rows
-
-        def recording_rows(conclusion, rows, *args):
-            scanned.extend(map(bytes, rows))
-            return real_rows(conclusion, rows, *args)
-
-        monkeypatch.setattr("diskcheck.checks._conclusion_rows", recording_rows)
-        states, margins = _check_rows(theorem, a, params, thr, spec, 0.999, floor)
-        assert set(range(0, 16, 2)) <= set(at_bound.tolist())
-        assert {bytes(a[i]) for i in at_bound} <= set(scanned)
-        assert (states[at_bound] == _FAILS).all() and (want_states[at_bound] == _FAILS).all()
-        assert states.tolist() == want_states.tolist()
-        assert margins[at_bound].tolist() == want_margins[at_bound].tolist()
+        monkeypatch.setattr("diskcheck.witnesses.check", counting_check)
+        for alpha, beta in sets:
+            params = _params(theorem, alpha, beta)
+            for spec, trials in ORACLE_GRIDS:
+                for tail_len in tail_lens:
+                    monkeypatch.setattr("diskcheck.witnesses._BLOCK_POINTS", 16 * (3 + tail_len))
+                    cfg = FalsifyConfig(trials=trials, seed=23, tail_len=tail_len)
+                    checked.append(0)
+                    got = falsify(theorem, 2, params, cfg, spec)
+                    assert checked[-1] == trials
+                    assert got == per_trial_falsify(theorem, 2, params, cfg, spec), (alpha, spec, tail_len)
 
     def test_fails_rows_do_not_lower_the_floor(self, monkeypatch):
-        # trial 0 has a pole halfway between two points of the m = 64 grid:
-        # it fails there, but its 16x dense re-check meets the pole and has no
-        # margin, so its grid margin must not prune the trials after it (one
-        # row a chunk; hypotheses out of the way)
+        # trial 0 has a pole halfway between two points of the m = 64 grid, and
+        # its guard sum leaves its cap infinite: it goes through check, fails
+        # there, but its 16x dense re-check meets the pole and has no margin,
+        # so its grid margin must not be the smallest (hypotheses out of the
+        # way); the trials after it are certified
         spec, r = GridSpec(m=64, refine_depth=0), 0.999
         pole = math.pi + math.pi / spec.m
         tails = [[(1.0 - 5e-13) / r * np.exp(1j * (math.pi - pole)), 0.0], [0.05, 0.02j], [0.08, -0.03], [0.1j, 0.04]]
@@ -835,14 +757,43 @@ class TestFalsifyPruning:
         monkeypatch.setattr("diskcheck.witnesses._sample_rows", lambda theorem, n, params, target, box: rows)
         for module in ("checks", "witnesses"):
             monkeypatch.setattr(f"diskcheck.{module}.threshold", lambda theorem, params, n: 1e9)
-        block_points(monkeypatch, 64)
-        cfg = FalsifyConfig(trials=4, tail_len=2, r_max=r)
-        got = falsify(Theorem.THM1, 1, Params(alpha=0.25), cfg, spec)
-        assert _check_rows(Theorem.THM1, rows, Params(alpha=0.25), 1e9, spec, r, math.nan)[0][0] == _FAILS
+        params = Params(alpha=0.25)
+        got = falsify(Theorem.THM1, 1, params, FalsifyConfig(trials=4, tail_len=2, r_max=r), spec)
+        sure, margins = _certified_rows(Theorem.THM1, rows, params, 1e9, spec, r)
+        assert sure.tolist() == [False, True, True, True]
+        assert check(Theorem.THM1, SeriesA(1, PolySeries(rows[0])), params, spec, r).verdict.state is VerdictState.FAILS
         assert (got.holds, got.inconclusive, got.fails) == (3, 1, 0)
-        monkeypatch.setattr("diskcheck.checks._conclusion_caps",
-                            lambda conclusion, a, bound, r, sums: np.full(len(a), np.inf))
-        assert got == falsify(Theorem.THM1, 1, Params(alpha=0.25), cfg, spec)
+        assert got.min_conclusion_margin == margins[1:].min() > 0
+
+    @pytest.mark.parametrize("theorem", list(Theorem))
+    def test_caps_just_above_the_bound_are_left_to_check(self, theorem, monkeypatch):
+        # monomials z + c z^3 whose conclusion reaches its cap at a grid
+        # point (alpha = 0.6, as in test_caps_bound_the_grid_values), with c
+        # set by bisection so that the cap is the bound times 1 - 1e-3 and
+        # 1 + 1e-3 (hypotheses out of the way): only the first is certified,
+        # and the second fails in check and is reported
+        params, spec, r = _params(theorem, 0.6, 0j), GridSpec(m=512), 0.999
+        bound, conclusion = _conclusion_bound(theorem, params), _RULES[theorem][2]
+
+        def monomial(target):
+            lo, hi = 0.0, 1.0
+            for _ in range(60):
+                mid = 0.5 * (lo + hi)
+                a = SeriesA.from_tail(2, [mid]).body.coeffs[None]
+                lo, hi = (mid, hi) if _conclusion_caps(conclusion, a, bound, r)[0] < target else (lo, mid)
+            return SeriesA.from_tail(2, [lo]).body.coeffs
+
+        rows = np.array([monomial(bound * (1 - 1e-3)), monomial(bound * (1 + 1e-3))])
+        for module in ("checks", "witnesses"):
+            monkeypatch.setattr(f"diskcheck.{module}.threshold", lambda theorem, params, n: 1e9)
+        sure, margins = _certified_rows(theorem, rows, params, 1e9, spec, r)
+        assert sure.tolist() == [True, False]
+        states = [check(theorem, SeriesA(2, PolySeries(row)), params, spec, r).verdict.state for row in rows]
+        assert states == [VerdictState.HOLDS, VerdictState.FAILS]
+        monkeypatch.setattr("diskcheck.witnesses._sample_rows", lambda theorem, n, params, target, box: rows)
+        got = falsify(theorem, 2, params, FalsifyConfig(trials=2, tail_len=1, r_max=r), spec)
+        assert (got.holds, got.inconclusive, got.fails) == (1, 0, 1)
+        assert [c["trial"] for c in got.counterexamples] == [1]
 
     @pytest.mark.parametrize("theorem", list(Theorem))
     def test_caps_bound_the_grid_values(self, theorem, rng):
@@ -877,28 +828,20 @@ class TestFalsifyPruning:
                     thr, bound = threshold(theorem, params, n), _conclusion_bound(theorem, params)
                     a = SeriesA.from_tail(n, [1.0]).body.coeffs[None].copy()
                     a[:, n + 1] = thr / _coeff_sums(_polynomial_coeffs(hyp_fun, a, beta), 1.0)
-                    cap = _conclusion_caps(conclusion, a, bound, 1.0, _coeff_sums)[0]
+                    cap = _conclusion_caps(conclusion, a, bound, 1.0)[0]
                     want = bound
                     if theorem is Theorem.THM3 and alpha < 0.5:
                         want = abs(1 / (1 - alpha**2) - bound) + alpha / (1 - alpha**2)
                     assert cap == pytest.approx(want, rel=2**-19), (n, alpha, beta)
                     drawn = _sample_rows(theorem, n, params, thr, rng.uniform(-1.0, 1.0, (64, 6, 2)))
-                    assert (_conclusion_caps(conclusion, drawn, bound, 1.0, _coeff_sums) <= cap * (1 + 2**-19)).all()
-
-
-def coarse_sums(m):
-    """The certified sup bounds of _check_rows' coarse caps, on the m-point grid."""
-    grid = GridSpec(m=m)
-    return lambda c, r: _sup_upper(c, r, _sup_rows(c, r, grid)[0], grid)
+                    assert (_conclusion_caps(conclusion, drawn, bound, 1.0) <= cap * (1 + 2**-19)).all()
 
 
 def assert_caps_bound_the_grid_values(theorem, alpha, rng):
-    """The caps of drawn rows of seven scales at n = 1 and 2, from
-    coefficient sums and from the sup bounds on coarse grids of m' = 16, 32
-    and 64 points, are at least their grid values at m = 16, 512 and 8192,
-    and each coarse cap is at most its sum cap, to rounding; on every eighth
-    row, a monomial z + c z^(n+1) with c > 0, the sum caps equal its grid
-    maximum to rounding."""
+    """The caps of drawn rows of seven scales at n = 1 and 2 are at least
+    their grid values at m = 16, 512 and 8192; on every eighth row, a
+    monomial z + c z^(n+1) with c > 0, they equal its grid maximum to
+    rounding."""
     params = _params(theorem, alpha, 0j)
     bound = _conclusion_bound(theorem, params)
     conclusion = _RULES[theorem][2]
@@ -907,17 +850,13 @@ def assert_caps_bound_the_grid_values(theorem, alpha, rng):
         a[:, n + 1:] *= np.repeat([1e-12, 1e-6, 1e-3, 0.03, 0.1, 0.3, 1e6], 8)[:, None]
         a[::8, n + 2:] = 0.0
         a[::8, n + 1] = np.abs(a[::8, n + 1])
-        caps = _conclusion_caps(conclusion, a, bound, 0.999, _coeff_sums)
-        coarse = [_conclusion_caps(conclusion, a, bound, 0.999, coarse_sums(m)) for m in (16, 32, 64)]
+        caps = _conclusion_caps(conclusion, a, bound, 0.999)
         assert np.isfinite(caps).sum() >= 24
-        for tighter in coarse:  # a monomial's grid maximum is its sum, and can round a few ulps above it
-            assert (tighter <= caps * (1 + 2**-45)).all(), n
         for m in (16, 512, 8192):
             _, lower, _ = _conclusion_rows(conclusion, a, bound, 0.999, GridSpec(m=m), _NO_ROWS)
             known = ~np.isnan(lower)
             assert known[np.isfinite(caps)].all()
-            for cap in [caps, *coarse]:
-                assert (cap[known] >= lower[known]).all(), (n, m)
+            assert (caps[known] >= lower[known]).all(), (n, m)
             tight = np.isfinite(caps[::8])
             np.testing.assert_allclose(lower[::8][tight], caps[::8][tight], rtol=2**-19, atol=2**-39)
 

@@ -12,9 +12,9 @@ falsify (50 trials, n = 2, the second parameter set) for each theorem at
 at --tail-len 0, 1 and 40, and falsify (1000 trials, n = 2) for each
 theorem and parameter set at the default grid and at --grid-m 64, once at
 the default tail length and once at --tail-len 40. The first are one block
-of trials scanned in 32 and 256 rows a chunk; the second are 3 blocks of
-at most 381 trials, so the floor that falsify carries from block to block when it
-prunes conclusion scans is covered too. A fourth set passes out-of-range
+of trials; the second are 3 blocks of at most 381 trials, so the margins,
+counts and trial numbers that falsify carries from block to block are
+covered too. A fourth set passes out-of-range
 and non-finite arguments (--rmax, --alpha, --beta, --rho, --margin, --n) to
 every command, so that each argument error the CLI can print is covered.
 Each line is the argv, the exit code and the sha256 of stdout + stderr.
