@@ -22,7 +22,7 @@ AMS 288 (1985); for trigonometric polynomials Ehlich & Zeller, Math. Z. 86
 functionals only get the grid lower bound.
 
 GridSpec.m is the first grid. A hypothesis or guard row that it leaves
-undecided, lower < bound <= upper, is refined once (_refine): it goes
+undecided, lower < bound <= upper, is refined once (_brackets): it goes
 straight to the smallest grid m 2^j whose sec factor would decide it, at
 most max(m, 8 (K + 1)) and _MAX_GRID_M, built from twisted copies of the
 row on grids of max(m, fine / 8) points (_sub_grids), less the first grid.
@@ -288,25 +288,32 @@ def _sup_upper(c: np.ndarray, r: float, lower, spec: GridSpec) -> np.ndarray:
     return require_finite(np.maximum(lower, upper), f"the sup on |z| = {r}")
 
 
-def _refine(c: np.ndarray, r: float, lower: float, upper: float, bound: float, m: int):
-    """The bracket lower <= sup <= upper of the polynomial row c (shape
-    (K+1,)) over |z| <= r, which its m-point grid leaves undecided,
-    lower < bound <= upper, after one refinement. The row goes straight to
-    the smallest grid fine = m 2^j whose sec bound would decide its first
-    lower, sec(pi K / (2 fine)) * lower < bound (K its last nonzero index),
-    at most max(m, 8 (K + 1)) and _MAX_GRID_M; past that cap the bracket
-    stays as it is. The new lower is the largest of the first lower and the
-    row's _sub_grids values, every fine-grid value outside the first grid,
-    so it never falls; the new upper is the smaller of the first upper and
-    sec(pi K / (2 fine)) times the new lower. Two floats."""
-    degree = int(np.flatnonzero(c)[-1])
-    fine, cap = 2 * m, min(_MAX_GRID_M, max(m, 8 * (degree + 1)))
-    while fine <= cap and not _sec_bound(lower, degree, fine) < bound:
-        fine *= 2
-    if fine > cap:
-        return lower, upper
-    lower = max(lower, float(np.abs(_sub_grids(c, r, m, fine)).max()))
-    return lower, max(lower, min(upper, float(_sec_bound(lower, degree, fine))))
+def _brackets(c: np.ndarray, r: float, lower, bound, spec: GridSpec):
+    """Brackets lower <= sup <= upper of the polynomial rows p of c (shape
+    (rows, L)) over |z| <= r, from their _sup_rows grid maxima lower, against
+    bound (a float, or one per row): two arrays. Every row gets its
+    _sup_upper bound; a row that this leaves undecided, lower < bound <=
+    upper, is refined once. It goes straight to the smallest grid
+    fine = m 2^j whose sec bound would decide its first lower,
+    sec(pi K / (2 fine)) * lower < bound (K its last nonzero index), at most
+    max(m, 8 (K + 1)) and _MAX_GRID_M; past that cap its bracket stays as it
+    is. The new lower is the largest of the first lower and the row's
+    _sub_grids values, every fine-grid value outside the first grid, so it
+    never falls; the new upper is the smaller of the first upper and
+    sec(pi K / (2 fine)) times the new lower. A bound of inf refines no row."""
+    upper = _sup_upper(c, r, lower, spec)
+    undecided = ((lower < bound) & (bound <= upper)).nonzero()[0]
+    if undecided.size:  # copy and broadcast only here: the common path stays as cheap as _sup_upper
+        lower, bound = np.array(lower, dtype=np.float64), np.broadcast_to(bound, upper.shape)
+    for i in undecided:
+        degree = int(np.flatnonzero(c[i])[-1])
+        fine, cap = 2 * spec.m, min(_MAX_GRID_M, max(spec.m, 8 * (degree + 1)))
+        while fine <= cap and not _sec_bound(lower[i], degree, fine) < bound[i]:
+            fine *= 2
+        if fine <= cap:
+            lower[i] = max(lower[i], np.abs(_sub_grids(c[i], r, spec.m, fine)).max())
+            upper[i] = max(lower[i], min(upper[i], _sec_bound(lower[i], degree, fine)))
+    return lower, upper
 
 
 #: Relative room a coefficient sum must leave below a bound for _below to
@@ -318,17 +325,12 @@ _SUM_SLACK = 2.0**-20
 
 def _below(c: np.ndarray, r: float, bound: float, spec: GridSpec) -> np.ndarray:
     """Whether the certified sup of every polynomial row of c over |z| <= r
-    lies strictly below bound: the decision of the _sup_upper bound, after
-    _refine where the grid leaves it undecided, taken from the coefficient
-    sum alone when that leaves _SUM_SLACK of room, else from grids of at
-    most _BLOCK_POINTS values (or one row) at a time."""
+    lies strictly below bound: the decision of its _brackets upper, taken
+    from the coefficient sum alone when that leaves _SUM_SLACK of room, else
+    from grids of at most _BLOCK_POINTS values (or one row) at a time."""
     ok = _coeff_sums(c, r) < bound * (1.0 - _SUM_SLACK)
     for part in _chunks((~ok).nonzero()[0], max(spec.m, c.shape[-1])):
-        lower = _sup_rows(c[part], r, spec)[0]
-        upper = _sup_upper(c[part], r, lower, spec)
-        for i in ((lower < bound) & (bound <= upper)).nonzero()[0]:
-            upper[i] = _refine(c[part[i]], r, lower[i], upper[i], bound, spec.m)[1]
-        ok[part] = upper < bound
+        ok[part] = _brackets(c[part], r, _sup_rows(c[part], r, spec)[0], bound, spec)[1] < bound
     return ok
 
 
@@ -348,5 +350,5 @@ def poly_sup(p: PolySeries, r: float, spec: GridSpec | None = None) -> SupBracke
     spec = spec if spec is not None else GridSpec()
     r = require_real(r, lambda v: 0.0 < v <= 1.0, "circle radius must lie in (0, 1]", InputError)
     c = p.coeffs[None]
-    lower, _ = _sup_rows(c, r, spec)
-    return SupBracket(float(lower[0]), float(_sup_upper(c, r, lower, spec)[0]), r, BracketKind.CERTIFIED)
+    lower, upper = _brackets(c, r, _sup_rows(c, r, spec)[0], math.inf, spec)
+    return SupBracket(float(lower[0]), float(upper[0]), r, BracketKind.CERTIFIED)

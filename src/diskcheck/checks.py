@@ -35,8 +35,8 @@ import numpy as np
 
 # poly_sup is not called here, but diskcheck.checks.poly_sup stays importable:
 # bench/tracer.py wraps that name and bench/test_bench.py deletes it.
-from .bounds import _MAX_GRID_M, _SUM_SLACK, GridSpec, SupBracket, BracketKind, _below, _circle_argopt, \
-    _circle_point, _circle_rows, _coeff_sums, _refine, _stacked, _sup_rows, _sup_upper, _unit_circle, \
+from .bounds import _MAX_GRID_M, _SUM_SLACK, GridSpec, SupBracket, BracketKind, _below, _brackets, \
+    _circle_argopt, _circle_point, _circle_rows, _coeff_sums, _stacked, _sup_rows, _unit_circle, \
     poly_sup  # noqa: F401
 from .errors import InputError, ParameterError, require_complex, require_int, require_real
 from .functionals import DEFAULT_DENOM_FLOOR, Functional, _polynomial_coeffs, _require_nonsingular
@@ -250,67 +250,43 @@ def _quotient_value(kind: _Quotient, z, den, top):
     return top
 
 
-#: The lead of a scan with no polynomial rows ahead of its conclusion.
-_NO_ROWS = np.zeros((0, 0), dtype=np.complex128)
-
-
 @np.errstate(all="ignore")
-def _quotient_rows(kind: _Quotient, a: np.ndarray, r: float, spec: GridSpec, h, lead: np.ndarray):
-    """Maximum over the m-point grid on |z| = r of |p| for every polynomial
-    row p of lead (check's hypothesis), then of the real objective h(q) for
-    the quotient q of every row a[i] of series coefficients: two arrays over
-    lead's rows and a's, the maxima and their grid points. All grids come
-    from one _circle_rows call on the stacked rows.
-
-    A guarded quotient is scanned only when its guard is certified below 1 by
-    _below; otherwise value and point are nan. When a denominator modulus
-    falls below DEFAULT_DENOM_FLOOR at a grid point, the value is nan and the
-    point is the first such grid point. h takes an ndarray. InputError when
-    a value overflows.
-    """
-    k = len(lead)
-    values = np.full(k + len(a), np.nan)
-    points = np.full(k + len(a), complex(np.nan, np.nan))
-    den, top = _quotient_parts(kind, a)
-    rows = np.arange(len(a))
-    if kind in _GUARD:
-        rows = rows[_below(_polynomial_coeffs(_GUARD[kind], a, 0j), r, 1.0, spec)]
-    z = r * _unit_circle(spec.m)
-    grids = _circle_rows(_stacked(lead, *(p[rows] for p in (den, top) if p is not None)), r, spec.m)
-    den = None if den is None else grids[k : k + len(rows)]
-    top = None if top is None else grids[len(grids) - len(rows) :]
-    vals = h(_quotient_value(kind, z, den, top))
-    ok = np.isfinite(vals).all(axis=-1)
-    if den is not None:  # a singular row reads nan at its singular points, and argmax takes the first
-        bad = np.abs(den) < DEFAULT_DENOM_FLOOR
-        singular = bad.any(axis=-1)
-        ok |= singular
-        vals[singular] = np.where(bad[singular], np.nan, 0.0)
-    if not ok.all():
-        raise InputError(f"float overflow in {kind.value} on |z| = {r}")
-    scanned = np.concatenate([np.arange(k), k + rows])
-    best, j = _circle_argopt(np.concatenate([np.abs(grids[:k]), vals]))
-    values[scanned], points[scanned] = best, z[j]
-    return values, points
-
-
-def _conclusion_rows(conclusion, a: np.ndarray, bound: float, r: float, spec: GridSpec, lead: np.ndarray):
-    """check's scan of the polynomial rows of lead (check's hypothesis, or
-    none) and of the conclusion of every row a[i] of series
-    coefficients, from one _circle_rows call: the polynomial rows that check
-    certifies from above (lead, then a polynomial conclusion's coefficient
-    rows), then two arrays over lead's rows and a's, the grid maxima and
-    their points. A polynomial row gets its _sup_rows value, nan where its
-    grid is not finite. A quotient q, bounded as |q - center| < bound, gets
-    the _quotient_rows value of that modulus, nan for a failed guard or a
-    singular point.
+def _conclusion_scan(conclusion, a: np.ndarray, r: float, spec: GridSpec, h, lead: np.ndarray):
+    """The m-point grid scan on |z| = r of the polynomial rows of lead
+    (check's hypothesis, or none) and of the conclusion of the one function
+    with series coefficient row a (shape (1, L)), from one _circle_rows
+    call: the polynomial rows that check brackets from above (lead, then a
+    polynomial conclusion's row), then two arrays over lead's rows and the
+    conclusion, the grid maxima and their grid points. A polynomial row gets
+    the maximum of its modulus. A quotient q gets the maximum of the real
+    objective h(q) (h takes an ndarray), and only when its guard, if it has
+    one, is certified below 1 by _below; for a failed guard value and point
+    are nan. When a denominator modulus falls below DEFAULT_DENOM_FLOOR at a
+    grid point, the value is nan and the point is the first such grid point.
+    InputError when a quotient value overflows.
     """
     if isinstance(conclusion, Functional):
         polys = _stacked(lead, _polynomial_coeffs(conclusion, a, 0j))
         values, j = _sup_rows(polys, r, spec)
         return polys, values, r * _unit_circle(spec.m)[j]
-    center = bound if conclusion is _Quotient.RECIPROCAL else 1.0
-    return lead, *_quotient_rows(conclusion, a, r, spec, lambda q: abs(q - center), lead)
+    z = r * _unit_circle(spec.m)
+    den, top = _quotient_parts(conclusion, a)
+    guarded = conclusion not in _GUARD or _below(_polynomial_coeffs(_GUARD[conclusion], a, 0j), r, 1.0, spec)[0]
+    grids = _circle_rows(_stacked(lead, *(p for p in (den, top) if p is not None and guarded)), r, spec.m)
+    values, j = _circle_argopt(np.abs(grids[: len(lead)]))
+    value, point = math.nan, complex(math.nan, math.nan)
+    if guarded:
+        den = None if den is None else grids[len(lead)]
+        vals = h(_quotient_value(conclusion, z, den, None if top is None else grids[-1]))
+        bad = den is not None and np.abs(den) < DEFAULT_DENOM_FLOOR
+        if np.any(bad):  # singular: the first grid point below the floor
+            point = z[np.argmax(bad)]
+        elif not np.isfinite(vals).all():
+            raise InputError(f"float overflow in {conclusion.value} on |z| = {r}")
+        else:
+            i = vals.argmax()
+            value, point = vals[i], z[i]
+    return lead, np.append(values, value), np.append(z[j], point)
 
 
 def check(theorem: Theorem, f: SeriesA, params: Params, spec: GridSpec | None = None,
@@ -325,7 +301,7 @@ def check(theorem: Theorem, f: SeriesA, params: Params, spec: GridSpec | None = 
     Fails. Holds additionally demands the certified hypothesis upper bound
     strictly below the threshold. Every row is scanned on the spec.m-point
     grid; a hypothesis (or guard) bracket that grid leaves undecided,
-    lower < threshold <= upper, is refined once by _refine, and the
+    lower < threshold <= upper, is refined once by _brackets, and the
     conclusion stays a spec.m grid value. InputError when a derived
     coefficient or value overflows the float range.
     """
@@ -337,17 +313,17 @@ def check(theorem: Theorem, f: SeriesA, params: Params, spec: GridSpec | None = 
     hyp_fun, _, conclusion = _RULES[theorem]
     a = f.body.coeffs[None]
     hyp_rows = _polynomial_coeffs(hyp_fun, a, complex(params.beta))
-    polys, values, points = _conclusion_rows(conclusion, a, bound, r_max, spec, hyp_rows)
-    # rows: the hypothesis, then the conclusion; the bound rejects a non-finite grid
-    uppers = _sup_upper(polys, r_max, values[: len(polys)], spec).tolist()
-    (hyp_lower, lower), z = values.tolist(), points[1].item()
-    if hyp_lower < thr <= uppers[0]:  # undecided on the first grid
-        hyp_lower, uppers[0] = _refine(polys[0], r_max, hyp_lower, uppers[0], thr, spec.m)
-    hyp = SupBracket(hyp_lower, uppers[0], r_max, BracketKind.CERTIFIED)
+    center = bound if conclusion is _Quotient.RECIPROCAL else 1.0
+    polys, values, points = _conclusion_scan(conclusion, a, r_max, spec, lambda q: abs(q - center), hyp_rows)
+    # rows: the hypothesis, then a polynomial conclusion, which inf never refines;
+    # the bound rejects a non-finite grid
+    lowers, uppers = _brackets(polys, r_max, values[: len(polys)], [thr, math.inf][: len(polys)], spec)
+    hyp = SupBracket(float(lowers[0]), float(uppers[0]), r_max, BracketKind.CERTIFIED)
+    lower, z = values[-1].item(), points[-1].item()
     concl = None
     if lower == lower:  # nan for a failed guard or a singular point
-        kind = BracketKind.CERTIFIED if len(uppers) > 1 else BracketKind.GRID_ONLY
-        concl = SupBracket(lower, (uppers + [math.inf])[1], r_max, kind)
+        kind = BracketKind.CERTIFIED if len(polys) > 1 else BracketKind.GRID_ONLY
+        concl = SupBracket(lower, float(uppers[-1]) if len(polys) > 1 else math.inf, r_max, kind)
     return CheckReport(theorem=theorem, params=params, n=n, r_max=r_max, hyp=hyp, hyp_threshold=thr, concl=concl,
                        concl_bound=bound, verdict=_verdict(hyp.upper < thr, lower, z, bound, thr - hyp.upper))
 
@@ -373,7 +349,7 @@ def _conclusion_caps(conclusion, a: np.ndarray, bound: float, r: float) -> np.nd
     modulus at most g < 1 (1/(1 + u) with |u| <= g lies in the disk of center
     1/(1 - g^2) and radius g/(1 - g^2)); inf where g > 1/2. Every cap gets
     _SUM_SLACK relative and _CAP_ROOM absolute room, so that it also bounds
-    the rounded grid values of _conclusion_rows."""
+    the rounded grid values of _conclusion_scan."""
     if isinstance(conclusion, Functional):
         cap = _coeff_sums(_polynomial_coeffs(conclusion, a, 0j), r)
     else:
@@ -434,7 +410,7 @@ def membership(which: FunctionClass, f: SeriesA, alpha: float, spec: GridSpec | 
     if not isinstance(which, FunctionClass):
         raise InputError(f"unknown function class {which!r}")
     a = f.body.coeffs[None]
-    values, points = _quotient_rows(_Quotient[which.name], a, r_max, spec, lambda q: -q.real, _NO_ROWS)
+    _, values, points = _conclusion_scan(_Quotient[which.name], a, r_max, spec, lambda q: -q.real, a[:0, :0])
     return _verdict(True, values.item(), points.item(), -alpha, None)
 
 

@@ -15,7 +15,7 @@ from diskcheck import (
     poly_sup,
 )
 import diskcheck.bounds
-from diskcheck.bounds import _circle_rows, _coeff_sums, _golden_argmax, _powers, _refine, _stacked, _sub_grids, \
+from diskcheck.bounds import _brackets, _circle_rows, _coeff_sums, _golden_argmax, _powers, _stacked, _sub_grids, \
     _sup_rows, _sup_upper, _unit_circle
 from diskcheck.series import _horner_rows
 
@@ -313,6 +313,13 @@ def _undecided_rows(rng, K, m, rows, r, ratio):
     return c, lower, upper, bound
 
 
+def _one_row_bracket(c, r, lower, bound, m, i):
+    """The _brackets bracket of row i of c alone against its bound, as two
+    floats."""
+    lo, up = _brackets(c[i : i + 1], r, lower[i : i + 1], bound[i], GridSpec(m=m))
+    return float(lo[0]), float(up[0])
+
+
 @pytest.mark.parametrize("K, m", [(200, 256), (63, 64), (100, 64), (40, 16)])
 def test_refined_bracket_encloses_the_dense_grid(rng, K, m):
     # a refined row's lower never falls below its first-grid lower and is a
@@ -323,7 +330,7 @@ def test_refined_bracket_encloses_the_dense_grid(rng, K, m):
     dense_m = 8 * m * 2 ** math.ceil(math.log2(max(m, 8 * (K + 1)) / m))
     dense = np.abs(_horner_rows(c, r * _unit_circle(dense_m))).max(axis=-1)
     for i in range(len(c)):
-        lo, up = _refine(c[i], r, lower[i], upper[i], bound[i], m)
+        lo, up = _one_row_bracket(c, r, lower, bound, m, i)
         assert lower[i] <= lo <= up <= upper[i]
         assert lo <= dense[i] * (1 + 1e-12) and up * (1 + 1e-12) >= dense[i]
 
@@ -343,7 +350,7 @@ def test_refinement_goes_straight_to_the_smallest_deciding_grid(rng, monkeypatch
     c, lower, upper, bound = _undecided_rows(rng, K, m, 4, r, 1.05)
     for i in range(len(c)):
         built.clear()
-        _refine(c[i], r, lower[i], upper[i], bound[i], m)
+        _one_row_bracket(c, r, lower, bound, m, i)
         fine = next(m * 2**j for j in range(1, 20) if lower[i] / math.cos(math.pi * K / (2 * m * 2**j)) < bound[i])
         assert built == [fine]
 
@@ -355,4 +362,4 @@ def test_a_grid_past_the_cap_is_never_built(rng, monkeypatch):
     for K, m in ((200, 256), (10, 4096), (3000, 16)):
         c, lower, upper, bound = _undecided_rows(rng, K, m, 3, 0.999, 1 + 1e-9)
         for i in range(len(c)):
-            assert _refine(c[i], 0.999, lower[i], upper[i], bound[i], m) == (lower[i], upper[i])
+            assert _one_row_bracket(c, 0.999, lower, bound, m, i) == (lower[i], upper[i])

@@ -36,7 +36,7 @@ from diskcheck import (
     threshold,
     witness_closed_forms,
 )
-from diskcheck.bounds import _circle_rows, _sup_rows, _sup_upper
+from diskcheck.bounds import _brackets, _circle_rows, _sup_rows, _sup_upper
 from diskcheck.checks import _RULES, _polish_basins, _verdict
 from diskcheck.functionals import _polynomial_coeffs
 
@@ -378,27 +378,42 @@ def _params(theorem, alpha, beta):
     return Params(alpha=alpha, beta=beta)
 
 
-@pytest.mark.parametrize("K", [64, 512, 2048])
-def test_stacked_brackets_equal_one_row_brackets(rng, K):
+@pytest.mark.parametrize("K, case", [pytest.param(64, "random", id="64"), pytest.param(512, "random", id="512"),
+                                     pytest.param(2048, "random", id="2048"), (2048, "bound_inside"),
+                                     (1, "failed_guard")])
+def test_stacked_brackets_equal_one_row_brackets(rng, monkeypatch, K, case):
     # check scans its hypothesis and conclusion rows in one stacked pass; the
     # hypothesis bracket and a polynomial conclusion's bracket are exactly the
-    # one-row _sup_rows + _sup_upper brackets
+    # one-row _sup_rows + _sup_upper brackets. With bound_inside, each
+    # polynomial conclusion's bound lies inside its first-grid bracket, where
+    # _brackets would refine the row: check never does (its tail decays as
+    # 1/k, so that the sec bound sets each upper and a finer grid would lower
+    # it). The failed_guard tail [1.2] fails every quotient's guard, and the
+    # hypothesis bracket stays the one-row bracket.
     spec, r = GridSpec(m=4096), 0.999
     k = np.arange(3, 3 + K)
-    tail = 0.2 * (rng.uniform(-1, 1, K) + 1j * rng.uniform(-1, 1, K)) / k**3
-    f = SeriesA.from_tail(2, tail)
+    tail = 0.2 * (rng.uniform(-1, 1, K) + 1j * rng.uniform(-1, 1, K)) / k ** (1 if case == "bound_inside" else 3)
+    f = SeriesA.from_tail(2, [1.2] if case == "failed_guard" else tail)
     for theorem in Theorem:
         hyp_fun, _, conclusion = _RULES[theorem]
         params = _params(theorem, 0.25, 0.5 + 0j)
-        rep = check(theorem, f, params, spec, r)
-        rows = [(hyp_fun, params.beta, rep.hyp)]
-        if isinstance(conclusion, Functional):
-            rows.append((conclusion, 0j, rep.concl))
-        for functional, beta, bracket in rows:
+        polynomials = [(hyp_fun, params.beta)] + ([(conclusion, 0j)] if isinstance(conclusion, Functional) else [])
+        brackets = []
+        for functional, beta in polynomials:
             c = _polynomial_coeffs(functional, f.body.coeffs[None], beta)
             lower, _ = _sup_rows(c, r, spec)
+            brackets.append((lower[0], _sup_upper(c, r, lower, spec)[0]))
+        if case == "bound_inside" and len(brackets) > 1:
+            inside = sum(brackets[1]) / 2
+            assert _brackets(c, r, lower, inside, spec)[1][0] < brackets[1][1], theorem
+            monkeypatch.setattr("diskcheck.checks._conclusion_bound", lambda theorem, params: inside)
+        rep = check(theorem, f, params, spec, r)
+        monkeypatch.undo()
+        if case == "failed_guard" and len(brackets) == 1:
+            assert rep.concl is None and rep.verdict.state is VerdictState.INCONCLUSIVE, theorem
+        for bracket, want in zip([rep.hyp, rep.concl], brackets):
             assert bracket.kind is BracketKind.CERTIFIED
-            assert (bracket.lower, bracket.upper) == (lower[0], _sup_upper(c, r, lower, spec)[0])
+            assert (bracket.lower, bracket.upper) == want, theorem
 
 
 def test_one_circle_pass_per_call(rng, monkeypatch):
@@ -484,12 +499,16 @@ def test_refinement_makes_one_more_circle_pass_only_when_it_can_decide(monkeypat
 
 def test_a_sample_at_the_threshold_is_never_refined(monkeypatch):
     # no grid can certify sup < thr when a sample already equals thr, so
-    # neither check nor _below refines it
+    # neither check nor _below refines it: no refinement grid is built. The
+    # identity's zero hypothesis row at a lem11 threshold that underflows to
+    # 0 is such a sample too, and has no degree to refine by
     params, spec = Params(alpha=0.25, beta=0.5), GridSpec(m=4096)
     f, lower, upper = _scaled_tail(Theorem.THM2, params, 2, 2048, 1.0)
     assert lower < upper
-    monkeypatch.setattr("diskcheck.checks._refine", lambda *args: pytest.fail("refined a sample at the threshold"))
-    monkeypatch.setattr("diskcheck.bounds._refine", lambda *args: pytest.fail("refined a sample at the threshold"))
+    monkeypatch.setattr("diskcheck.bounds._sub_grids", lambda *args: pytest.fail("refined a sample at the threshold"))
+    zero = check(Theorem.LEM11, SeriesA.from_tail(1, []), Params(beta=1.5, rho=5e-324), spec)
+    assert (zero.hyp_threshold, zero.hyp.lower, zero.hyp.upper) == (0.0, 0.0, 0.0)
+    assert zero.verdict.state is VerdictState.INCONCLUSIVE
     monkeypatch.setattr("diskcheck.checks.threshold", lambda theorem, params, n: lower)
     rep = check(Theorem.THM2, f, params, spec)
     assert (rep.hyp.lower, rep.hyp.upper, rep.verdict.state) == (lower, upper, VerdictState.INCONCLUSIVE)
@@ -501,7 +520,7 @@ def test_a_sample_at_the_threshold_is_never_refined(monkeypatch):
 def test_reports_decided_on_the_first_grid_never_refine(monkeypatch, K):
     # a hypothesis sampled at half the threshold is decided by the first
     # grid for every theorem, so its report is the unrefined one, bitwise
-    monkeypatch.setattr("diskcheck.checks._refine", lambda *args: pytest.fail("refined a decided row"))
+    monkeypatch.setattr("diskcheck.bounds._sub_grids", lambda *args: pytest.fail("refined a decided row"))
     for theorem in Theorem:
         params = _params(theorem, 0.25, 0.5 + 0j)
         f, lower, upper = _scaled_tail(theorem, params, 2, K, 0.5)
