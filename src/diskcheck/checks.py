@@ -14,12 +14,15 @@ threshold, and conclusion:
 
 with a = alpha, b = beta, and n the class index of f. thm1 certifies
 starlikeness of order alpha, cor1 convexity, thm2/thm3 bounded turning.
+Every conclusion |q - c| < bound, and every class test Re q > alpha (with
+c = 0), is scanned as q - c = N/D from two coefficient rows, D = 1 for a
+polynomial q; a quotient needs the guard sup |D - 1| < 1, so D has no zero.
 
 A check verdict is three-valued. Holds needs the hypothesis certified-upper
 strictly below the threshold and the conclusion grid value below its bound;
 Fails needs a concrete sample violating the conclusion while the hypothesis
 is certified; everything else (hypothesis not certifiable, guard failure,
-singular denominator) is Inconclusive. Sharp witnesses therefore drift to
+singular D) is Inconclusive. Sharp witnesses therefore drift to
 Inconclusive as the hypothesis margin collapses, because a strict inequality
 is never certified from an equality.
 """
@@ -36,8 +39,7 @@ import numpy as np
 # poly_sup is not called here, but diskcheck.checks.poly_sup stays importable:
 # bench/tracer.py wraps that name and bench/test_bench.py deletes it.
 from .bounds import _MAX_GRID_M, _SUM_SLACK, GridSpec, SupBracket, BracketKind, _below, _brackets, \
-    _circle_argopt, _circle_point, _circle_rows, _coeff_sums, _stacked, _sup_rows, _unit_circle, \
-    poly_sup  # noqa: F401
+    _circle_argopt, _circle_point, _circle_rows, _coeff_sums, _stacked, _unit_circle, poly_sup  # noqa: F401
 from .errors import InputError, ParameterError, require_complex, require_int, require_real
 from .functionals import DEFAULT_DENOM_FLOOR, Functional, _polynomial_coeffs, _require_nonsingular
 from .series import PolySeries, SeriesA, _derivative_coeffs, require_finite
@@ -73,20 +75,19 @@ _RHO_THEOREMS = frozenset({Theorem.LEM11, Theorem.LEM12, Theorem.LEM3})
 
 
 class _Quotient(Enum):
-    """Quotients of f and its derivatives, each evaluated behind the guard that
-    keeps its denominator off zero. A member named after a FunctionClass is
-    the quantity whose real part defines that class."""
+    """Quotients of f and its derivatives; a member named after a
+    FunctionClass is the quantity whose real part defines that class."""
 
-    STARLIKE = "z f'/f"           # guard sup |f/z - 1| < 1
-    CONVEX = "1 + z f''/f'"       # guard sup |f' - 1| < 1
-    BOUNDED_TURNING = "f'"        # a polynomial: no guard
-    RECIPROCAL = "1/f'"           # guard sup |f' - 1| < 1
+    STARLIKE = "z f'/f"
+    CONVEX = "1 + z f''/f'"
+    BOUNDED_TURNING = "f'"
+    RECIPROCAL = "1/f'"
 
 
 #: Per result: hypothesis functional, beta-strip shift s (the hypothesis needs
-#: Re(beta) < n + s and its threshold carries |n + s - beta|), and conclusion,
-#: either a polynomial functional bounded in modulus or a quotient q bounded
-#: as |q - 1| (|q - 1/(2 alpha)| for the reciprocal).
+#: Re(beta) < n + s and its threshold carries |n + s - beta|), and conclusion
+#: quantity q, a polynomial functional or a quotient, bounded as |q - c| with
+#: c = _center(q, bound).
 _RULES = {
     Theorem.LEM11: (Functional.STAR_TEST, 1, Functional.DERIV_DEFECT),
     Theorem.LEM12: (Functional.STAR_TEST, 1, Functional.RATIO_DEFECT),
@@ -135,13 +136,15 @@ def threshold(theorem: Theorem, params: Params, n: int) -> float:
     elif theorem is Theorem.THM3:
         if not (0.0 < alpha < 1.0):
             raise ParameterError(f"thm3 needs 0 < alpha < 1, got {alpha}")
+        if not math.isfinite(1.0 / (2.0 * alpha)):
+            raise ParameterError(f"thm3 needs 1/(2 alpha) within the float range, got alpha = {alpha}")
     elif not (0.0 <= alpha < 1.0):
         raise ParameterError(f"{theorem.value} needs 0 <= alpha < 1, got {alpha}")
     try:
         strip = abs(n + shift - beta)
     except OverflowError:  # |beta| beyond the float range
         strip = math.inf
-    if theorem is Theorem.LEM11:
+    if theorem in (Theorem.LEM11, Theorem.LEM3):
         value = float(params.rho) * strip
     elif theorem is Theorem.LEM12:
         value = float(params.rho) * n * strip
@@ -149,12 +152,13 @@ def threshold(theorem: Theorem, params: Params, n: int) -> float:
         value = (1.0 - alpha) * n * strip / (n + 1 - alpha)
     elif theorem is Theorem.THM2:
         value = (1.0 - alpha) * strip
-    elif theorem is Theorem.LEM3:
-        value = float(params.rho) * strip
     else:
         value = (alpha if alpha <= 0.5 else 1.0 - alpha) * strip
     if not math.isfinite(value):
         raise ParameterError(f"{theorem.value} threshold overflows the float range")
+    if value == 0.0:  # only a subnormal rho, or a subnormal thm3 alpha, underflows it
+        name, small = ("rho", float(params.rho)) if theorem in _RHO_THEOREMS else ("alpha", alpha)
+        raise ParameterError(f"{theorem.value} threshold underflows to 0 at {name} = {small}")
     return value
 
 
@@ -164,6 +168,11 @@ def _conclusion_bound(theorem: Theorem, params: Params) -> float:
     if theorem is Theorem.THM3:
         return 1.0 / (2.0 * float(params.alpha))
     return 1.0 - float(params.alpha)
+
+
+def _center(conclusion, bound: float) -> float:
+    """c of check's conclusion |q - c| < bound: 0 for a polynomial q, bound for 1/f', else 1."""
+    return 0.0 if isinstance(conclusion, Functional) else bound if conclusion is _Quotient.RECIPROCAL else 1.0
 
 
 class VerdictState(Enum):
@@ -217,93 +226,81 @@ def _verdict(hyp_ok: bool, lower: float, z: complex, bound: float, hypothesis_ma
     return Verdict(state, hypothesis_margin, bound - lower if known else None, witness)
 
 
-#: Guard polynomial g of each guarded quotient: its nonvanishing needs sup |g| < 1.
-_GUARD = {
-    _Quotient.STARLIKE: Functional.RATIO_DEFECT,
-    _Quotient.CONVEX: Functional.DERIV_MINUS_ONE,
-    _Quotient.RECIPROCAL: Functional.DERIV_MINUS_ONE,
-}
+#: The row D = 1 of a polynomial conclusion quantity, read-only as a broadcast view.
+_ONE = np.broadcast_to(np.complex128(1.0), (1, 1))
 
 
-def _quotient_parts(kind: _Quotient, a: np.ndarray):
-    """Denominator and numerator coefficients of a quotient for every row
-    a[..., :] of series coefficients (no denominator for f', no numerator for
-    1/f'). InputError when one overflows; call under np.errstate."""
-    d1 = require_finite(_derivative_coeffs(a), f"the coefficients of {kind.value}")
-    if kind is _Quotient.STARLIKE:
-        return a[..., 1:], d1
-    if kind is _Quotient.CONVEX:
-        return d1, require_finite(_derivative_coeffs(d1), f"the coefficients of {kind.value}")
-    if kind is _Quotient.RECIPROCAL:
-        return d1, None
-    return None, d1
+def _ratio_rows(conclusion, a: np.ndarray, c: float):
+    """Coefficient rows N and D (one row, or one per row of a) with
+    q - c = N/D, for the conclusion quantity q = P/D of every function with
+    series coefficient row a[i]. N = P - c D is formed coefficientwise, so
+    nothing cancels on the circle. D = 1 is the row _ONE itself; every other
+    D has D(0) = a_1 = 1. InputError when a coefficient overflows; call
+    under np.errstate.
 
-
-def _quotient_value(kind: _Quotient, z, den, top):
-    """The quotient from its denominator and numerator values at z."""
-    if kind is _Quotient.STARLIKE:
-        return top / den
-    if kind is _Quotient.CONVEX:
-        return 1.0 + z * top / den
-    if kind is _Quotient.RECIPROCAL:
-        return 1.0 / den
-    return top
+        q    polynomial p   z f'/f   1 + z f''/f'   f'   1/f'
+        P    p              f'       f' + z f''     f'   1
+        D    1              f/z      f'             1    f'
+    """
+    if isinstance(conclusion, Functional):  # N = p - c, p already checked
+        num = _polynomial_coeffs(conclusion, a, 0j)
+        num[:, 0] -= c
+        return num, _ONE
+    d1 = _derivative_coeffs(a)  # an overflow in it reaches N
+    top, den = {  # built on demand: only the one needed
+        _Quotient.STARLIKE: lambda: (d1, a[:, 1:]),
+        _Quotient.CONVEX: lambda: (d1 * np.arange(1, d1.shape[-1] + 1), d1),  # (1 + k) f'_k, as z f'' = k f'_k
+        _Quotient.BOUNDED_TURNING: lambda: (d1, _ONE),
+        _Quotient.RECIPROCAL: lambda: (np.eye(1, d1.shape[-1]), d1),
+    }[conclusion]()
+    num = top - c * (np.eye(1, top.shape[-1]) if den is _ONE else den)  # D = 1 padded to the length of P
+    return require_finite(num, f"the coefficients of {conclusion.value}"), den
 
 
 @np.errstate(all="ignore")
-def _conclusion_scan(conclusion, a: np.ndarray, r: float, spec: GridSpec, h, lead: np.ndarray):
-    """The m-point grid scan on |z| = r of the polynomial rows of lead
-    (check's hypothesis, or none) and of the conclusion of the one function
-    with series coefficient row a (shape (1, L)), from one _circle_rows
-    call: the polynomial rows that check brackets from above (lead, then a
-    polynomial conclusion's row), then two arrays over lead's rows and the
-    conclusion, the grid maxima and their grid points. A polynomial row gets
-    the maximum of its modulus. A quotient q gets the maximum of the real
-    objective h(q) (h takes an ndarray), and only when its guard, if it has
-    one, is certified below 1 by _below; for a failed guard value and point
-    are nan. When a denominator modulus falls below DEFAULT_DENOM_FLOOR at a
-    grid point, the value is nan and the point is the first such grid point.
-    InputError when a quotient value overflows.
-    """
-    if isinstance(conclusion, Functional):
-        polys = _stacked(lead, _polynomial_coeffs(conclusion, a, 0j))
-        values, j = _sup_rows(polys, r, spec)
-        return polys, values, r * _unit_circle(spec.m)[j]
-    z = r * _unit_circle(spec.m)
-    den, top = _quotient_parts(conclusion, a)
-    guarded = conclusion not in _GUARD or _below(_polynomial_coeffs(_GUARD[conclusion], a, 0j), r, 1.0, spec)[0]
-    grids = _circle_rows(_stacked(lead, *(p for p in (den, top) if p is not None and guarded)), r, spec.m)
+def _conclusion_scan(conclusion, a: np.ndarray, r: float, spec: GridSpec, h, lead: np.ndarray, c: float):
+    """The m-point grid scan on |z| = r, by one _circle_rows call, of the
+    polynomial rows lead (check's hypothesis, or none) and of h(N/D), N and
+    D the _ratio_rows of q - c for the one function with coefficient row a
+    (shape (1, L)), h a real objective of an ndarray. Returns the rows that
+    check brackets (lead, then N when D = 1) and two arrays over lead and
+    the conclusion: the grid maxima of |lead| and h(N/D), and their points.
+    A D other than 1 needs the guard sup |D - 1| < 1 certified by _below,
+    else value and point are nan; where |D| < DEFAULT_DENOM_FLOOR the value
+    is nan at the first such point. InputError when a value overflows."""
+    unit = _unit_circle(spec.m)
+    num, den = _ratio_rows(conclusion, a, c)
+    poly = den is _ONE  # N is a polynomial row, bracketed with lead
+    guarded = poly or _below(den - np.eye(1, den.shape[-1]), r, 1.0, spec)[0]
+    stack = _stacked(lead, *((num,) if poly else (num, den) if guarded else ()))
+    grids = _circle_rows(stack, r, spec.m)
     values, j = _circle_argopt(np.abs(grids[: len(lead)]))
     value, point = math.nan, complex(math.nan, math.nan)
     if guarded:
-        den = None if den is None else grids[len(lead)]
-        vals = h(_quotient_value(conclusion, z, den, None if top is None else grids[-1]))
-        bad = den is not None and np.abs(den) < DEFAULT_DENOM_FLOOR
-        if np.any(bad):  # singular: the first grid point below the floor
-            point = z[np.argmax(bad)]
+        vals = h(grids[len(lead)] if poly else grids[len(lead)] / grids[-1])
+        bad = () if poly else (np.abs(grids[-1]) < DEFAULT_DENOM_FLOOR).nonzero()[0]
+        if len(bad):  # singular: the first grid point below the floor
+            point = r * unit[bad[0]]
         elif not np.isfinite(vals).all():
             raise InputError(f"float overflow in {conclusion.value} on |z| = {r}")
         else:
             i = vals.argmax()
-            value, point = vals[i], z[i]
-    return lead, np.append(values, value), np.append(z[j], point)
+            value, point = vals[i], r * unit[i]
+    return stack[: len(lead) + poly], np.append(values, value), np.append(r * unit[j], point)
 
 
 def check(theorem: Theorem, f: SeriesA, params: Params, spec: GridSpec | None = None,
           r_max: float = 0.999) -> CheckReport:
     """Verify one sufficient-condition instance on the disk |z| <= r_max.
 
-    The hypothesis sup gets a certified bracket; the conclusion gets a
-    certified bracket when polynomial and a grid-only one when rational.
-    Rational conclusions run behind a nonvanishing guard (certified
-    sup |f/z - 1| < 1 for the starlike quotient, certified sup |f' - 1| < 1
-    for the quotients over f'); a failed guard yields Inconclusive, never
-    Fails. Holds additionally demands the certified hypothesis upper bound
-    strictly below the threshold. Every row is scanned on the spec.m-point
-    grid; a hypothesis (or guard) bracket that grid leaves undecided,
-    lower < threshold <= upper, is refined once by _brackets, and the
-    conclusion stays a spec.m grid value. InputError when a derived
-    coefficient or value overflows the float range.
+    The hypothesis sup gets a certified bracket. The conclusion
+    |q - c| < bound is scanned as |N/D| (_conclusion_scan): certified when
+    D = 1, else grid-only and behind the guard sup |D - 1| < 1, whose
+    failure yields Inconclusive, never Fails. Holds also demands the
+    certified hypothesis upper bound strictly below the threshold. Every row
+    is scanned on the spec.m-point grid; a hypothesis (or guard) bracket
+    that grid leaves undecided, lower < threshold <= upper, is refined once
+    by _brackets. InputError when a derived coefficient or value overflows.
     """
     spec = spec if spec is not None else GridSpec()
     r_max = require_real(r_max, lambda r: 0.0 < r < 1.0, "r_max must lie in (0, 1)", InputError)
@@ -313,8 +310,7 @@ def check(theorem: Theorem, f: SeriesA, params: Params, spec: GridSpec | None = 
     hyp_fun, _, conclusion = _RULES[theorem]
     a = f.body.coeffs[None]
     hyp_rows = _polynomial_coeffs(hyp_fun, a, complex(params.beta))
-    center = bound if conclusion is _Quotient.RECIPROCAL else 1.0
-    polys, values, points = _conclusion_scan(conclusion, a, r_max, spec, lambda q: abs(q - center), hyp_rows)
+    polys, values, points = _conclusion_scan(conclusion, a, r_max, spec, abs, hyp_rows, _center(conclusion, bound))
     # rows: the hypothesis, then a polynomial conclusion, which inf never refines;
     # the bound rejects a non-finite grid
     lowers, uppers = _brackets(polys, r_max, values[: len(polys)], [thr, math.inf][: len(polys)], spec)
@@ -329,39 +325,28 @@ def check(theorem: Theorem, f: SeriesA, params: Params, spec: GridSpec | None = 
 
 
 #: Absolute room _conclusion_caps adds to each cap beside its _SUM_SLACK
-#: relative room: a quotient near 1 rounds by about eps in absolute terms,
-#: which is more than 2^-20 of a tiny conclusion value.
+#: relative room, for a grid value whose rounding is more than 2^-20 of a
+#: tiny cap.
 _CAP_ROOM = 2.0**-40
 
 
 @np.errstate(all="ignore")
 def _conclusion_caps(conclusion, a: np.ndarray, bound: float, r: float) -> np.ndarray:
-    """Certified upper bounds on the conclusion value of every row a[i] of
-    series coefficients over |z| <= r, from the coefficient sums
-    S(p) = _coeff_sums(p, r), which bound sup |p| over |z| <= r:
-
-        polynomial p   S(p)
-        z f'/f         S(f' - f/z) / (1 - g),   g = S(f/z - 1)
-        1 + z f''/f'   r S(f'') / (1 - g),      g = S(f' - 1)
-        1/f'           |1/(1 - g^2) - c| + g/(1 - g^2),   g = S(f' - 1), c = bound
-
-    each bounding |q - 1| (|q - c| for 1/f'), as the guard polynomial has
-    modulus at most g < 1 (1/(1 + u) with |u| <= g lies in the disk of center
-    1/(1 - g^2) and radius g/(1 - g^2)); inf where g > 1/2. Every cap gets
-    _SUM_SLACK relative and _CAP_ROOM absolute room, so that it also bounds
-    the rounded grid values of _conclusion_scan."""
-    if isinstance(conclusion, Functional):
-        cap = _coeff_sums(_polynomial_coeffs(conclusion, a, 0j), r)
-    else:
-        g = _coeff_sums(_polynomial_coeffs(_GUARD[conclusion], a, 0j), r)
-        if conclusion is _Quotient.STARLIKE:
-            cap = _coeff_sums(_polynomial_coeffs(Functional.DERIV_DEFECT, a, 0j), r) / (1.0 - g)
-        elif conclusion is _Quotient.CONVEX:
-            cap = r * _coeff_sums(_derivative_coeffs(_derivative_coeffs(a)), r) / (1.0 - g)
-        else:
-            cap = np.abs(1.0 / (1.0 - g * g) - bound) + g / (1.0 - g * g)
-        cap = np.where(g <= 0.5, cap, np.inf)
-    return cap * (1.0 + _SUM_SLACK) + _CAP_ROOM
+    """Certified upper bounds on check's conclusion value |q - c| = |N/D|
+    (_ratio_rows, c = _center) of every row a[i] of series coefficients over
+    |z| <= r, from the coefficient sums S(p) = _coeff_sums(p, r) >= sup |p|
+    and g = S(D - 1): S(N)/(1 - g), as |D| >= 1 - g, and for 1/f'
+    |1/(1 - g^2) - c| + g/(1 - g^2), as 1/D lies in the disk of that center
+    and radius; inf where g > 1/2. Every cap gets _SUM_SLACK relative and
+    _CAP_ROOM absolute room, so that it also bounds the rounded grid values
+    of _conclusion_scan."""
+    num, den = _ratio_rows(conclusion, a, _center(conclusion, bound))
+    if den is _ONE:  # g = 0
+        return _coeff_sums(num, r) * (1.0 + _SUM_SLACK) + _CAP_ROOM
+    g = _coeff_sums(den - np.eye(1, den.shape[-1]), r)
+    cap = (np.abs(1.0 / (1.0 - g * g) - bound) + g / (1.0 - g * g) if conclusion is _Quotient.RECIPROCAL
+           else _coeff_sums(num, r) / (1.0 - g))
+    return np.where(g <= 0.5, cap, np.inf) * (1.0 + _SUM_SLACK) + _CAP_ROOM
 
 
 def _certified_rows(theorem: Theorem, a: np.ndarray, params: Params, thr: float, spec: GridSpec, r_max: float):
@@ -370,10 +355,9 @@ def _certified_rows(theorem: Theorem, a: np.ndarray, params: Params, thr: float,
     against the hypothesis threshold thr (threshold's value for the rows'
     class index, which validates the parameters). A row is sure when _below
     certifies its hypothesis, as check's bracket decides it, and its
-    _conclusion_caps cap is below the bound: the cap bounds every grid value
-    of the conclusion, and a finite quotient cap puts the guard sum at most
-    1/2, so that the guard holds and no denominator nears zero. A sure row's
-    margin is then at most check's on any grid."""
+    _conclusion_caps cap, which bounds every grid value of the conclusion
+    and is finite only where the guard sum g <= 1/2, is below the bound.
+    A sure row's margin is then at most check's on any grid."""
     bound = _conclusion_bound(theorem, params)
     hyp_fun, _, conclusion = _RULES[theorem]
     caps = _conclusion_caps(conclusion, a, bound, r_max)
@@ -391,12 +375,12 @@ def membership(which: FunctionClass, f: SeriesA, alpha: float, spec: GridSpec | 
                r_max: float = 0.999) -> Verdict:
     """Grid verdict on class membership of order alpha on the disk |z| <= r_max.
 
-    Quotient classes run behind the same nonvanishing guards as check(); a
-    failed guard or a singular denominator yields Inconclusive (the latter
-    with the singular point as witness). Behind the guard the quotient is
-    analytic on the closed disk, so its real part is harmonic there and takes
-    its minimum on the circle |z| = r_max (minimum principle): only that
-    circle is scanned. This is a grid verdict, not a certificate:
+    The class quantity q is scanned as N/D (_ratio_rows with c = 0) behind
+    check's guard sup |D - 1| < 1; a failed guard or a singular D yields
+    Inconclusive (the latter with the singular point as witness). Behind the
+    guard q is analytic on the closed disk, so its real part is harmonic
+    there and takes its minimum on the circle |z| = r_max (minimum
+    principle): only that circle is scanned. This is a grid verdict, not a certificate:
     hypothesis_margin stays None. It is check's verdict rule on the one
     conclusion row max(-Re q) < -alpha, which holds exactly when
     min Re q > alpha; its margin -alpha - max(-Re q) is min Re q - alpha.
@@ -410,7 +394,7 @@ def membership(which: FunctionClass, f: SeriesA, alpha: float, spec: GridSpec | 
     if not isinstance(which, FunctionClass):
         raise InputError(f"unknown function class {which!r}")
     a = f.body.coeffs[None]
-    _, values, points = _conclusion_scan(_Quotient[which.name], a, r_max, spec, lambda q: -q.real, a[:0, :0])
+    _, values, points = _conclusion_scan(_Quotient[which.name], a, r_max, spec, lambda q: -q.real, a[:0, :0], 0.0)
     return _verdict(True, values.item(), points.item(), -alpha, None)
 
 

@@ -3,6 +3,7 @@
 import cmath
 import math
 import pathlib
+import re
 import warnings
 
 import numpy as np
@@ -161,6 +162,25 @@ class TestValidateParams:
                 threshold(thm, Params(rho=-1.0), 1)
             threshold(thm, Params(rho=0.5), 1)
         threshold(Theorem.THM1, Params(), 1)  # rho ignored elsewhere
+
+    @pytest.mark.parametrize("theorem, params, message", [
+        (Theorem.LEM11, Params(beta=1.5, rho=5e-324), "lem11 threshold underflows to 0 at rho = 5e-324"),
+        (Theorem.LEM3, Params(beta=0.5, rho=5e-324), "lem3 threshold underflows to 0 at rho = 5e-324"),
+        (Theorem.THM3, Params(alpha=3e-309, beta=1 - 2**-52), "thm3 threshold underflows to 0 at alpha = 3e-309"),
+        (Theorem.THM3, Params(alpha=5e-324), "thm3 needs 1/(2 alpha) within the float range, got alpha = 5e-324"),
+        (Theorem.THM3, Params(alpha=1e-309), "thm3 needs 1/(2 alpha) within the float range, got alpha = 1e-309"),
+    ])
+    def test_both_ends_of_the_float_range_are_rejected(self, theorem, params, message):
+        # a threshold that underflows to 0 or a thm3 conclusion bound 1/(2 alpha)
+        # that overflows names its parameter, and check raises before any scan
+        with pytest.raises(ParameterError, match=f"^{re.escape(message)}$"):
+            threshold(theorem, params, 1)
+        with pytest.raises(ParameterError, match=f"^{re.escape(message)}$"):
+            check(theorem, SeriesA.from_tail(1, []), params, SPEC)
+
+    def test_a_subnormal_threshold_is_accepted(self):
+        assert threshold(Theorem.LEM11, Params(beta=1.0, rho=5e-324), 1) == 5e-324
+        assert threshold(Theorem.THM3, Params(alpha=3e-309), 1) == 3e-309
 
 
 def test_non_enum_arguments_raise_input_error():
@@ -363,13 +383,30 @@ def test_conclusion_lower_is_the_grid_maximum(rng):
         assert top == pytest.approx(circle_argmax(p.eval, r, grid)[0], rel=1e-12)
         assert top <= circle_argmax(p.eval, r, spec)[0]
 
+        # z f'/f - 1 as (f' - f/z) / (f/z), the numerator formed coefficientwise
         quotient = lambda z: eval_functional(Functional.STAR_QUOTIENT, f, 0j, z)  # noqa: E731
-        values = _circle_rows(f.derivative().coeffs[None], r, spec.m) / _circle_rows(a[:, 1:], r, spec.m)
-        top = np.abs(values - 1.0).max()
+        values = _circle_rows((f.derivative().coeffs - a[0, 1:])[None], r, spec.m) / _circle_rows(a[:, 1:], r, spec.m)
+        top = np.abs(values).max()
         thm1 = check(Theorem.THM1, f, Params(alpha=0.25), spec)
         assert thm1.concl.lower == top
         assert top == pytest.approx(circle_argmax(quotient, r, grid)[0], rel=1e-12)
         assert top < circle_argmax(quotient, r, spec)[0]
+
+
+@pytest.mark.parametrize("theorem, alpha, closed_form", [
+    (Theorem.THM1, 0.0, lambda t: t / (1 - t)),
+    (Theorem.COR1, 0.0, lambda t: 2 * t / (1 - 2 * t)),
+    (Theorem.THM3, 0.5, lambda t: 2 * t / (1 - 2 * t)),
+])
+def test_a_conclusion_near_its_center_keeps_every_digit(theorem, alpha, closed_form):
+    # f = z + a z^2 with a = 1e-9: q is within 1e-8 of its center c, so q - c
+    # formed from grid values of q would lose 8 digits; N/D with N formed
+    # coefficientwise keeps them. |q - c| is largest at z = -r, a grid point,
+    # where it is a r / (1 - a r) for z f'/f - 1 and 2 a r / (1 - 2 a r) for
+    # z f''/f' and 1/f' - 1
+    a, r = 1e-9, 0.999
+    rep = check(theorem, SeriesA.from_tail(1, [a]), Params(alpha=alpha), SPEC, r)
+    assert rep.concl.lower == pytest.approx(closed_form(a * r), rel=1e-14, abs=0)
 
 
 def _params(theorem, alpha, beta):
@@ -418,7 +455,8 @@ def test_stacked_brackets_equal_one_row_brackets(rng, monkeypatch, K, case):
 
 def test_one_circle_pass_per_call(rng, monkeypatch):
     # every guard of f is certified by its coefficient sum, so check and
-    # membership make one _circle_rows call each, over all of their rows
+    # membership make one _circle_rows call each, over all of their rows:
+    # the hypothesis, then N, then D unless D = 1
     real_rows = diskcheck.bounds._circle_rows
     calls = []
 
@@ -429,7 +467,7 @@ def test_one_circle_pass_per_call(rng, monkeypatch):
     monkeypatch.setattr("diskcheck.bounds._circle_rows", counting_rows)
     monkeypatch.setattr("diskcheck.checks._circle_rows", counting_rows)
     f = small_tail_series(rng, 2, 6)
-    rows = {Theorem.THM1: 3, Theorem.COR1: 3}
+    rows = {Theorem.THM1: 3, Theorem.COR1: 3, Theorem.THM3: 3}
     for theorem in Theorem:
         calls.clear()
         check(theorem, f, _params(theorem, 0.25, 0j), SPEC)
@@ -499,16 +537,15 @@ def test_refinement_makes_one_more_circle_pass_only_when_it_can_decide(monkeypat
 
 def test_a_sample_at_the_threshold_is_never_refined(monkeypatch):
     # no grid can certify sup < thr when a sample already equals thr, so
-    # neither check nor _below refines it: no refinement grid is built. The
-    # identity's zero hypothesis row at a lem11 threshold that underflows to
-    # 0 is such a sample too, and has no degree to refine by
+    # neither check nor _below refines it: no refinement grid is built. A
+    # zero row at the bound 0 is such a sample too, and has no degree to
+    # refine by
     params, spec = Params(alpha=0.25, beta=0.5), GridSpec(m=4096)
     f, lower, upper = _scaled_tail(Theorem.THM2, params, 2, 2048, 1.0)
     assert lower < upper
     monkeypatch.setattr("diskcheck.bounds._sub_grids", lambda *args: pytest.fail("refined a sample at the threshold"))
-    zero = check(Theorem.LEM11, SeriesA.from_tail(1, []), Params(beta=1.5, rho=5e-324), spec)
-    assert (zero.hyp_threshold, zero.hyp.lower, zero.hyp.upper) == (0.0, 0.0, 0.0)
-    assert zero.verdict.state is VerdictState.INCONCLUSIVE
+    zero = _brackets(np.zeros((1, 3), dtype=complex), 0.999, np.zeros(1), 0.0, spec)
+    assert (zero[0][0], zero[1][0]) == (0.0, 0.0)
     monkeypatch.setattr("diskcheck.checks.threshold", lambda theorem, params, n: lower)
     rep = check(Theorem.THM2, f, params, spec)
     assert (rep.hyp.lower, rep.hyp.upper, rep.verdict.state) == (lower, upper, VerdictState.INCONCLUSIVE)

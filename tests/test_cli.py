@@ -205,6 +205,16 @@ class TestExitCodes:
             capsys.readouterr()
             assert code == 3, argv
 
+    @pytest.mark.parametrize("argv, message", [
+        (["--theorem", "lem11", "--rho", "5e-324", "--beta", "1.5"], "lem11 threshold underflows to 0 at rho = 5e-324"),
+        (["--theorem", "thm3", "--alpha", "5e-324"], "thm3 needs 1/(2 alpha) within the float range, got alpha = 5e-324"),
+        (["--theorem", "thm3", "--alpha", "1e-309"], "thm3 needs 1/(2 alpha) within the float range, got alpha = 1e-309"),
+    ])
+    def test_parameters_past_the_float_range_are_named(self, capsys, argv, message):
+        code = main(["check", *argv, "--input", str(CORPUS / "halfdisk.json")])
+        captured = capsys.readouterr()
+        assert (code, captured.out, captured.err) == (3, "", f"diskcheck: error: {message}\n")
+
     @pytest.mark.parametrize("command", ["check", "radius"])
     def test_bad_beta_is_reported_before_a_bad_file(self, capsys, command):
         # --beta is parsed before the function file is read

@@ -36,7 +36,7 @@ from diskcheck import (
     witness_closed_forms,
 )
 from diskcheck.bounds import _below, _coeff_sums
-from diskcheck.checks import _RULES, HYPOTHESIS_FUNCTIONAL, _Quotient, _certified_rows, _conclusion_bound, \
+from diskcheck.checks import _RULES, HYPOTHESIS_FUNCTIONAL, _center, _certified_rows, _conclusion_bound, \
     _conclusion_caps, _conclusion_scan
 from diskcheck.funcspec import function_to_dict, load_function
 from diskcheck.functionals import _polynomial_coeffs
@@ -852,11 +852,10 @@ def assert_caps_bound_the_grid_values(theorem, alpha, rng):
         a[::8, n + 1] = np.abs(a[::8, n + 1])
         caps = _conclusion_caps(conclusion, a, bound, 0.999)
         assert np.isfinite(caps).sum() >= 24
-        center = bound if conclusion is _Quotient.RECIPROCAL else 1.0
         for m in (16, 512, 8192):
             # check's scan of each row alone, with no hypothesis row ahead
-            lower = np.array([_conclusion_scan(conclusion, row[None], 0.999, GridSpec(m=m),
-                                               lambda q: abs(q - center), a[:0, :0])[1][0] for row in a])
+            lower = np.array([_conclusion_scan(conclusion, row[None], 0.999, GridSpec(m=m), abs, a[:0, :0],
+                                               _center(conclusion, bound))[1][0] for row in a])
             known = ~np.isnan(lower)
             assert known[np.isfinite(caps)].all()
             assert (caps[known] >= lower[known]).all(), (n, m)

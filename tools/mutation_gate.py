@@ -61,14 +61,27 @@ MUTANTS = (
      "sure = _below(_polynomial_coeffs(hyp_fun, a, complex(params.beta)), r_max, thr, spec) & (caps < bound)",
      "sure = _below(_polynomial_coeffs(hyp_fun, a, complex(params.beta)), r_max, thr, spec)",
      [T_WITNESSES]),
+    # the ratio form q - c = N/D, its guard and its cap
+    ("ratio: N without its - c D term", CHECKS,
+     "num = top - c * (np.eye(1, top.shape[-1]) if den is _ONE else den)",
+     "num = top",
+     [T_CHECKS + "::test_a_conclusion_near_its_center_keeps_every_digit"]),
+    ("guard: sup |D| < 1 in place of sup |D - 1| < 1", CHECKS,
+     "_below(den - np.eye(1, den.shape[-1]), r, 1.0, spec)",
+     "_below(den, r, 1.0, spec)",
+     [T_CHECKS + "::test_a_conclusion_near_its_center_keeps_every_digit"]),
+    ("caps: S(N) without its / (1 - g)", CHECKS,
+     "else _coeff_sums(num, r) / (1.0 - g))",
+     "else _coeff_sums(num, r))",
+     [T_WITNESSES + "::TestFalsifyPruning::test_caps_bound_the_grid_values"]),
     # the verdict rule and the 1/f' cap
     ("verdict: holds at lower == bound", CHECKS,
      "state = VerdictState.HOLDS if lower < bound else VerdictState.FAILS",
      "state = VerdictState.HOLDS if lower <= bound else VerdictState.FAILS",
      [T_CHECKS]),
     ("caps: g/(1 + g^2) in the 1/f' cap", CHECKS,
-     "cap = np.abs(1.0 / (1.0 - g * g) - bound) + g / (1.0 - g * g)",
-     "cap = np.abs(1.0 / (1.0 - g * g) - bound) + g / (1.0 + g * g)",
+     "cap = (np.abs(1.0 / (1.0 - g * g) - bound) + g / (1.0 - g * g) if",
+     "cap = (np.abs(1.0 / (1.0 - g * g) - bound) + g / (1.0 + g * g) if",
      [T_WITNESSES]),
     # the exact polynomial forms of the hypothesis functionals
     ("coeffs: index shift in the star test", FUNCTIONALS,
