@@ -33,13 +33,15 @@ import cmath
 import math
 from dataclasses import dataclass
 from enum import Enum
+from functools import cache
 
 import numpy as np
 
 # poly_sup is not called here, but diskcheck.checks.poly_sup stays importable:
 # bench/tracer.py wraps that name and bench/test_bench.py deletes it.
 from .bounds import _MAX_GRID_M, _SUM_SLACK, GridSpec, SupBracket, BracketKind, _below, _brackets, \
-    _circle_argopt, _circle_point, _circle_rows, _coeff_sums, _stacked, _unit_circle, poly_sup  # noqa: F401
+    _circle_argopt, _circle_point, _circle_rows, _coeff_sums, _powers, _sec_bound, _stacked, _unit_circle, \
+    poly_sup  # noqa: F401
 from .errors import InputError, ParameterError, require_complex, require_int, require_real
 from .functionals import DEFAULT_DENOM_FLOOR, Functional, _polynomial_coeffs, _require_nonsingular
 from .series import PolySeries, SeriesA, _derivative_coeffs, require_finite
@@ -264,10 +266,12 @@ def _conclusion_scan(conclusion, a: np.ndarray, r: float, spec: GridSpec, h, lea
     D the _ratio_rows of q - c for the one function with coefficient row a
     (shape (1, L)), h a real objective of an ndarray. Returns the rows that
     check brackets (lead, then N when D = 1) and two arrays over lead and
-    the conclusion: the grid maxima of |lead| and h(N/D), and their points.
-    A D other than 1 needs the guard sup |D - 1| < 1 certified by _below,
-    else value and point are nan; where |D| < DEFAULT_DENOM_FLOOR the value
-    is nan at the first such point. InputError when a value overflows."""
+    the conclusion: the grid maxima of |lead| and h(N/D), and their points;
+    and, last, (N, D, the N grid, the D grid) with 1.0 as the grid of D = 1,
+    or None when the guard fails. A D other than 1 needs the guard
+    sup |D - 1| < 1 certified by _below, else value and point are nan; where
+    |D| < DEFAULT_DENOM_FLOOR the value is nan at the first such point.
+    InputError when a value overflows."""
     unit = _unit_circle(spec.m)
     num, den = _ratio_rows(conclusion, a, c)
     poly = den is _ONE  # N is a polynomial row, bracketed with lead
@@ -275,9 +279,11 @@ def _conclusion_scan(conclusion, a: np.ndarray, r: float, spec: GridSpec, h, lea
     stack = _stacked(lead, *((num,) if poly else (num, den) if guarded else ()))
     grids = _circle_rows(stack, r, spec.m)
     values, j = _circle_argopt(np.abs(grids[: len(lead)]))
-    value, point = math.nan, complex(math.nan, math.nan)
+    value, point, ratio = math.nan, complex(math.nan, math.nan), None
     if guarded:
-        vals = h(grids[len(lead)] if poly else grids[len(lead)] / grids[-1])
+        top, bottom = grids[len(lead)], 1.0 if poly else grids[-1]
+        ratio = num, den, top, bottom
+        vals = h(top if poly else top / bottom)
         bad = () if poly else (np.abs(grids[-1]) < DEFAULT_DENOM_FLOOR).nonzero()[0]
         if len(bad):  # singular: the first grid point below the floor
             point = r * unit[bad[0]]
@@ -286,7 +292,7 @@ def _conclusion_scan(conclusion, a: np.ndarray, r: float, spec: GridSpec, h, lea
         else:
             i = vals.argmax()
             value, point = vals[i], r * unit[i]
-    return stack[: len(lead) + poly], np.append(values, value), np.append(r * unit[j], point)
+    return stack[: len(lead) + poly], np.append(values, value), np.append(r * unit[j], point), ratio
 
 
 def check(theorem: Theorem, f: SeriesA, params: Params, spec: GridSpec | None = None,
@@ -310,7 +316,7 @@ def check(theorem: Theorem, f: SeriesA, params: Params, spec: GridSpec | None = 
     hyp_fun, _, conclusion = _RULES[theorem]
     a = f.body.coeffs[None]
     hyp_rows = _polynomial_coeffs(hyp_fun, a, complex(params.beta))
-    polys, values, points = _conclusion_scan(conclusion, a, r_max, spec, abs, hyp_rows, _center(conclusion, bound))
+    polys, values, points, _ = _conclusion_scan(conclusion, a, r_max, spec, abs, hyp_rows, _center(conclusion, bound))
     # rows: the hypothesis, then a polynomial conclusion, which inf never refines;
     # the bound rejects a non-finite grid
     lowers, uppers = _brackets(polys, r_max, values[: len(polys)], [thr, math.inf][: len(polys)], spec)
@@ -340,7 +346,9 @@ def _conclusion_caps(conclusion, a: np.ndarray, bound: float, r: float) -> np.nd
     and radius; inf where g > 1/2. Every cap gets _SUM_SLACK relative and
     _CAP_ROOM absolute room, so that it also bounds the rounded grid values
     of _conclusion_scan."""
-    num, den = _ratio_rows(conclusion, a, _center(conclusion, bound))
+    # the 1/f' cap needs g alone, so its N = 1 - c f' is never formed
+    num, den = ((None, _derivative_coeffs(a)) if conclusion is _Quotient.RECIPROCAL
+                else _ratio_rows(conclusion, a, _center(conclusion, bound)))
     if den is _ONE:  # g = 0
         return _coeff_sums(num, r) * (1.0 + _SUM_SLACK) + _CAP_ROOM
     g = _coeff_sums(den - np.eye(1, den.shape[-1]), r)
@@ -371,19 +379,66 @@ class FunctionClass(Enum):
     CONVEX = "k"               # Re(1 + z f''/f') > alpha
 
 
+@np.errstate(all="ignore")
+def _positive(num: np.ndarray, den: np.ndarray, top: np.ndarray, bottom, alpha: float, r: float,
+              spec: GridSpec) -> bool:
+    """Whether T = Re((N - alpha D) conj(D)) = Re(N conj(D)) - alpha |D|^2 > 0
+    on all of |z| = r is certified, from the coefficient rows num and den of
+    N and D (den may be _ONE) and their spec.m-point grids top and bottom
+    (1.0 for D = 1). T is a real trigonometric polynomial of degree at most
+    d = max(deg N, deg D), taken from the row lengths, so
+    min T >= min_j T_j - e over its m samples T_j, with e the smaller of
+    - the sec correction (sec(pi d / m) - 1)(max_j T_j - min_j T_j)/2 for
+      m > 2d: the sampling inequality of _sup_upper for e^{i d theta}(T - c),
+      of degree 2d, c the midpoint of the samples;
+    - the Lipschitz pad L pi / m, L = S1(N) S(D) + S(N) S1(D) +
+      2 alpha S(D) S1(D) >= |dT/dtheta|, S = sum_k |c_k| r^k and
+      S1 = sum_k k |c_k| r^k.
+    When that leaves T undecided and every T_j > 0, T is sampled once more,
+    on the smallest grid m 2^j whose e, from the first samples, would
+    decide, at most max(2m, 8 (d + 1)) and _MAX_GRID_M."""
+    d = max(num.shape[-1], den.shape[-1]) - 1  # T's degree is at most this
+
+    @cache
+    def lip():  # >= |dT/dtheta|, needed only where sec does not decide
+        moduli = np.abs(_stacked(num, den)) * _powers(r, d + 1)
+        (s, sd), (s1, s1d) = moduli.sum(axis=-1), moduli @ np.arange(d + 1)
+        return s1 * sd + s * s1d + 2.0 * alpha * sd * s1d
+
+    def lowest(t, m):  # a certified lower bound on min T from its samples t on the m-point grid
+        low = t.min()
+        half = (t.max() - low) / 2
+        sec = low - (_sec_bound(half, 2 * d, m) - half)
+        return sec if sec > 0 else max(sec, low - lip() * math.pi / m)
+
+    t = ((top - alpha * bottom) * np.conj(bottom)).real
+    sure = lowest(t, spec.m) > 0
+    if not sure and t.min() > 0:
+        fine, cap = 2 * spec.m, min(_MAX_GRID_M, max(2 * spec.m, 8 * (d + 1)))
+        while fine <= cap and not lowest(t, fine) > 0:
+            fine *= 2
+        if fine <= cap:
+            top, bottom = _circle_rows(_stacked(num, den), r, fine)
+            sure = lowest(((top - alpha * bottom) * np.conj(bottom)).real, fine) > 0
+    return bool(sure)
+
+
 def membership(which: FunctionClass, f: SeriesA, alpha: float, spec: GridSpec | None = None,
                r_max: float = 0.999) -> Verdict:
-    """Grid verdict on class membership of order alpha on the disk |z| <= r_max.
+    """Verdict on class membership of order alpha on the disk |z| <= r_max.
 
     The class quantity q is scanned as N/D (_ratio_rows with c = 0) behind
     check's guard sup |D - 1| < 1; a failed guard or a singular D yields
     Inconclusive (the latter with the singular point as witness). Behind the
     guard q is analytic on the closed disk, so its real part is harmonic
     there and takes its minimum on the circle |z| = r_max (minimum
-    principle): only that circle is scanned. This is a grid verdict, not a certificate:
-    hypothesis_margin stays None. It is check's verdict rule on the one
-    conclusion row max(-Re q) < -alpha, which holds exactly when
-    min Re q > alpha; its margin -alpha - max(-Re q) is min Re q - alpha.
+    principle): only that circle is scanned. Fails when a grid sample has
+    Re q <= alpha, with that point as witness. Holds only when the sign test
+    _positive certifies T = Re(N conj(D)) - alpha |D|^2 > 0 on the circle,
+    which is Re q > alpha as |D| > 0 there; else Inconclusive.
+    hypothesis_margin stays None, and conclusion_margin is the grid
+    min Re q - alpha: check's verdict rule on the one conclusion row
+    max(-Re q) < -alpha, its margin -alpha - max(-Re q).
     """
     spec = spec if spec is not None else GridSpec()
     r_max = require_real(r_max, lambda r: 0.0 < r < 1.0, "r_max must lie in (0, 1)", InputError)
@@ -394,8 +449,12 @@ def membership(which: FunctionClass, f: SeriesA, alpha: float, spec: GridSpec | 
     if not isinstance(which, FunctionClass):
         raise InputError(f"unknown function class {which!r}")
     a = f.body.coeffs[None]
-    _, values, points = _conclusion_scan(_Quotient[which.name], a, r_max, spec, lambda q: -q.real, a[:0, :0], 0.0)
-    return _verdict(True, values.item(), points.item(), -alpha, None)
+    _, values, points, ratio = _conclusion_scan(_Quotient[which.name], a, r_max, spec, lambda q: -q.real,
+                                                a[:0, :0], 0.0)
+    value = values.item()
+    # a grid sample at or below alpha, or an unknown value, decides without the sign test
+    sure = not value < -alpha or _positive(*ratio, alpha, r_max, spec)
+    return _verdict(sure, value, points.item(), -alpha, None)
 
 
 @dataclass(frozen=True)

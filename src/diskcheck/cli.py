@@ -238,7 +238,7 @@ def _build_parser() -> _Parser:
     pc.add_argument("--grid-m", type=int, default=4096, dest="grid_m")
     pc.set_defaults(func=_cmd_check)
 
-    pm = sub.add_parser("membership", help="grid membership verdict")
+    pm = sub.add_parser("membership", help="certified class membership verdict")
     pm.add_argument("--class", required=True, choices=_CLASS_CHOICES, dest="class")
     pm.add_argument("--alpha", type=float, default=0.0)
     pm.add_argument("--input", required=True)

@@ -97,10 +97,7 @@ def eval_functional(which: Functional, f: SeriesA, beta: complex = 0j, z=0j):
     """
     beta = require_complex(beta, None, f"beta not interpretable as a complex number: {beta!r}", InputError)
     require_complex(beta, cmath.isfinite, "beta must be finite", InputError)
-    if isinstance(z, (int, float, complex)) and not isinstance(z, bool):
-        z = complex(z)
-    else:
-        z = _points(z)
+    z = _points(z)
     d1 = f.derivative()
     if which is Functional.DERIV_DEFECT:
         return d1.eval(z) - f.divide_by_z().eval(z)

@@ -8,22 +8,24 @@ No operation ever extends the truncation order implicitly.
 
 from __future__ import annotations
 
-import cmath
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InputError, _require_degree, require_complex, require_int
+from .errors import InputError, _require_degree, require_int
 
 __all__ = ["PolySeries", "SeriesA"]
 
 
 def _points(z) -> np.ndarray:
-    """z as an ndarray of complex points; InputError when it is not numeric."""
+    """z (a number or an array of them) as an ndarray of complex points, 0-d
+    for a number; InputError when it is not numeric or overflows a float."""
     try:
         return np.asarray(z, dtype=np.complex128)
     except (TypeError, ValueError):
         raise InputError("evaluation point not interpretable as complex numbers") from None
+    except OverflowError:  # a Python int beyond the float range
+        raise InputError("non-finite evaluation point") from None
 
 
 def require_finite(x, what: str):
@@ -32,14 +34,6 @@ def require_finite(x, what: str):
     if not np.isfinite(x).all():
         raise InputError(f"float overflow in {what}")
     return x
-
-
-def _horner(coeffs, z: complex) -> complex:
-    """Horner recursion in plain complex arithmetic; coeffs lowest degree first."""
-    acc = coeffs[-1]
-    for k in range(len(coeffs) - 2, -1, -1):
-        acc = acc * z + coeffs[k]
-    return acc
 
 
 def _horner_rows(c: np.ndarray, z: np.ndarray) -> np.ndarray:
@@ -116,17 +110,13 @@ class PolySeries:
         return f"PolySeries({list(self.coeffs)!r})"
 
     def eval(self, z):
-        """Evaluate by backward (Horner) recursion; z may be scalar or ndarray."""
-        if isinstance(z, (int, float, complex)) and not isinstance(z, bool):
-            zc = require_complex(z, cmath.isfinite, "non-finite evaluation point", InputError)
-            return _horner(self.coeffs.tolist(), zc)
+        """Evaluate by backward (Horner) recursion at every point of z, a
+        number (the value is a complex) or an array of them (an ndarray)."""
         zz = _points(z)
         if not np.isfinite(zz).all():
             raise InputError("non-finite evaluation point")
         acc = _horner_rows(self.coeffs, zz)
-        if zz.ndim == 0:
-            return complex(acc)
-        return acc
+        return complex(acc) if zz.ndim == 0 else acc
 
     __call__ = eval
 

@@ -7,7 +7,8 @@ radius and a float bound pose a question with an exact answer. Whether
     T = sum_i w_i |p_i(z)|^2 > 0   at every z on |z| = r,
 
 for rational weights w_i (b^2 |D|^2 - |N|^2 is |N/D| < b with D nonzero,
-and b^2 - |p|^2 is |p| < b), is decided by the tangent half-angle
+b^2 - |p|^2 is |p| < b, and |N + D|^2/4 - |N - D|^2/4 - alpha |D|^2 =
+Re(N conj(D)) - alpha |D|^2 is Re(N/D) > alpha), is decided by the tangent half-angle
 substitution. With t = tan(theta / 2), e^{i theta} = (1 + it)/(1 - it) and
 |1 - it|^2 = 1 + t^2, so P(t) = (1 + t^2)^K T is a real polynomial of degree
 at most 2K with rational coefficients, K the largest degree of the p_i. T is
@@ -109,6 +110,26 @@ def sup_below(p, r: float, bound) -> bool:
 def ratio_below(num, den, r: float, bound) -> bool:
     """Whether |num/den| < bound on |z| = r: b^2 |den|^2 - |num|^2 > 0 there."""
     return positive_on_circle([(Fraction(bound) ** 2, den), (-1, num)], r)
+
+
+def real_part_above(num, den, r: float, alpha) -> bool:
+    """Whether Re(num/den) > alpha on |z| = r, for den without zeros there:
+    Re(N conj(D)) - alpha |D|^2 > 0, with Re(N conj(D)) written as
+    |N + D|^2/4 - |N - D|^2/4."""
+    return positive_on_circle([(Fraction(1, 4), combine((1, num), (1, den))),
+                               (Fraction(-1, 4), combine((1, num), (-1, den))), (-Fraction(alpha), den)], r)
+
+
+def class_quantity(cls: str, a: list):
+    """(N, D) with q = N/D, q the quantity of class cls of membership
+    (Re q > alpha) for the function with coefficients a: z f'/f = f'/(f/z)
+    for "star", f' for "c", 1 + z f''/f' = (f' + z f'')/f' for "k"."""
+    d1 = derivative(a)
+    if cls == "star":
+        return d1, a[1:]
+    if cls == "c":
+        return d1, [gauss(1)]
+    return combine((1, d1), (1, times_z(derivative(d1)))), d1
 
 
 def hypothesis(tag: str, a: list, beta) -> list:

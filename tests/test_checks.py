@@ -911,8 +911,7 @@ class TestJackProbe:
 
     def test_one_grid_pass_and_no_scalar_evaluation(self, monkeypatch):
         # one _circle_rows call on w's row, and no sub-grids; the polish
-        # evaluates by matrix products, never by scalar Horner or golden
-        # section
+        # evaluates by block power sums, never by Horner or golden section
         real_rows = diskcheck.bounds._circle_rows
         calls = []
 
@@ -921,11 +920,11 @@ class TestJackProbe:
             return real_rows(c, r, m)
 
         def forbidden(*args, **kwargs):
-            raise AssertionError("jack_probe made a scalar evaluation")
+            raise AssertionError("jack_probe evaluated outside its grid and block sums")
 
         monkeypatch.setattr("diskcheck.bounds._circle_rows", counting_rows)
         monkeypatch.setattr("diskcheck.checks._circle_rows", counting_rows)
-        monkeypatch.setattr("diskcheck.series._horner", forbidden)
+        monkeypatch.setattr("diskcheck.series._horner_rows", forbidden)
         monkeypatch.setattr("diskcheck.bounds._golden_argmax", forbidden)
         monkeypatch.setattr("diskcheck.bounds._sub_grids", forbidden)
         rep = jack_probe(PolySeries(np.array([0, 1, 0.5j, 0.25], dtype=complex)), 1, 0.9, SPEC)

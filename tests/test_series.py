@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from diskcheck import InputError, PolySeries, SeriesA
+from diskcheck import Functional, InputError, PolySeries, SeriesA, eval_functional
 
 
 def test_eval_matches_direct_power_sum(rng):
@@ -28,6 +28,19 @@ def test_eval_zero_dim_array_returns_scalar():
     out = p(np.asarray(0.5 + 0j))
     assert isinstance(out, complex)
     assert out == pytest.approx(2.0)
+
+
+def test_non_finite_and_overflowing_points_raise_input_error():
+    # an int beyond the float range overflows like an inf: as a scalar, in a
+    # list, or beside a float, through eval and eval_functional alike
+    f = SeriesA.from_tail(1, [0.1])
+    calls = (f.body.eval, f.eval, lambda z: eval_functional(Functional.STAR_QUOTIENT, f, 0j, z))
+    for z in (10**400, -(10**400), [10**400], [0.1, 10**400], float("inf"), [0.1, float("nan")]):
+        for call in calls:
+            with pytest.raises(InputError) as info:
+                call(z)
+            assert info.type is InputError
+            assert str(info.value) == "non-finite evaluation point"
 
 
 def test_derivative_coefficients():

@@ -26,7 +26,7 @@ ROOT = Path(__file__).resolve().parents[1]
 
 BOUNDS, CHECKS, FUNCTIONALS = "src/diskcheck/bounds.py", "src/diskcheck/checks.py", "src/diskcheck/functionals.py"
 T_BOUNDS, T_CHECKS, T_WITNESSES = "tests/test_bounds.py", "tests/test_checks.py", "tests/test_witnesses.py"
-T_FUNCTIONALS = "tests/test_functionals.py"
+T_FUNCTIONALS, T_EXACT = "tests/test_functionals.py", "tests/test_exact.py"
 
 #: (name, file, snippet, replacement, tests that must kill it).
 MUTANTS = (
@@ -83,6 +83,19 @@ MUTANTS = (
      "cap = (np.abs(1.0 / (1.0 - g * g) - bound) + g / (1.0 - g * g) if",
      "cap = (np.abs(1.0 / (1.0 - g * g) - bound) + g / (1.0 + g * g) if",
      [T_WITNESSES]),
+    # membership's sign test of T = Re(N conj(D)) - alpha |D|^2
+    ("sign test: the correction e dropped", CHECKS,
+     "sec = low - (_sec_bound(half, 2 * d, m) - half)",
+     "sec = low",
+     [T_EXACT + "::test_a_grid_gap_below_the_order_is_not_a_holds"]),
+    ("sign test: sec without m > 2d", CHECKS,
+     "_sec_bound(half, 2 * d, m) - half",
+     "half / math.cos(math.pi * d / m) - half",
+     [T_EXACT + "::test_an_aliased_grid_is_not_a_holds"]),
+    ("sign test: the pad without its pi / m", CHECKS,
+     "lip() * math.pi / m)",
+     "lip())",
+     [T_EXACT + "::test_the_lipschitz_pad_alone_certifies_a_holds"]),
     # the exact polynomial forms of the hypothesis functionals
     ("coeffs: index shift in the star test", FUNCTIONALS,
      "out = (k - 1) * (k - beta) * ak",
